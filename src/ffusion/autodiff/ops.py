@@ -262,8 +262,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax; -inf logits give exactly zero probability mass.
 
-    A row whose logits are all -inf has no finite maximum and is rejected:
-    it means every key was masked for that query.
+    A row without a finite maximum (all -inf, or holding NaN or +inf) is
+    rejected: its logits are non-finite and cannot be normalized.
     """
     ndim = x.data.ndim
     if not (-ndim <= axis < ndim):
@@ -271,7 +271,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     ax = axis % ndim
     top = x.data.max(axis=ax, keepdims=True)
     if not np.all(np.isfinite(top)):
-        raise MaskError("softmax: a row has no finite logit (all keys masked)")
+        raise MaskError("softmax: non-finite logits (a row has no finite maximum)")
     e = np.exp(x.data - top)
     denom = e.sum(axis=ax, keepdims=True)
     arr = e / denom

@@ -15,8 +15,8 @@ class Tensor:
     """A dense float64 array plus an optional gradient buffer.
 
     Data is stored row-major as float64. Construction rejects non-finite
-    values; the sanctioned exception is `Tensor.constant`, which exists for
-    attention mask biases that carry -inf by design.
+    values; the sanctioned exception is `Tensor.constant`, which wraps
+    non-trainable data without the check.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -31,7 +31,7 @@ class Tensor:
 
     @classmethod
     def constant(cls, data) -> "Tensor":
-        """Wrap data without the finiteness check (mask biases hold -inf)."""
+        """Wrap non-trainable data without the finiteness check."""
         obj = object.__new__(cls)
         obj.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         obj.requires_grad = False

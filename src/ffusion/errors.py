@@ -18,7 +18,7 @@ class ShapeError(FfusionError):
 
 
 class MaskError(FfusionError):
-    """Invalid attention mask, e.g. every key masked for a query."""
+    """Softmax logits with no finite maximum in a row."""
 
 
 class GradientError(FfusionError):

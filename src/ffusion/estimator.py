@@ -18,12 +18,10 @@ from .model import (
     FusionNetwork,
     ModelConfig,
     TrainConfig,
+    predict,
     prepare_all,
-    stack_features,
     train,
 )
-from .model import group_by_availability
-from .model.training import EVAL_CHUNK
 from .scene.commands import COMMANDS
 from .scene.dataset import Sample
 from .validation import (
@@ -102,12 +100,8 @@ class MultimodalFusionClassifier:
         samples = ensure_samples(X)
         features = prepare_all(samples, self.network_)
         probs = np.empty((len(samples), len(COMMANDS)))
-        for _, indices in sorted(group_by_availability(features).items()):
-            for start in range(0, len(indices), EVAL_CHUNK):
-                chunk = indices[start:start + EVAL_CHUNK]
-                batch = stack_features([features[i] for i in chunk])
-                result = self.network_.forward(batch, mask)
-                probs[chunk] = result.command_probs.data
+        for indices, _, result in predict(self.network_, features, mask):
+            probs[indices] = result.command_probs.data
         return probs
 
     def predict(self, X: Sequence[Sample],

@@ -6,7 +6,6 @@ from ffusion.model.decoders import (
     N_SEG_CLASSES,
     CommandHead,
     SegHead,
-    command_from_probs,
 )
 from ffusion.model.encoders import (
     MODALITIES,
@@ -45,10 +44,16 @@ from ffusion.model.layers import (
     MultiHeadAttention,
     TransformerBlock,
     init_param,
-    key_mask_bias,
 )
 from ffusion.model.network import ForwardResult, FusionNetwork, SEG_LOSS_WEIGHT
-from ffusion.model.training import Metrics, TrainConfig, evaluate, prepare_all, train
+from ffusion.model.training import (
+    Metrics,
+    TrainConfig,
+    evaluate,
+    predict,
+    prepare_all,
+    train,
+)
 from ffusion.model.vocab import (
     BOS_ID,
     DEFAULT_VOCAB,
@@ -96,13 +101,12 @@ __all__ = [
     "arbitration_weights",
     "build_branches",
     "camera_health",
-    "command_from_probs",
     "depth_health",
     "evaluate",
     "group_by_availability",
     "init_param",
-    "key_mask_bias",
     "patchify",
+    "predict",
     "prepare_all",
     "prepare_features",
     "stack_features",

@@ -1,15 +1,16 @@
 """Task decoders reading only the fused latent.
 
 Both heads are functions of FusedLatent alone: the command head reads the
-summary token, the segmentation head reads the camera-span tokens (zeroed
-when the camera is unavailable, so outputs remain valid distributions).
+summary token, the segmentation head reads the camera-span tokens. With
+the camera span empty the segmentation head has no tokens to project and
+outputs its bias alone, so outputs remain valid distributions.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import numpy as np
 
-from ffusion.autodiff import ParamStore, Rng, Tensor, reshape, softmax, transpose
+from ffusion.autodiff import ParamStore, Rng, Tensor, add, reshape, softmax, transpose
 from ffusion.errors import FusionError
 from ffusion.model.config import ModelConfig
 from ffusion.model.fusion import FusedLatent
@@ -56,8 +57,14 @@ class SegHead:
         )
 
     def __call__(self, fused: FusedLatent) -> Tensor:
-        tokens = fused.span_tokens("camera")
-        logits = self.proj(tokens)  # (..., side*side, 2*2*classes)
+        # logits: (..., side*side, 2*2*classes)
+        start, stop = fused.spans["camera"]
+        if start < stop:
+            logits = self.proj(fused.span_tokens("camera"))
+        else:
+            # No camera tokens: every patch's logits are the projection bias.
+            shape = fused.tokens.shape[:-2] + (self.side * self.side, self.proj.bias.shape[0])
+            logits = add(Tensor.constant(np.zeros(shape)), self.proj.bias)
         lead = logits.shape[:-2]
         n = len(lead)
         side, block = self.side, self.BLOCK
@@ -67,18 +74,3 @@ class SegHead:
         grid = transpose(grid, axes)
         grid = reshape(grid, lead + (LABEL_GRID, LABEL_GRID, N_SEG_CLASSES))
         return softmax(grid, axis=-1)
-
-
-def decode_command(fused: FusedLatent, head: CommandHead) -> Tensor:
-    return head(fused)
-
-
-def decode_segmentation(fused: FusedLatent, head: SegHead) -> Tensor:
-    return head(fused)
-
-
-def command_from_probs(probs) -> Tuple[str, ...]:
-    """Argmax command names for a (..., 4) probability array."""
-    data = probs.data if isinstance(probs, Tensor) else probs
-    flat = data.reshape(-1, N_COMMANDS)
-    return tuple(COMMANDS[i] for i in flat.argmax(axis=1))

@@ -1,24 +1,22 @@
-"""Attention-based fusion of per-modality tokens with availability masking.
+"""Attention-based fusion of the available modalities' tokens.
 
-Unavailable modalities keep their span in the concatenated sequence but are
-replaced by constant zeros, excluded as attention keys (-inf logits, exactly
-zero weight and gradient) and re-zeroed after every block, so they contribute
-no keys, queries or values anywhere. Fusing with a modality masked is
-therefore numerically identical to fusing with it physically absent.
+Only available modalities enter the concatenated sequence; an unavailable
+or absent modality gets an empty span. Fusing with a modality masked is
+therefore the same computation as fusing with it physically absent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from ffusion.autodiff import ParamStore, Rng, Tensor, add, concat, mul, reshape, slice_
+from ffusion.autodiff import ParamStore, Rng, Tensor, add, concat, reshape, slice_
 from ffusion.errors import FusionError, ShapeError
 from ffusion.model.config import ModelConfig
 from ffusion.model.encoders import MODALITIES, TokenSequence
-from ffusion.model.layers import LayerNorm, TransformerBlock, init_param, keep_matrix
+from ffusion.model.layers import LayerNorm, TransformerBlock, init_param
 
 FUSION_BLOCKS = 2
 
@@ -50,17 +48,15 @@ class FusedLatent:
 
     tokens is (..., 1 + sum of span lengths, d) with the summary token at
     index 0. spans maps modality -> (start, stop) into the token axis
-    ((start == stop) when the modality was physically absent). arbitration
-    holds per-sample scores (..., 3) in MODALITIES order: the summary
-    token's final-block attention mass per span, head-averaged and
+    ((start == stop) when the modality was unavailable or absent).
+    arbitration holds per-sample scores (..., 3) in MODALITIES order: the
+    summary token's final-block attention mass per span, head-averaged and
     renormalized excluding the summary's self-attention.
     """
 
     tokens: Tensor
     spans: Dict[str, Tuple[int, int]]
-    available: Dict[str, bool]
     arbitration: np.ndarray
-    attention: Tensor = field(repr=False)
 
     @property
     def summary(self) -> Tensor:
@@ -106,11 +102,11 @@ class FusionCore:
         return reshape(row, (self.config.d,))
 
     def fuse(self, latents: Sequence[TokenSequence], mask: AvailabilityMask) -> FusedLatent:
-        """Concatenate summary token + modality spans and run the fusion stack.
+        """Concatenate summary token + available spans and run the fusion stack.
 
         latents lists the physically present modalities (any subset, each
-        modality at most once). A present modality still counts as
-        unavailable when its own availability flag or the mask says so.
+        modality at most once). A present modality is left out of the
+        sequence when its own availability flag or the mask says so.
         """
         by_modality = {}
         for seq in latents:
@@ -129,54 +125,31 @@ class FusionCore:
             raise ShapeError(f"inconsistent batch shapes across modalities: {leads}")
         lead = leads.pop()
 
-        available = {
-            m: bool(m in by_modality and by_modality[m].availability and mask[m])
-            for m in MODALITIES
-        }
-        if not any(available.values()):
-            raise FusionError("no modality available: system-level fail signal")
-
-        dim = self.config.d
-        parts = [add(Tensor.constant(np.zeros(lead + (1, dim))), self.cls)]
-        keep = [True]
+        parts = [add(Tensor.constant(np.zeros(lead + (1, self.config.d))), self.cls)]
         spans = {}
         cursor = 1
         for index, modality in enumerate(MODALITIES):
-            if modality not in by_modality:
+            seq = by_modality.get(modality)
+            if seq is None or not (seq.availability and mask[modality]):
                 spans[modality] = (cursor, cursor)
                 continue
-            seq = by_modality[modality]
-            length = seq.length
-            if available[modality]:
-                span = add(seq.tokens, self._type_vector(index))
-            else:
-                span = Tensor.constant(np.zeros(lead + (length, dim)))
-            parts.append(span)
-            keep.extend([available[modality]] * length)
-            spans[modality] = (cursor, cursor + length)
-            cursor += length
+            parts.append(add(seq.tokens, self._type_vector(index)))
+            spans[modality] = (cursor, cursor + seq.length)
+            cursor += seq.length
+        if len(parts) == 1:
+            raise FusionError("no modality available: system-level fail signal")
 
-        tokens = concat(parts, axis=len(lead)) if len(parts) > 1 else parts[0]
-        keep_vec = np.asarray(keep, dtype=bool)
-        attn = None
+        tokens = concat(parts, axis=len(lead))
         for block in self.blocks:
-            tokens, attn = block(tokens, keep_vec)
-        tokens = self.norm(tokens)
-        if not keep_vec.all():
-            tokens = mul(tokens, keep_matrix(keep_vec, dim, lead))
-
-        scores = self._arbitration(attn.data, spans, keep_vec)
+            tokens, attn = block(tokens)
         return FusedLatent(
-            tokens=tokens,
+            tokens=self.norm(tokens),
             spans=spans,
-            available=available,
-            arbitration=scores,
-            attention=attn,
+            arbitration=self._arbitration(attn.data, spans),
         )
 
     @staticmethod
-    def _arbitration(attn: np.ndarray, spans: Dict[str, Tuple[int, int]],
-                     keep_vec: np.ndarray) -> np.ndarray:
+    def _arbitration(attn: np.ndarray, spans: Dict[str, Tuple[int, int]]) -> np.ndarray:
         # Summary-token query row, averaged over heads: (..., H, T, T) -> (..., T)
         per_key = attn[..., :, 0, :].mean(axis=-2)
         masses = np.stack(
@@ -184,15 +157,4 @@ class FusionCore:
              (spans[m] for m in MODALITIES)],
             axis=-1,
         )
-        denom = masses.sum(axis=-1, keepdims=True)
-        uniform = keep_vec[1:].astype(np.float64)
-        # All summary attention on itself would zero the denominator; fall
-        # back to uniform over available spans (never observed in practice).
-        safe = np.where(denom > 0.0, denom, 1.0)
-        fallback = np.zeros_like(masses)
-        for i, m in enumerate(MODALITIES):
-            start, stop = spans[m]
-            if stop > start and uniform[start - 1]:
-                fallback[..., i] = 1.0
-        fallback /= np.maximum(fallback.sum(axis=-1, keepdims=True), 1.0)
-        return np.where(denom > 0.0, masses / safe, fallback)
+        return masses / masses.sum(axis=-1, keepdims=True)

@@ -19,15 +19,12 @@ from ffusion.autodiff import (
     gelu,
     layer_norm,
     matmul,
-    mul,
     reshape,
     scale,
     softmax,
     transpose,
 )
-from ffusion.errors import MaskError, ShapeError
-
-MASKED_LOGIT = -np.inf
+from ffusion.errors import ShapeError
 
 
 def init_param(store: ParamStore, rng: Rng, path: str, shape: tuple,
@@ -69,30 +66,10 @@ class LayerNorm:
         return layer_norm(x, self.gain, self.bias)
 
 
-def key_mask_bias(keep: np.ndarray) -> Tensor:
-    """Additive attention bias over keys: 0 where keep, -inf where masked."""
-    keep = np.asarray(keep, dtype=bool)
-    if keep.ndim != 1:
-        raise ShapeError(f"key mask must be 1-d over keys, got shape {keep.shape}")
-    if not keep.any():
-        raise MaskError("every key is masked; attention cannot normalize")
-    bias = np.where(keep, 0.0, MASKED_LOGIT)
-    return Tensor.constant(bias)
-
-
-def keep_matrix(keep: np.ndarray, dim: int, lead: tuple = ()) -> Tensor:
-    """0/1 multiplier of shape lead + (T, d) that zeroes masked positions."""
-    keep = np.asarray(keep, dtype=bool)
-    column = keep.astype(np.float64)[:, None] * np.ones((1, dim))
-    return Tensor.constant(np.broadcast_to(column, lead + column.shape).copy())
-
-
 class MultiHeadAttention:
-    """Self-attention over (..., T, d) with an optional boolean key mask.
+    """Self-attention over (..., T, d).
 
-    Masked keys receive -inf logits, which the softmax turns into exactly
-    zero attention and exactly zero gradient. Returns the output and the
-    attention weights (..., H, T, T).
+    Returns the output and the attention weights (..., H, T, T).
     """
 
     def __init__(self, store: ParamStore, rng: Rng, path: str, dim: int, heads: int):
@@ -114,8 +91,7 @@ class MultiHeadAttention:
         axes = tuple(range(len(lead))) + (ndim - 2, ndim - 3, ndim - 1)
         return transpose(split, axes)
 
-    def __call__(self, x: Tensor, keep: Optional[np.ndarray] = None
-                 ) -> Tuple[Tensor, Tensor]:
+    def __call__(self, x: Tensor) -> Tuple[Tensor, Tensor]:
         shape = x.shape
         if len(shape) < 2 or shape[-1] != self.dim:
             raise ShapeError(f"attention input must be (..., T, {self.dim}), got {shape}")
@@ -126,8 +102,6 @@ class MultiHeadAttention:
         ndim = len(lead) + 3
         swap = tuple(range(ndim - 2)) + (ndim - 1, ndim - 2)
         logits = scale(matmul(q, transpose(k, swap)), 1.0 / np.sqrt(self.head_dim))
-        if keep is not None:
-            logits = add(logits, key_mask_bias(keep))
         attn = softmax(logits, axis=-1)
         mixed = transpose(matmul(attn, v), tuple(range(len(lead))) + (ndim - 2, ndim - 3, ndim - 1))
         return self.out(reshape(mixed, lead + (seq, self.dim))), attn
@@ -136,9 +110,7 @@ class MultiHeadAttention:
 class TransformerBlock:
     """Pre-norm block: x + MHA(LN(x)), then x + MLP(LN(x)).
 
-    Masked positions are excluded as attention keys and their outputs are
-    zeroed, so they neither influence nor carry state. The attention weights
-    of the block are returned alongside the output.
+    The attention weights of the block are returned alongside the output.
     """
 
     MLP_RATIO = 4
@@ -150,13 +122,9 @@ class TransformerBlock:
         hidden = dim * self.MLP_RATIO
         self.expand = Linear(store, rng, f"{path}.mlp.expand", dim, hidden)
         self.contract = Linear(store, rng, f"{path}.mlp.contract", hidden, dim)
-        self.dim = dim
 
-    def __call__(self, x: Tensor, keep: Optional[np.ndarray] = None
-                 ) -> Tuple[Tensor, Tensor]:
-        attended, attn = self.attn(self.norm_attn(x), keep)
+    def __call__(self, x: Tensor) -> Tuple[Tensor, Tensor]:
+        attended, attn = self.attn(self.norm_attn(x))
         x = add(x, attended)
         x = add(x, self.contract(gelu(self.expand(self.norm_mlp(x)))))
-        if keep is not None and not np.asarray(keep, dtype=bool).all():
-            x = mul(x, keep_matrix(keep, self.dim, x.shape[:-2]))
         return x, attn

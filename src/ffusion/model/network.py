@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-import numpy as np
-
 from ffusion.autodiff import (
     ParamStore,
     Rng,
@@ -20,7 +18,7 @@ from ffusion.autodiff import (
 )
 from ffusion.model.config import ModelConfig
 from ffusion.model.decoders import CommandHead, SegHead
-from ffusion.model.encoders import EncoderBranch, TokenSequence, build_branches
+from ffusion.model.encoders import MODALITIES, EncoderBranch, build_branches
 from ffusion.model.fusion import AvailabilityMask, FusedLatent, FusionCore
 from ffusion.model.inputs import FeatureBatch
 from ffusion.model.vocab import DEFAULT_VOCAB, Vocab
@@ -36,8 +34,8 @@ class ForwardResult:
 
 
 class FusionNetwork:
-    """Three independent encoders, an availability-masked fusion stack and
-    two decoders reading only the fused latent."""
+    """Three independent encoders, a fusion stack over the available
+    modalities and two decoders reading only the fused latent."""
 
     def __init__(self, config: Optional[ModelConfig] = None,
                  vocab: Optional[Vocab] = None, seed: int = 0):
@@ -54,23 +52,13 @@ class FusionNetwork:
     def branch(self, modality: str) -> EncoderBranch:
         return self.branches[modality]
 
-    def _placeholder(self, modality: str, lead: tuple) -> TokenSequence:
-        length = self.branches[modality].tokens
-        zeros = Tensor.constant(np.zeros(lead + (length, self.config.d)))
-        return TokenSequence(
-            modality=modality,
-            tokens=zeros,
-            positions=np.arange(length),
-            availability=False,
-        )
-
     def forward(self, batch: FeatureBatch,
                 mask: Optional[AvailabilityMask] = None) -> ForwardResult:
         """Encode available modalities, fuse, decode both tasks.
 
         Effective availability is the AND of the batch's health-derived
         availability and the optional scenario mask. Unavailable branches
-        are not executed; their spans enter fusion as masked zeros.
+        are not executed and contribute no tokens to fusion.
         """
         health_av = batch.availability
         scenario = mask or AvailabilityMask()
@@ -79,14 +67,8 @@ class FusionNetwork:
             depth=health_av[1] and scenario.depth,
             text=health_av[2] and scenario.text,
         )
-        lead = (batch.size,)
         inputs = {"camera": batch.camera, "depth": batch.depth, "text": batch.text}
-        latents = []
-        for modality in ("camera", "depth", "text"):
-            if effective[modality]:
-                latents.append(self.branches[modality].encode(inputs[modality]))
-            else:
-                latents.append(self._placeholder(modality, lead))
+        latents = [self.branches[m].encode(inputs[m]) for m in MODALITIES if effective[m]]
         fused = self.fusion.fuse(latents, effective)
         return ForwardResult(
             command_probs=self.command_head(fused),

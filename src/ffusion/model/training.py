@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ffusion.autodiff import AdamConfig, AdamState, Rng, Tape, adam_step, backward
 from ffusion.errors import ConfigError, TrainingError
-from ffusion.model.config import ModelConfig
 from ffusion.model.encoders import MODALITIES
 from ffusion.model.fusion import AvailabilityMask
 from ffusion.model.inputs import (
+    FeatureBatch,
     FeatureSet,
     group_by_availability,
     prepare_features,
@@ -167,25 +167,21 @@ def train(network: FusionNetwork, samples: Sequence[Sample],
     return curve
 
 
-def _accumulate(network: FusionNetwork, features: List[FeatureSet],
-                mask: Optional[AvailabilityMask]):
-    """Predictions and mean loss over one availability-uniform group."""
-    outputs = []
-    for start in range(0, len(features), EVAL_CHUNK):
-        chunk = stack_features(features[start:start + EVAL_CHUNK])
-        result = network.forward(chunk, mask)
-        loss = network.loss(result, chunk)
-        outputs.append((
-            result.command_probs.data.argmax(axis=-1),
-            result.seg_probs.data.argmax(axis=-1),
-            float(loss.item()) * chunk.size,
-            result.fused.arbitration,
-        ))
-    commands = np.concatenate([o[0] for o in outputs])
-    segs = np.concatenate([o[1] for o in outputs])
-    total_loss = sum(o[2] for o in outputs)
-    arbitration = np.concatenate([o[3].reshape(-1, len(MODALITIES)) for o in outputs])
-    return commands, segs, total_loss, arbitration
+def predict(network: FusionNetwork, features: Sequence[FeatureSet],
+            mask: Optional[AvailabilityMask] = None
+            ) -> Iterator[Tuple[List[int], FeatureBatch, ForwardResult]]:
+    """Forward passes over prepared features; no parameter updates.
+
+    Samples are grouped by health-derived availability (groups in sorted
+    pattern order) and each group runs in chunks of at most EVAL_CHUNK, so
+    every forward pass sees one pattern. Yields (indices into features,
+    batch, result) per chunk.
+    """
+    for _, indices in sorted(group_by_availability(features).items()):
+        for start in range(0, len(indices), EVAL_CHUNK):
+            chunk = indices[start:start + EVAL_CHUNK]
+            batch = stack_features([features[i] for i in chunk])
+            yield chunk, batch, network.forward(batch, mask)
 
 
 def evaluate(network: FusionNetwork, samples: Sequence[Sample],
@@ -194,9 +190,9 @@ def evaluate(network: FusionNetwork, samples: Sequence[Sample],
              features: Optional[List[FeatureSet]] = None):
     """Metrics under an availability scenario; no parameter updates.
 
-    Samples are grouped by health-derived availability so each forward pass
-    sees one pattern; metric aggregation is order-independent (sums, then
-    one division). Returns (Metrics, mean arbitration scores).
+    Forward passes run through predict(); metric aggregation is
+    order-independent (sums, then one division). Returns (Metrics, mean
+    arbitration scores).
     """
     if not samples:
         raise TrainingError("evaluation requires a non-empty sample list")
@@ -207,13 +203,11 @@ def evaluate(network: FusionNetwork, samples: Sequence[Sample],
     pred_seg = np.zeros_like(truth_seg)
     arb = np.zeros((len(feats), len(MODALITIES)))
     total_loss = 0.0
-    for pattern, indices in sorted(group_by_availability(feats).items()):
-        group = [feats[i] for i in indices]
-        commands, segs, loss_sum, arbitration = _accumulate(network, group, mask)
-        pred_cmd[indices] = commands
-        pred_seg[indices] = segs
-        arb[indices] = arbitration
-        total_loss += loss_sum
+    for indices, batch, result in predict(network, feats, mask):
+        pred_cmd[indices] = result.command_probs.data.argmax(axis=-1)
+        pred_seg[indices] = result.seg_probs.data.argmax(axis=-1)
+        arb[indices] = result.fused.arbitration.reshape(-1, len(MODALITIES))
+        total_loss += float(network.loss(result, batch).item()) * batch.size
     correct = pred_cmd == truth_cmd
     per_class: Dict[str, Optional[float]] = {}
     for cid, name in enumerate(COMMANDS):

@@ -9,14 +9,21 @@ captured and reported as FAIL_SILENT rather than raised.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ConfigError, FusionError
-from ..model import MODALITIES, Metrics, evaluate
-from ..model.training import EVAL_CHUNK, group_by_availability
-from ..model import prepare_all, stack_features, AvailabilityMask
+from ..errors import ConfigError, DataError, FusionError
+from ..model import (
+    AvailabilityMask,
+    FeatureSet,
+    Metrics,
+    evaluate,
+    predict,
+    prepare_all,
+    prepare_features,
+    stack_features,
+)
 from ..scene.dataset import Sample
 from .faults import FaultSpec, inject_faults
 from .independence import IndependenceReport, verify_independence
@@ -25,6 +32,7 @@ FAIL_SILENT = "FAIL_SILENT"
 STATUS_OK = "ok"
 
 NOMINAL = "nominal"
+INDEPENDENCE_SAMPLES = 4
 
 
 @dataclass(frozen=True)
@@ -159,9 +167,25 @@ def fail_operational_eval(network, samples: Sequence[Sample],
         ))
 
     if check_independence:
-        probe = prepare_all(list(samples[:4]), network)
-        report.independence = verify_independence(network, stack_features(probe))
+        report.independence = verify_independence(
+            network, stack_features(_nominal_features(network, samples)))
     return report
+
+
+def _nominal_features(network, samples: Sequence[Sample]) -> List[FeatureSet]:
+    """Features of the first (up to) INDEPENDENCE_SAMPLES samples that pass
+    health triage on every modality, so they stack into one batch."""
+    picked = []
+    for sample in samples:
+        features = prepare_features(sample, network.config, network.vocab)
+        if all(features.availability):
+            picked.append(features)
+            if len(picked) == INDEPENDENCE_SAMPLES:
+                break
+    if not picked:
+        raise DataError("independence check needs a sample that passes health "
+                        "triage on all three modalities; none does")
+    return picked
 
 
 @dataclass(frozen=True)
@@ -181,13 +205,9 @@ def _masked_accuracy(network, samples: Sequence[Sample],
                      mask: Optional[AvailabilityMask]) -> float:
     features = prepare_all(list(samples), network)
     correct = 0
-    for _, indices in sorted(group_by_availability(features).items()):
-        for start in range(0, len(indices), EVAL_CHUNK):
-            chunk = indices[start:start + EVAL_CHUNK]
-            batch = stack_features([features[i] for i in chunk])
-            result = network.forward(batch, mask)
-            preds = result.command_probs.data.argmax(axis=-1)
-            correct += int(np.sum(preds == batch.command_ids))
+    for _, batch, result in predict(network, features, mask):
+        preds = result.command_probs.data.argmax(axis=-1)
+        correct += int(np.sum(preds == batch.command_ids))
     return correct / len(samples)
 
 

@@ -46,15 +46,6 @@ def ensure_fitted(estimator, attribute: str = "network_") -> None:
             f"{type(estimator).__name__} is not fitted; call fit() first")
 
 
-def check_probability_rows(probs: np.ndarray, atol: float = 1e-6) -> None:
-    """Sanity check that each row is a probability distribution."""
-    probs = np.asarray(probs)
-    if probs.ndim < 1 or not np.all(np.isfinite(probs)):
-        raise DataError("probabilities must be finite")
-    if np.any(probs < -atol) or np.abs(probs.sum(axis=-1) - 1.0).max() > atol:
-        raise DataError("rows do not sum to one")
-
-
 def availability_from_names(names: Optional[Sequence[str]]):
     """Build an availability mask from modality names to keep, None = all."""
     from .model.fusion import AvailabilityMask

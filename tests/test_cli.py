@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ffusion.autodiff import load_checkpoint, save_checkpoint
 from ffusion.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -245,6 +246,22 @@ class TestExitCodes:
         assert main(["eval", "--config", str(config_path),
                      "--set", f"paths.checkpoint={missing}",
                      "--set", f"paths.eval_report={report}"]) == EXIT_MISSING
+        assert not report.exists()
+
+    def test_non_finite_checkpoint_is_data_error(self, pipeline, tmp_path, capsys):
+        work, config, config_path = pipeline
+        params = load_checkpoint(config.paths.checkpoint)
+        params["fusion.cls"][0, 3] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(params, bad)
+        report = tmp_path / "should_not_exist.json"
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config_path),
+                     "--set", f"paths.checkpoint={bad}",
+                     "--set", f"paths.eval_report={report}"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-data: ")
+        assert "'fusion.cls'" in err and "non-finite" in err
         assert not report.exists()
 
     def test_report_without_eval(self, tmp_path):

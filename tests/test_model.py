@@ -9,7 +9,6 @@ from ffusion.errors import (
     ConfigError,
     DataError,
     FusionError,
-    MaskError,
     ShapeError,
     TrainingError,
 )
@@ -24,7 +23,6 @@ from ffusion.model import (
     MultiHeadAttention,
     TokenSequence,
     TrainConfig,
-    TransformerBlock,
     Vocab,
     arbitration_weights,
     camera_health,
@@ -123,8 +121,7 @@ class TestAttention:
         store = ParamStore()
         attn = MultiHeadAttention(store, Rng(1), "attn", 16, 2)
         x = Tensor.constant(Rng(2).normal((5, 16)))
-        keep = np.array([True, True, False, True, False])
-        _, weights = attn(x, keep)
+        _, weights = attn(x)
         assert np.abs(weights.data.sum(axis=-1) - 1.0).max() < 1e-9
 
     def test_single_token_weight_exactly_one(self):
@@ -138,35 +135,8 @@ class TestAttention:
         store = ParamStore()
         attn = MultiHeadAttention(store, Rng(1), "attn", 16, 2)
         x = Tensor.constant(np.tile(Rng(2).normal((1, 16)), (6, 1)))
-        keep = np.array([True, True, True, False, True, False])
-        _, weights = attn(x, keep)
-        assert np.allclose(weights.data[:, :, [0, 1, 2, 4]], 0.25, atol=1e-12)
-        assert np.all(weights.data[:, :, [3, 5]] == 0.0)
-
-    def test_masked_key_equals_reduced_sequence(self):
-        store = ParamStore()
-        attn = MultiHeadAttention(store, Rng(1), "attn", 16, 2)
-        rows = Rng(2).normal((2, 16))
-        full, weights = attn(Tensor.constant(rows), np.array([True, False]))
-        reduced, _ = attn(Tensor.constant(rows[:1]))
-        assert np.abs(full.data[0] - reduced.data[0]).max() < 1e-9
-        assert np.all(weights.data[:, :, 1] == 0.0)
-
-    def test_all_masked_errors(self):
-        store = ParamStore()
-        attn = MultiHeadAttention(store, Rng(1), "attn", 16, 2)
-        x = Tensor.constant(Rng(2).normal((3, 16)))
-        with pytest.raises(MaskError):
-            attn(x, np.zeros(3, dtype=bool))
-
-    def test_block_zeroes_masked_positions(self):
-        store = ParamStore()
-        block = TransformerBlock(store, Rng(1), "blk", 16, 2)
-        x = Tensor.constant(Rng(2).normal((4, 16)))
-        keep = np.array([True, False, True, False])
-        out, _ = block(x, keep)
-        assert np.all(out.data[~keep] == 0.0)
-        assert np.all(out.data[keep] != 0.0)
+        _, weights = attn(x)
+        assert np.allclose(weights.data, 1.0 / 6.0, atol=1e-12)
 
 
 class TestEncoders:
@@ -323,6 +293,23 @@ class TestFusion:
         cam_grads = [net.store[p].grad for p in net.store.paths()
                      if p.startswith("encoder.camera.")]
         assert any(g is not None and np.any(g != 0.0) for g in cam_grads)
+
+
+class TestSegHead:
+    def test_camera_unavailable_outputs_softmax_of_bias(self):
+        net = FusionNetwork(config=SMALL, seed=0)
+        bias = net.store["head.segmentation.bias"]
+        bias.data[:] = Rng(4).normal(bias.shape)
+        batch = stack_features(prepare_all(make_samples(2), net))
+        result = net.forward(batch, AvailabilityMask(camera=False))
+        logits = bias.data.reshape(2, 2, 4)
+        expected = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        expected /= expected.sum(axis=-1, keepdims=True)
+        assert result.seg_probs.shape == (2, 8, 8, 4)
+        for row in range(8):
+            for col in range(8):
+                cell = result.seg_probs.data[:, row, col]
+                assert np.abs(cell - expected[row % 2, col % 2]).max() < 1e-15
 
 
 class TestHealth:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ffusion.autodiff import Rng, Tensor
-from ffusion.errors import ConfigError, FaultError, GraphError
+from ffusion.errors import ConfigError, DataError, FaultError, GraphError
 from ffusion.model import (
     DEFAULT_VOCAB,
     FusionNetwork,
@@ -196,6 +196,18 @@ class TestHarness:
         first = fail_operational_eval(network, samples[12:16])
         second = fail_operational_eval(network, samples[12:16])
         assert render_json(first.to_dict()) == render_json(second.to_dict())
+
+    def test_independence_skips_samples_failing_triage(self, network, samples):
+        split = list(samples[12:16])
+        split[1] = inject_fault(split[1], FaultSpec("lidar", "blackout"))
+        report = fail_operational_eval(network, split, [Scenario("nominal")])
+        assert report.independence is not None
+        assert report.independence.all_pass
+
+    def test_independence_without_nominal_sample_is_data_error(self, network, samples):
+        dark = [inject_fault(s, FaultSpec("lidar", "blackout")) for s in samples[12:14]]
+        with pytest.raises(DataError, match="passes health triage"):
+            fail_operational_eval(network, dark, [Scenario("nominal")])
 
     def test_scenario_dict_roundtrip(self):
         scenario = Scenario("noise", (FaultSpec("camera", "gaussian_noise", 0.5, 2),))
