@@ -9,7 +9,8 @@ Layout (bytes):
                                   header order, row-major
 
 Paths contain no whitespace. A scalar parameter lists no dimensions.
-Round-trips are bit-exact. Loading rejects non-finite parameter values.
+Round-trips are bit-exact. ParamStore.load_state_dict rejects non-finite
+parameter values.
 """
 
 from __future__ import annotations
@@ -77,10 +78,7 @@ def load_checkpoint(path) -> dict:
         chunk = rest[offset:offset + nbytes]
         if len(chunk) != nbytes:
             raise CheckpointError(f"checkpoint data truncated at parameter {name!r}")
-        values = np.frombuffer(chunk, dtype="<f8").reshape(shape).astype(np.float64)
-        if not np.all(np.isfinite(values)):
-            raise CheckpointError(f"checkpoint parameter {name!r} holds non-finite values")
-        params[name] = values
+        params[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).astype(np.float64)
         offset += nbytes
     if offset != len(rest):
         raise CheckpointError(f"checkpoint holds {len(rest) - offset} unexpected trailing bytes")

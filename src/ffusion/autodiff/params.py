@@ -64,7 +64,8 @@ class ParamStore:
         return {path: param.data.copy() for path, param in self.items()}
 
     def load_state_dict(self, state: Mapping[str, Array]) -> None:
-        """Overwrite parameter values; paths and shapes must match exactly."""
+        """Overwrite parameter values; paths and shapes must match exactly
+        and every value must be finite."""
         missing = sorted(set(self._params) - set(state))
         extra = sorted(set(state) - set(self._params))
         if missing or extra:
@@ -78,6 +79,8 @@ class ParamStore:
                     f"shape mismatch for {path!r}: stored {arr.shape}, "
                     f"model {param.data.shape}"
                 )
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointError(f"parameter {path!r} holds non-finite values")
         for path, param in self.items():
             param.data = np.ascontiguousarray(np.asarray(state[path], dtype=np.float64))
             param.grad = None

@@ -44,12 +44,10 @@ def patchify(image: np.ndarray, patch: int) -> np.ndarray:
 
 @dataclass
 class TokenSequence:
-    """Latent tokens of one modality, plus availability for fusion."""
+    """Latent tokens of one modality."""
 
     modality: str
     tokens: Tensor  # (..., T, d)
-    positions: np.ndarray
-    availability: bool = True
 
     def __post_init__(self):
         if self.modality not in MODALITIES:
@@ -112,7 +110,7 @@ class EncoderBranch:
             )
         return embedding_lookup(self.table, arr)
 
-    def encode(self, features: np.ndarray, availability: bool = True) -> TokenSequence:
+    def encode(self, features: np.ndarray) -> TokenSequence:
         """Embed raw per-modality features and run the transformer stack.
 
         features: camera/depth patch matrices (..., T, P*P*C) or text ids
@@ -125,12 +123,7 @@ class EncoderBranch:
         x = add(x, self.pos)
         for block in self.blocks:
             x, _ = block(x)
-        return TokenSequence(
-            modality=self.modality,
-            tokens=x,
-            positions=np.arange(self.tokens),
-            availability=availability,
-        )
+        return TokenSequence(modality=self.modality, tokens=x)
 
 
 def build_branches(store: ParamStore, rng: Rng, config: ModelConfig,

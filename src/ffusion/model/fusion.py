@@ -106,7 +106,7 @@ class FusionCore:
 
         latents lists the physically present modalities (any subset, each
         modality at most once). A present modality is left out of the
-        sequence when its own availability flag or the mask says so.
+        sequence when the mask says so.
         """
         by_modality = {}
         for seq in latents:
@@ -130,7 +130,7 @@ class FusionCore:
         cursor = 1
         for index, modality in enumerate(MODALITIES):
             seq = by_modality.get(modality)
-            if seq is None or not (seq.availability and mask[modality]):
+            if seq is None or not mask[modality]:
                 spans[modality] = (cursor, cursor)
                 continue
             parts.append(add(seq.tokens, self._type_vector(index)))

@@ -29,8 +29,6 @@ class ModalityHealth:
     modality: str
     status: str
     nonfinite_rate: float
-    variance: float
-    stuck_run: int
 
     def __post_init__(self):
         if self.modality not in MODALITIES:
@@ -42,44 +40,20 @@ class ModalityHealth:
     def available(self) -> bool:
         return self.status != FAILED
 
-    def to_dict(self) -> dict:
-        return {
-            "modality": self.modality,
-            "status": self.status,
-            "nonfinite_rate": self.nonfinite_rate,
-            "variance": self.variance,
-            "stuck_run": self.stuck_run,
-        }
-
-
-def _longest_constant_run(flat: np.ndarray) -> int:
-    if flat.size == 0:
-        return 0
-    same = np.diff(flat) == 0
-    if not same.any():
-        return 1
-    run = best = 1
-    for step in same:
-        run = run + 1 if step else 1
-        best = max(best, run)
-    return int(best)
-
 
 def _classify(modality: str, values: np.ndarray, empty: bool = False) -> ModalityHealth:
     flat = np.asarray(values, dtype=np.float64).reshape(-1)
     if empty or flat.size == 0:
-        return ModalityHealth(modality, FAILED, 1.0, 0.0, 0)
+        return ModalityHealth(modality, FAILED, 1.0)
     finite = np.isfinite(flat)
     rate = float(1.0 - finite.mean())
     clean = flat[finite]
-    variance = float(clean.var()) if clean.size else 0.0
-    stuck = _longest_constant_run(clean)
     if rate > NONFINITE_FAIL_RATE:
-        return ModalityHealth(modality, FAILED, rate, variance, stuck)
+        return ModalityHealth(modality, FAILED, rate)
     if clean.size and np.all(clean == clean[0]):
-        return ModalityHealth(modality, FAILED, rate, variance, stuck)
+        return ModalityHealth(modality, FAILED, rate)
     status = DEGRADED if rate > 0.0 else NOMINAL
-    return ModalityHealth(modality, status, rate, variance, stuck)
+    return ModalityHealth(modality, status, rate)
 
 
 def camera_health(rgb: np.ndarray) -> ModalityHealth:
@@ -96,11 +70,7 @@ def text_health(text: str) -> ModalityHealth:
     """A text channel fails silent (empty) or stuck (one repeated word)."""
     words = text.split() if isinstance(text, str) else []
     if not words:
-        return ModalityHealth("text", FAILED, 0.0, 0.0, 0)
-    run = best = 1
-    for prev, cur in zip(words, words[1:]):
-        run = run + 1 if cur == prev else 1
-        best = max(best, run)
+        return ModalityHealth("text", FAILED, 0.0)
     if len(set(words)) == 1 and len(words) > 1:
-        return ModalityHealth("text", FAILED, 0.0, 0.0, best)
-    return ModalityHealth("text", NOMINAL, 0.0, float(len(set(words))), best)
+        return ModalityHealth("text", FAILED, 0.0)
+    return ModalityHealth("text", NOMINAL, 0.0)

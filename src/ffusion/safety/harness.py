@@ -21,7 +21,6 @@ from ..model import (
     evaluate,
     predict,
     prepare_all,
-    prepare_features,
     stack_features,
 )
 from ..scene.dataset import Sample
@@ -133,7 +132,12 @@ def _retained(scenario_accuracy: float,
 def fail_operational_eval(network, samples: Sequence[Sample],
                           scenarios: Optional[Sequence[Scenario]] = None,
                           check_independence: bool = True) -> DegradationReport:
-    """Evaluate every scenario against the nominal baseline."""
+    """Evaluate every scenario against the nominal baseline.
+
+    Each scenario's samples are prepared once; the nominal scenario's
+    evaluation is both the baseline and its own row, and its features feed
+    the independence check.
+    """
     chosen = list(default_scenarios() if scenarios is None else scenarios)
     names = [s.name for s in chosen]
     if NOMINAL not in names:
@@ -143,49 +147,43 @@ def fail_operational_eval(network, samples: Sequence[Sample],
     if not samples:
         raise ConfigError("cannot evaluate an empty split")
 
-    nominal_scenario = chosen[names.index(NOMINAL)]
-    nominal_metrics, _ = evaluate(
-        network, nominal_scenario.apply(samples), scenario=NOMINAL)
+    nominal_features = prepare_all(chosen[names.index(NOMINAL)].apply(samples),
+                                   network)
+    nominal = evaluate(network, samples, scenario=NOMINAL,
+                       features=nominal_features)
 
-    report = DegradationReport(nominal=nominal_metrics)
+    report = DegradationReport(nominal=nominal[0])
     for scenario in chosen:
-        corrupted = scenario.apply(samples)
-        try:
-            metrics, arbitration = evaluate(network, corrupted,
-                                            scenario=scenario.name)
-        except FusionError as exc:
-            report.scenarios.append(ScenarioResult(
-                name=scenario.name, status=FAIL_SILENT, error=str(exc)))
-            continue
+        if scenario.name == NOMINAL:
+            metrics, arbitration = nominal
+        else:
+            try:
+                metrics, arbitration = evaluate(
+                    network, samples, scenario=scenario.name,
+                    features=prepare_all(scenario.apply(samples), network))
+            except FusionError as exc:
+                report.scenarios.append(ScenarioResult(
+                    name=scenario.name, status=FAIL_SILENT, error=str(exc)))
+                continue
         report.scenarios.append(ScenarioResult(
             name=scenario.name,
             status=STATUS_OK,
             metrics=metrics,
             arbitration=[float(v) for v in arbitration],
             retained_accuracy=_retained(metrics.command_accuracy,
-                                        nominal_metrics.command_accuracy),
+                                        report.nominal.command_accuracy),
         ))
 
     if check_independence:
+        # The first (up to) INDEPENDENCE_SAMPLES nominal samples that pass
+        # health triage on every modality, so they stack into one batch.
+        picked = [f for f in nominal_features if all(f.availability)]
+        if not picked:
+            raise DataError("independence check needs a sample that passes "
+                            "health triage on all three modalities; none does")
         report.independence = verify_independence(
-            network, stack_features(_nominal_features(network, samples)))
+            network, stack_features(picked[:INDEPENDENCE_SAMPLES]))
     return report
-
-
-def _nominal_features(network, samples: Sequence[Sample]) -> List[FeatureSet]:
-    """Features of the first (up to) INDEPENDENCE_SAMPLES samples that pass
-    health triage on every modality, so they stack into one batch."""
-    picked = []
-    for sample in samples:
-        features = prepare_features(sample, network.config, network.vocab)
-        if all(features.availability):
-            picked.append(features)
-            if len(picked) == INDEPENDENCE_SAMPLES:
-                break
-    if not picked:
-        raise DataError("independence check needs a sample that passes health "
-                        "triage on all three modalities; none does")
-    return picked
 
 
 @dataclass(frozen=True)
@@ -201,14 +199,13 @@ class EnrichmentRow:
                 "camera_only_accuracy": self.camera_only_accuracy}
 
 
-def _masked_accuracy(network, samples: Sequence[Sample],
+def _masked_accuracy(network, features: Sequence[FeatureSet],
                      mask: Optional[AvailabilityMask]) -> float:
-    features = prepare_all(list(samples), network)
     correct = 0
     for _, batch, result in predict(network, features, mask):
         preds = result.command_probs.data.argmax(axis=-1)
         correct += int(np.sum(preds == batch.command_ids))
-    return correct / len(samples)
+    return correct / len(features)
 
 
 def snr_enrichment_eval(network, samples: Sequence[Sample],
@@ -229,7 +226,7 @@ def snr_enrichment_eval(network, samples: Sequence[Sample],
             raise ConfigError(f"noise sigma must be >= 0, got {sigma}")
         faults = (FaultSpec("camera", "gaussian_noise", float(sigma), seed),
                   FaultSpec("lidar", "gaussian_noise", float(sigma), seed))
-        noisy = [inject_faults(s, faults) for s in samples]
+        noisy = prepare_all([inject_faults(s, faults) for s in samples], network)
         rows.append(EnrichmentRow(
             sigma=float(sigma),
             fused_accuracy=_masked_accuracy(network, noisy, None),

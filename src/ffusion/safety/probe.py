@@ -23,7 +23,7 @@ from ..autodiff import (
     ops,
 )
 from ..errors import DataError
-from ..model import MODALITIES, prepare_all
+from ..model import MODALITIES, FeatureSet, prepare_all
 from ..scene.commands import COMMANDS
 
 PROBE_EPOCHS = 50
@@ -42,11 +42,11 @@ class ProbeResult:
                 "shuffled_labels": self.shuffled_labels}
 
 
-def pooled_embeddings(network, samples: Sequence, modality: str) -> np.ndarray:
-    """Mean-pooled frozen tokens of one branch, (n, d)."""
+def pooled_embeddings(network, features: Sequence[FeatureSet],
+                      modality: str) -> np.ndarray:
+    """Mean-pooled frozen tokens of one branch over prepared features, (n, d)."""
     if modality not in MODALITIES:
         raise DataError(f"unknown modality {modality!r}")
-    features = prepare_all(samples, network)
     stacked = np.stack([getattr(f, modality) for f in features], axis=0)
     seq = network.branch(modality).encode(stacked)
     return seq.tokens.data.mean(axis=-2)
@@ -85,14 +85,13 @@ def _train_probe(train_x: np.ndarray, train_y: np.ndarray,
     return float(np.mean(scores.argmax(axis=-1) == val_y))
 
 
-def probe_modality(network, train_samples: Sequence, val_samples: Sequence,
-                   modality: str, shuffle_labels: bool = False,
-                   seed: int = PROBE_SEED) -> ProbeResult:
-    """Train a probe for one modality and score it on the validation split."""
-    train_x = pooled_embeddings(network, train_samples, modality)
-    val_x = pooled_embeddings(network, val_samples, modality)
-    train_y = np.asarray([s.command_id for s in train_samples], dtype=np.int64)
-    val_y = np.asarray([s.command_id for s in val_samples], dtype=np.int64)
+def _probe(network, train_features: Sequence[FeatureSet],
+           val_features: Sequence[FeatureSet], modality: str,
+           shuffle_labels: bool, seed: int) -> ProbeResult:
+    train_x = pooled_embeddings(network, train_features, modality)
+    val_x = pooled_embeddings(network, val_features, modality)
+    train_y = np.asarray([f.command_id for f in train_features], dtype=np.int64)
+    val_y = np.asarray([f.command_id for f in val_features], dtype=np.int64)
     if shuffle_labels:
         # Uniform random labels break any label-feature association while
         # keeping the optimization identical; accuracy must drop to chance.
@@ -103,11 +102,25 @@ def probe_modality(network, train_samples: Sequence, val_samples: Sequence,
                        shuffled_labels=shuffle_labels)
 
 
+def probe_modality(network, train_samples: Sequence, val_samples: Sequence,
+                   modality: str, shuffle_labels: bool = False,
+                   seed: int = PROBE_SEED) -> ProbeResult:
+    """Train a probe for one modality and score it on the validation split."""
+    return _probe(network, prepare_all(train_samples, network),
+                  prepare_all(val_samples, network), modality,
+                  shuffle_labels, seed)
+
+
 def single_modality_probe(network, train_samples: Sequence,
                           val_samples: Sequence,
                           modalities: Optional[Sequence[str]] = None,
                           seed: int = PROBE_SEED) -> Dict[str, ProbeResult]:
-    """Probe each requested modality; keys follow MODALITIES order."""
+    """Probe each requested modality; keys follow MODALITIES order.
+
+    Both splits are prepared once and shared by every modality's probe.
+    """
     chosen = MODALITIES if modalities is None else tuple(modalities)
-    return {m: probe_modality(network, train_samples, val_samples, m, seed=seed)
+    train_features = prepare_all(train_samples, network)
+    val_features = prepare_all(val_samples, network)
+    return {m: _probe(network, train_features, val_features, m, False, seed)
             for m in chosen}

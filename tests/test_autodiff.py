@@ -307,3 +307,10 @@ class TestCheckpoint:
         assert "w" in str(err.value)
         with pytest.raises(CheckpointError):
             store.load_state_dict({"other": np.ones(4)})
+
+    def test_load_state_dict_rejects_non_finite(self):
+        store = ParamStore()
+        store.register("w", Tensor(np.ones(4), requires_grad=True))
+        with pytest.raises(CheckpointError, match="'w'.*non-finite"):
+            store.load_state_dict({"w": np.array([1.0, np.nan, 1.0, 1.0])})
+        assert np.array_equal(store["w"].data, np.ones(4))

@@ -202,12 +202,9 @@ class TestEncoders:
 
 def random_latents(config, seed=3, lead=()):
     rng = Rng(seed)
-    cam = TokenSequence("camera", Tensor.constant(rng.normal(lead + (16, config.d))),
-                        np.arange(16))
-    depth = TokenSequence("depth", Tensor.constant(rng.normal(lead + (16, config.d))),
-                          np.arange(16))
-    text = TokenSequence("text", Tensor.constant(rng.normal(lead + (8, config.d))),
-                         np.arange(8))
+    cam = TokenSequence("camera", Tensor.constant(rng.normal(lead + (16, config.d))))
+    depth = TokenSequence("depth", Tensor.constant(rng.normal(lead + (16, config.d))))
+    text = TokenSequence("text", Tensor.constant(rng.normal(lead + (8, config.d))))
     return [cam, depth, text]
 
 
@@ -250,11 +247,6 @@ class TestFusion:
             core.fuse([], AvailabilityMask())
         with pytest.raises(FusionError):
             AvailabilityMask(camera=False, depth=False, text=False)
-        latents = random_latents(SMALL)
-        for seq in latents:
-            seq.availability = False
-        with pytest.raises(FusionError):
-            core.fuse(latents, AvailabilityMask())
 
     def test_arbitration_probability_vector(self):
         core = FusionCore(ParamStore(), Rng(0), SMALL)
@@ -271,8 +263,8 @@ class TestFusion:
         core = FusionCore(ParamStore(), Rng(0), SMALL)
         core.type_table.data[1] = core.type_table.data[0]
         rows = Rng(9).normal((16, SMALL.d))
-        cam = TokenSequence("camera", Tensor.constant(rows.copy()), np.arange(16))
-        depth = TokenSequence("depth", Tensor.constant(rows.copy()), np.arange(16))
+        cam = TokenSequence("camera", Tensor.constant(rows.copy()))
+        depth = TokenSequence("depth", Tensor.constant(rows.copy()))
         fused = core.fuse([cam, depth], AvailabilityMask(text=False))
         assert abs(fused.arbitration[0] - fused.arbitration[1]) < 1e-9
 
@@ -385,7 +377,7 @@ class TestDecoders:
         tokens = np.eye(16, SMALL.d)
         core = net.fusion
         fused = core.fuse(
-            [TokenSequence("camera", Tensor.constant(tokens), np.arange(16))],
+            [TokenSequence("camera", Tensor.constant(tokens))],
             AvailabilityMask(depth=False, text=False),
         )
         fused.tokens = Tensor.constant(

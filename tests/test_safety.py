@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ffusion.model.training as training
 from ffusion.autodiff import Rng, Tensor
 from ffusion.errors import ConfigError, DataError, FaultError, GraphError
 from ffusion.model import (
@@ -32,6 +33,7 @@ from ffusion.safety import (
     rank_sum_valid,
     render_json,
     render_text_summary,
+    single_modality_probe,
     snr_enrichment_eval,
     verify_independence,
 )
@@ -232,6 +234,38 @@ class TestEnrichment:
     def test_negative_sigma_rejected(self, network, samples):
         with pytest.raises(ConfigError):
             snr_enrichment_eval(network, samples[12:14], [-0.1])
+
+
+class TestPrepareOnce:
+    """Each campaign function prepares each (split, fault set) exactly once."""
+
+    @pytest.fixture
+    def prepared(self, monkeypatch):
+        calls = []
+        original = training.prepare_features
+
+        def counting(sample, *args, **kwargs):
+            calls.append(sample.sample_id)
+            return original(sample, *args, **kwargs)
+
+        monkeypatch.setattr(training, "prepare_features", counting)
+        return calls
+
+    def test_fail_operational_eval(self, network, samples, prepared):
+        split = samples[12:16]
+        scenarios = default_scenarios()
+        fail_operational_eval(network, split, scenarios)
+        assert len(prepared) == len(scenarios) * len(split)
+
+    def test_single_modality_probe(self, network, samples, prepared):
+        train_s, val_s = samples[:6], samples[6:9]
+        single_modality_probe(network, train_s, val_s)
+        assert len(prepared) == len(train_s) + len(val_s)
+
+    def test_snr_enrichment_eval(self, network, samples, prepared):
+        split, sigmas = samples[12:15], [0.0, 0.25, 0.5]
+        snr_enrichment_eval(network, split, sigmas)
+        assert len(prepared) == len(sigmas) * len(split)
 
 
 class TestIndependence:
