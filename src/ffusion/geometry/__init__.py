@@ -6,7 +6,7 @@ from ffusion.geometry.calibration import (
     Intrinsics,
     validate_calibration,
 )
-from ffusion.geometry.densify import densify_depth
+from ffusion.geometry.densify import densify_depth, densify_stack
 from ffusion.geometry.depthmap import DepthMap, read_depth, write_depth
 from ffusion.geometry.pointcloud import PointCloud, read_point_cloud, write_point_cloud
 from ffusion.geometry.projection import (
@@ -28,6 +28,7 @@ __all__ = [
     "back_project_depth",
     "back_project_pixel",
     "densify_depth",
+    "densify_stack",
     "project_point_cloud",
     "read_depth",
     "read_point_cloud",

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 
+from ffusion.errors import ShapeError
 from ffusion.geometry.depthmap import DepthMap
 
 DEFAULT_RADIUS = 6
@@ -32,58 +34,79 @@ def _neighbor_offsets(radius: int) -> tuple:
     return tuple(offsets)
 
 
-def densify_depth(
-    sparse: DepthMap,
+def densify_stack(
+    values: np.ndarray,
+    valid: np.ndarray,
     radius: int = DEFAULT_RADIUS,
     k: int = DEFAULT_NEIGHBORS,
-) -> DepthMap:
-    """Fill missing cells from their k nearest valid neighbors.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Fill missing cells of a stack of (N, H, W) sparse depth maps.
 
     Each missing cell takes the inverse-distance-weighted mean of up to k
-    valid cells within the radius, weights 1/(d + 1e-6). Cells with no valid
-    neighbor in range stay missing; originally valid cells pass through
-    untouched. Filled values are clamped to the min/max of the contributing
-    neighbors: the weighted mean is a convex combination, so the clamp only
-    removes float rounding dust (a single neighbor fills exactly its value).
+    valid cells of its own map within the radius, weights 1/(d + 1e-6).
+    Cells with no valid neighbor in range stay missing; originally valid
+    cells pass through untouched. Filled values are clamped to the min/max
+    of the contributing neighbors: the weighted mean is a convex combination,
+    so the clamp only removes float rounding dust (a single neighbor fills
+    exactly its value). Offsets are visited in (distance, row, col) order,
+    each applied to every map at once, so every map's result is bit for bit
+    what it would be alone. Returns new (values, valid) arrays.
     """
     if radius < 1:
         raise ValueError(f"radius must be at least 1, got {radius}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    height, width = sparse.values.shape
-    values, valid = sparse.values, sparse.valid
-    count = np.zeros((height, width), dtype=np.int64)
-    weight_sum = np.zeros((height, width))
-    weighted_value = np.zeros((height, width))
-    low = np.full((height, width), np.inf)
-    high = np.full((height, width), -np.inf)
+    values = np.asarray(values, dtype=np.float64)
+    valid = np.asarray(valid, dtype=bool)
+    if values.ndim != 3 or valid.shape != values.shape:
+        raise ShapeError(f"densify expects (N, H, W) values and validity, "
+                         f"got {values.shape} and {valid.shape}")
+    _, height, width = values.shape
+    # Sources padded by the radius: each offset reads one full-size window,
+    # and the invalid border never contributes.
+    pad = ((0, 0), (radius, radius), (radius, radius))
+    src_values, src_valid = np.pad(values, pad), np.pad(valid, pad)
     hole = ~valid
+    count = np.zeros(values.shape, dtype=np.int64)
+    weight_sum = np.zeros(values.shape)
+    weighted_value = np.zeros(values.shape)
+    low = np.full(values.shape, np.inf)
+    high = np.full(values.shape, -np.inf)
+    accept = np.empty(values.shape, dtype=bool)
+    term = np.empty(values.shape)
 
     for dist, dr, dc in _neighbor_offsets(radius):
-        # Target window that has a source pixel at offset (dr, dc) in bounds.
-        t_r0, t_r1 = max(0, -dr), min(height, height - dr)
-        t_c0, t_c1 = max(0, -dc), min(width, width - dc)
-        if t_r0 >= t_r1 or t_c0 >= t_c1:
-            continue
-        target = (slice(t_r0, t_r1), slice(t_c0, t_c1))
-        source = (slice(t_r0 + dr, t_r1 + dr), slice(t_c0 + dc, t_c1 + dc))
-        accept = hole[target] & valid[source] & (count[target] < k)
+        window = (slice(None), slice(radius + dr, radius + dr + height),
+                  slice(radius + dc, radius + dc + width))
+        src_vals = src_values[window]
+        np.less(count, k, out=accept)
+        accept &= hole
+        accept &= src_valid[window]
         if not accept.any():
             continue
         w = 1.0 / (dist + DISTANCE_REG)
-        src_vals = values[source]
-        count[target] += accept
-        weight_sum[target] += np.where(accept, w, 0.0)
-        weighted_value[target] += np.where(accept, w * src_vals, 0.0)
-        low[target] = np.where(accept & (src_vals < low[target]), src_vals, low[target])
-        high[target] = np.where(accept & (src_vals > high[target]), src_vals, high[target])
+        count += accept
+        np.add(weight_sum, w, out=weight_sum, where=accept)
+        np.multiply(src_vals, w, out=term)
+        np.add(weighted_value, term, out=weighted_value, where=accept)
+        np.minimum(low, src_vals, out=low, where=accept)
+        np.maximum(high, src_vals, out=high, where=accept)
 
     filled = count > 0
     out_values = values.copy()
     out_valid = valid.copy()
     if filled.any():
         est = weighted_value[filled] / weight_sum[filled]
-        est = np.clip(est, low[filled], high[filled])
-        out_values[filled] = est
+        out_values[filled] = np.clip(est, low[filled], high[filled])
         out_valid[filled] = True
-    return DepthMap(out_values, out_valid)
+    return out_values, out_valid
+
+
+def densify_depth(
+    sparse: DepthMap,
+    radius: int = DEFAULT_RADIUS,
+    k: int = DEFAULT_NEIGHBORS,
+) -> DepthMap:
+    """densify_stack on one map: a stack of one."""
+    values, valid = densify_stack(sparse.values[None], sparse.valid[None], radius, k)
+    return DepthMap(values[0], valid[0])

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ffusion.asciifile import read_ascii
 from ffusion.errors import DataError
 
 DEPTH_MAGIC = "FFUSION-DEPTH v1"
@@ -75,7 +76,7 @@ def write_depth(depth: DepthMap, path) -> None:
 
 
 def read_depth(path) -> DepthMap:
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    lines = read_ascii(path).splitlines()
     if not lines:
         raise DataError(f"empty depth file: {path}")
     fields = lines[0].split()

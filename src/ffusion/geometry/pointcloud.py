@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ffusion.asciifile import read_ascii
 from ffusion.errors import DataError
 
 PCD_MAGIC = "FFUSION-PCD v1"
@@ -49,8 +50,7 @@ def write_point_cloud(cloud: PointCloud, path) -> None:
 
 
 def read_point_cloud(path) -> PointCloud:
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.splitlines()
+    lines = read_ascii(path).splitlines()
     if not lines:
         raise DataError(f"empty point cloud file: {path}")
     head = lines[0].rsplit(" ", 1)

@@ -2,7 +2,8 @@
 
 The depth path reconstructs a dense map from the point cloud (project,
 apply the calibrated registration shift, densify) and feeds value/validity
-channels; the camera path sanitizes non-finite pixels after health triage;
+channels, densifying the maps of all samples prepared in one call together;
+the camera path sanitizes non-finite pixels after health triage;
 the text path tokenizes against the fixed vocabulary. Failed modalities get
 zero placeholder features and availability False.
 """
@@ -10,12 +11,12 @@ zero placeholder features and availability False.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ffusion.errors import DataError
-from ffusion.geometry import densify_depth, project_point_cloud, translate_depth
+from ffusion.geometry import DepthMap, densify_stack, project_point_cloud, translate_depth
 from ffusion.geometry.calibration import Intrinsics
 from ffusion.model.config import ModelConfig
 from ffusion.model.encoders import (
@@ -33,6 +34,7 @@ from ffusion.scene.render import DEFAULT_INTRINSICS
 DEPTH_SCALE = 20.0  # scenes top out below 20 m; normalizes depth to ~[0, 1]
 DENSIFY_RADIUS = 6
 DENSIFY_NEIGHBORS = 8
+DENSIFY_CHUNK = 32  # maps per densify_stack call: fastest measured, small working set
 
 
 @dataclass
@@ -52,49 +54,79 @@ class FeatureSet:
         return tuple(self.health[m].available for m in MODALITIES)
 
 
-def prepare_features(sample: Sample, config: ModelConfig, vocab: Vocab,
-                     intrinsics: Optional[Intrinsics] = None) -> FeatureSet:
+def prepare_samples(samples: Sequence[Sample], config: ModelConfig, vocab: Vocab,
+                    intrinsics: Optional[Intrinsics] = None) -> List[FeatureSet]:
+    """Prepare encoder inputs for many samples, in order.
+
+    Per sample: camera triage and patches, projection with the registration
+    shift, depth triage, text triage and tokens. The depth maps that pass
+    triage are densified together, DENSIFY_CHUNK maps per densify_stack call
+    as they accumulate (the last call takes the rest), which gives each map
+    the same bits as densifying it alone.
+    """
     intr = DEFAULT_INTRINSICS if intrinsics is None else intrinsics
     patch = config.patch
     tokens = (IMAGE_SIDE // patch) ** 2
+    features: List[FeatureSet] = []
+    pending = []  # (feature, sparse depth) awaiting densification
+    for sample in samples:
+        rgb = np.asarray(sample.rgb, dtype=np.float64)
+        cam_health = camera_health(rgb)
+        if cam_health.available:
+            clean = np.where(np.isfinite(rgb), rgb, 0.0)
+            cam_patches = patchify(clean, patch)
+        else:
+            cam_patches = np.zeros((tokens, patch * patch * CAMERA_CHANNELS))
 
-    rgb = np.asarray(sample.rgb, dtype=np.float64)
-    cam_health = camera_health(rgb)
-    if cam_health.available:
-        clean = np.where(np.isfinite(rgb), rgb, 0.0)
-        cam_patches = patchify(clean, patch)
-    else:
-        cam_patches = np.zeros((tokens, patch * patch * CAMERA_CHANNELS))
+        sparse = project_point_cloud(sample.cloud, intr)
+        dx, dy = (int(v) for v in sample.registration_shift)
+        if (dx, dy) != (0, 0):
+            sparse = translate_depth(sparse, dx, dy)
+        d_health = depth_health(sparse.values, sparse.valid)
 
-    sparse = project_point_cloud(sample.cloud, intr)
-    dx, dy = (int(v) for v in sample.registration_shift)
-    if (dx, dy) != (0, 0):
-        sparse = translate_depth(sparse, dx, dy)
-    d_health = depth_health(sparse.values, sparse.valid)
-    if d_health.available:
-        dense = densify_depth(sparse, radius=DENSIFY_RADIUS, k=DENSIFY_NEIGHBORS)
-        channels = np.stack(
-            [dense.values / DEPTH_SCALE, dense.valid.astype(np.float64)], axis=-1
+        t_health = text_health(sample.text)
+        if t_health.available:
+            ids = vocab.encode(sample.text, config.text_len)
+        else:
+            ids = np.zeros(config.text_len, dtype=np.int64)
+
+        feature = FeatureSet(
+            sample_id=sample.sample_id,
+            camera=cam_patches,
+            # Placeholder; replaced below when depth passes triage.
+            depth=np.zeros((tokens, patch * patch * DEPTH_CHANNELS)),
+            text=ids,
+            health={"camera": cam_health, "depth": d_health, "text": t_health},
+            command_id=sample.command_id,
+            seg_labels=np.asarray(sample.seg_labels, dtype=np.int64),
         )
-        depth_patches = patchify(channels, patch)
-    else:
-        depth_patches = np.zeros((tokens, patch * patch * DEPTH_CHANNELS))
+        features.append(feature)
+        if d_health.available:
+            pending.append((feature, sparse))
+            if len(pending) == DENSIFY_CHUNK:
+                _densify_into(pending, patch)
+                pending.clear()
+    if pending:
+        _densify_into(pending, patch)
+    return features
 
-    t_health = text_health(sample.text)
-    if t_health.available:
-        ids = vocab.encode(sample.text, config.text_len)
-    else:
-        ids = np.zeros(config.text_len, dtype=np.int64)
 
-    return FeatureSet(
-        sample_id=sample.sample_id,
-        camera=cam_patches,
-        depth=depth_patches,
-        text=ids,
-        health={"camera": cam_health, "depth": d_health, "text": t_health},
-        command_id=sample.command_id,
-        seg_labels=np.asarray(sample.seg_labels, dtype=np.int64),
+def _densify_into(pending: Sequence[Tuple[FeatureSet, DepthMap]], patch: int) -> None:
+    """Densify the pending sparse maps in one call; store their depth patches."""
+    values, valid = densify_stack(
+        np.stack([sparse.values for _, sparse in pending]),
+        np.stack([sparse.valid for _, sparse in pending]),
+        radius=DENSIFY_RADIUS, k=DENSIFY_NEIGHBORS,
     )
+    channels = np.stack([values / DEPTH_SCALE, valid.astype(np.float64)], axis=-1)
+    for (feature, _), image in zip(pending, channels):
+        feature.depth = patchify(image, patch)
+
+
+def prepare_features(sample: Sample, config: ModelConfig, vocab: Vocab,
+                     intrinsics: Optional[Intrinsics] = None) -> FeatureSet:
+    """prepare_samples for one sample."""
+    return prepare_samples([sample], config, vocab, intrinsics)[0]
 
 
 @dataclass

@@ -8,14 +8,14 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ffusion.autodiff import AdamConfig, AdamState, Rng, Tape, adam_step, backward
-from ffusion.errors import ConfigError, TrainingError
+from ffusion.errors import ConfigError, DataError, TrainingError
 from ffusion.model.encoders import MODALITIES
 from ffusion.model.fusion import AvailabilityMask
 from ffusion.model.inputs import (
     FeatureBatch,
     FeatureSet,
     group_by_availability,
-    prepare_features,
+    prepare_samples,
     stack_features,
 )
 from ffusion.model.network import ForwardResult, FusionNetwork
@@ -103,7 +103,7 @@ def _first_nonfinite_path(network: FusionNetwork) -> Optional[str]:
 
 
 def prepare_all(samples: Sequence[Sample], network: FusionNetwork) -> List[FeatureSet]:
-    return [prepare_features(s, network.config, network.vocab) for s in samples]
+    return prepare_samples(samples, network.config, network.vocab)
 
 
 def train(network: FusionNetwork, samples: Sequence[Sample],
@@ -196,6 +196,8 @@ def evaluate(network: FusionNetwork, samples: Sequence[Sample],
     """
     if not samples:
         raise TrainingError("evaluation requires a non-empty sample list")
+    if features is not None and len(features) != len(samples):
+        raise DataError(f"got {len(features)} feature sets for {len(samples)} samples")
     feats = features if features is not None else prepare_all(samples, network)
     truth_cmd = np.asarray([f.command_id for f in feats], dtype=np.int64)
     truth_seg = np.stack([f.seg_labels for f in feats])

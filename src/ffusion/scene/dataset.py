@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from ffusion.asciifile import read_ascii
 from ffusion.autodiff.rng import Rng
 from ffusion.errors import DataError
 from ffusion.geometry.calibration import Intrinsics
@@ -93,7 +94,7 @@ def write_ppm(rgb: np.ndarray, path) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
-    tokens = Path(path).read_text(encoding="ascii").split()
+    tokens = read_ascii(path).split()
     if not tokens or tokens[0] != "P3":
         raise DataError(f"unsupported image format in {path}")
     try:
@@ -121,13 +122,16 @@ def write_labels(labels: np.ndarray, path) -> None:
 
 
 def read_labels(path) -> np.ndarray:
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    lines = read_ascii(path).splitlines()
     if not lines:
         raise DataError(f"empty label file {path}")
     fields = lines[0].split()
     if len(fields) != 4 or " ".join(fields[:2]) != LABELS_MAGIC:
         raise DataError(f"unsupported label header {lines[0]!r}")
-    width, height = int(fields[2]), int(fields[3])
+    try:
+        width, height = int(fields[2]), int(fields[3])
+    except ValueError as exc:
+        raise DataError(f"bad dimensions in label header {lines[0]!r}") from exc
     body = lines[1:]
     if len(body) != height:
         raise DataError(f"label file has {len(body)} rows, header says {height}")
@@ -255,10 +259,14 @@ def read_manifest(dataset_dir) -> dict:
         raise DataError(f"no manifest.json under {dataset_dir}")
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"manifest.json is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError("manifest.json must hold a JSON object")
     if manifest.get("format") != MANIFEST_FORMAT:
         raise DataError(f"unsupported dataset format {manifest.get('format')!r}")
+    if not isinstance(manifest.get("samples"), list):
+        raise DataError("manifest.json has no samples list")
     return manifest
 
 
@@ -286,15 +294,19 @@ def load_sample(dataset_dir, entry: dict) -> Sample:
         if not (root / files[key]).is_file():
             raise DataError(f"dataset file missing: {files[key]}")
     shift = entry.get("registration_shift", (0, 0))
+    if not (isinstance(shift, (list, tuple)) and len(shift) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in shift)):
+        raise DataError(f"manifest entry {entry.get('id')!r}: registration_shift "
+                        f"must be two integers, got {shift!r}")
     return Sample(
         sample_id=str(entry["id"]),
         rgb=read_ppm(root / files["rgb"]),
         cloud=read_point_cloud(root / files["cloud"]),
         depth=read_depth(root / files["depth"]),
-        text=(root / files["text"]).read_text(encoding="ascii").strip(),
+        text=read_ascii(root / files["text"]).strip(),
         command=str(entry["command"]),
         seg_labels=read_labels(root / files["labels"]),
-        registration_shift=tuple(int(v) for v in shift),
+        registration_shift=tuple(shift),
     )
 
 

@@ -1,6 +1,7 @@
 """Config round-trips, subcommand orchestration, exit codes, determinism."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,22 @@ class TestExitCodes:
         assert err.startswith("error: invalid-data: ")
         assert "'fusion.cls'" in err and "non-finite" in err
         assert not report.exists()
+
+    def test_non_ascii_dataset_is_data_error(self, pipeline, tmp_path, capsys):
+        work, config, config_path = pipeline
+        data = tmp_path / "data"
+        shutil.copytree(config.paths.dataset_dir, data)
+        text = sorted(data.glob("text_*.txt"))[0]
+        text.write_bytes(b"\xe9" + text.read_bytes()[1:])
+        checkpoint = tmp_path / "model.ckpt"
+        capsys.readouterr()
+        assert main(["train", "--config", str(config_path),
+                     "--set", f"paths.dataset_dir={data}",
+                     "--set", f"paths.checkpoint={checkpoint}"]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid-data: ")
+        assert "non-ASCII" in err[0] and text.name in err[0]
+        assert not checkpoint.exists()
 
     def test_report_without_eval(self, tmp_path):
         config = tiny_config(tmp_path)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ffusion.autodiff import Rng
-from ffusion.errors import CalibrationError, DataError, RegistrationError
+from ffusion.errors import CalibrationError, DataError, RegistrationError, ShapeError
 from ffusion.geometry import (
     DepthMap,
     Extrinsics,
@@ -13,6 +15,7 @@ from ffusion.geometry import (
     back_project_depth,
     back_project_pixel,
     densify_depth,
+    densify_stack,
     project_point_cloud,
     read_depth,
     read_point_cloud,
@@ -22,6 +25,7 @@ from ffusion.geometry import (
     write_depth,
     write_point_cloud,
 )
+from ffusion.geometry.densify import DISTANCE_REG, _neighbor_offsets
 
 
 @pytest.fixture
@@ -206,6 +210,79 @@ class TestDensify:
             densify_depth(sparse, radius=0)
         with pytest.raises(ValueError):
             densify_depth(sparse, k=0)
+
+    def test_stack_shape_validation(self):
+        with pytest.raises(ShapeError):
+            densify_stack(np.zeros((4, 4)), np.zeros((4, 4), dtype=bool))
+        with pytest.raises(ShapeError):
+            densify_stack(np.zeros((2, 4, 4)), np.zeros((2, 4, 5), dtype=bool))
+
+
+def _loop_densify(values, valid, radius, k):
+    """Reference: the per-map windowed offset loop, one map at a time."""
+    height, width = values.shape
+    count = np.zeros((height, width), dtype=np.int64)
+    weight_sum = np.zeros((height, width))
+    weighted_value = np.zeros((height, width))
+    low = np.full((height, width), np.inf)
+    high = np.full((height, width), -np.inf)
+    hole = ~valid
+    for dist, dr, dc in _neighbor_offsets(radius):
+        t_r0, t_r1 = max(0, -dr), min(height, height - dr)
+        t_c0, t_c1 = max(0, -dc), min(width, width - dc)
+        if t_r0 >= t_r1 or t_c0 >= t_c1:
+            continue
+        target = (slice(t_r0, t_r1), slice(t_c0, t_c1))
+        source = (slice(t_r0 + dr, t_r1 + dr), slice(t_c0 + dc, t_c1 + dc))
+        accept = hole[target] & valid[source] & (count[target] < k)
+        w = 1.0 / (dist + DISTANCE_REG)
+        src_vals = values[source]
+        count[target] += accept
+        weight_sum[target] += np.where(accept, w, 0.0)
+        weighted_value[target] += np.where(accept, w * src_vals, 0.0)
+        low[target] = np.where(accept & (src_vals < low[target]), src_vals, low[target])
+        high[target] = np.where(accept & (src_vals > high[target]), src_vals, high[target])
+    filled = count > 0
+    out_values, out_valid = values.copy(), valid.copy()
+    est = weighted_value[filled] / weight_sum[filled]
+    out_values[filled] = np.clip(est, low[filled], high[filled])
+    out_valid[filled] = True
+    return out_values, out_valid
+
+
+@st.composite
+def sparse_stacks(draw):
+    """(values, valid) stacks with mixed hole density, some maps all-empty."""
+    n = draw(st.integers(1, 6))
+    height, width = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    densities = draw(st.lists(st.sampled_from([0.0, 0.02, 0.1, 0.3, 0.7, 1.0]),
+                              min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    valid = rng.uniform(size=(n, height, width)) < np.asarray(densities)[:, None, None]
+    values = np.where(valid, rng.uniform(0.5, 20.0, size=valid.shape), 0.0)
+    return values, valid
+
+
+class TestDensifyStack:
+    @given(stack=sparse_stacks(), radius=st.integers(1, 6), k=st.integers(1, 9))
+    def test_stack_matches_each_map_alone(self, stack, radius, k):
+        values, valid = stack
+        out_values, out_valid = densify_stack(values, valid, radius, k)
+        for i in range(len(values)):
+            alone = densify_depth(DepthMap(values[i], valid[i]), radius, k)
+            ref_values, ref_valid = _loop_densify(values[i], valid[i], radius, k)
+            assert np.array_equal(out_values[i].view(np.int64), alone.values.view(np.int64))
+            assert np.array_equal(out_values[i].view(np.int64), ref_values.view(np.int64))
+            assert np.array_equal(out_valid[i], alone.valid)
+            assert np.array_equal(out_valid[i], ref_valid)
+
+    def test_inputs_untouched(self):
+        rng = np.random.default_rng(5)
+        valid = rng.uniform(size=(3, 8, 8)) < 0.2
+        values = np.where(valid, rng.uniform(1.0, 9.0, size=valid.shape), 0.0)
+        before = values.copy(), valid.copy()
+        densify_stack(values, valid)
+        assert np.array_equal(values, before[0]) and np.array_equal(valid, before[1])
 
 
 class TestRegistration:

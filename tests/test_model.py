@@ -35,8 +35,10 @@ from ffusion.model import (
     text_health,
     train,
 )
+from ffusion.model import inputs
 from ffusion.model.vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 from ffusion.autodiff import ParamStore
+from ffusion.safety import FaultSpec, inject_fault
 from ffusion.scene import synthesize_sample
 from ffusion.scene.dataset import Sample
 
@@ -338,6 +340,35 @@ class TestHealth:
         assert features.availability == (True, True, True)
 
 
+class TestPrepare:
+    def test_batch_equals_one_at_a_time(self, monkeypatch):
+        # Depth passes triage on some samples and fails on others; a small
+        # chunk makes the passing maps span several densify calls.
+        samples = make_samples(9)
+        samples[1] = inject_fault(samples[1], FaultSpec("lidar", "blackout"))
+        samples[4] = inject_fault(samples[4], FaultSpec("lidar", "miscalibration_shift", 2.0))
+        samples[5] = inject_fault(samples[5], FaultSpec("lidar", "blackout"))
+        samples[7] = inject_fault(samples[7], FaultSpec("camera", "blackout"))
+        net = FusionNetwork(config=SMALL, seed=0)
+        monkeypatch.setattr(inputs, "DENSIFY_CHUNK", 3)
+        batched = prepare_all(samples, net)
+        alone = [prepare_features(s, net.config, net.vocab) for s in samples]
+        assert [f.availability[1] for f in batched].count(False) == 2
+        assert len(batched) == len(alone)
+        for got, want in zip(batched, alone):
+            assert got.sample_id == want.sample_id
+            for name in ("camera", "depth", "text", "seg_labels"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), (got.sample_id, name)
+            assert got.command_id == want.command_id
+            assert {m: (h.status, h.available) for m, h in got.health.items()} == \
+                {m: (h.status, h.available) for m, h in want.health.items()}
+
+    def test_empty_list(self):
+        assert prepare_all([], FusionNetwork(config=SMALL, seed=0)) == []
+
+
 class TestDecoders:
     def test_distributions_sum_to_one(self):
         net = FusionNetwork(config=SMALL, seed=0)
@@ -431,6 +462,13 @@ class TestTraining:
             TrainConfig(learning_rate=-1.0)
         with pytest.raises(ConfigError):
             TrainConfig.from_dict({"epoch": 3})
+
+    def test_evaluate_rejects_mismatched_features(self):
+        samples = make_samples(3)
+        net = FusionNetwork(config=SMALL, seed=0)
+        features = prepare_all(samples[:2], net)
+        with pytest.raises(DataError):
+            evaluate(net, samples, features=features)
 
     def test_train_config_roundtrip(self):
         config = TrainConfig(epochs=3, batch_size=8, learning_rate=2e-3, p_drop=0.1, seed=4)

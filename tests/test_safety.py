@@ -241,14 +241,16 @@ class TestPrepareOnce:
 
     @pytest.fixture
     def prepared(self, monkeypatch):
+        """Ids of the samples passed to the batched preparation prepare_all uses."""
         calls = []
-        original = training.prepare_features
+        original = training.prepare_samples
 
-        def counting(sample, *args, **kwargs):
-            calls.append(sample.sample_id)
-            return original(sample, *args, **kwargs)
+        def counting(samples, *args, **kwargs):
+            samples = list(samples)
+            calls.extend(s.sample_id for s in samples)
+            return original(samples, *args, **kwargs)
 
-        monkeypatch.setattr(training, "prepare_features", counting)
+        monkeypatch.setattr(training, "prepare_samples", counting)
         return calls
 
     def test_fail_operational_eval(self, network, samples, prepared):

@@ -1,5 +1,7 @@
 """Scene generation, rendering, LiDAR simulation, commands and dataset files."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -372,6 +374,28 @@ class TestDataset:
             load_dataset(tmp_path)
         (tmp_path / "manifest.json").write_text("{\"format\": \"OTHER\"}")
         with pytest.raises(DataError):
+            load_dataset(tmp_path)
+
+    def test_manifest_without_samples(self, tmp_path):
+        (tmp_path / "manifest.json").write_text('{"format": "FFUSION-DATASET v1"}')
+        with pytest.raises(DataError, match="samples"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("shift", [["a", 1], [1.5, 0], [1], "12", [True, 0]])
+    def test_non_integer_registration_shift(self, tmp_path, shift):
+        manifest = build_dataset(tmp_path, count=4, seed=9, ratios=(0.5, 0.25, 0.25))
+        manifest["samples"][0]["registration_shift"] = shift
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="registration_shift"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("key", ["rgb", "cloud", "depth", "text", "labels"])
+    def test_non_ascii_byte_is_data_error(self, tmp_path, key):
+        manifest = build_dataset(tmp_path, count=4, seed=9, ratios=(0.5, 0.25, 0.25))
+        path = tmp_path / manifest["samples"][0]["files"][key]
+        data = path.read_bytes()
+        path.write_bytes(data[:5] + b"\xe9" + data[6:])
+        with pytest.raises(DataError, match="non-ASCII byte at offset 5"):
             load_dataset(tmp_path)
 
     def test_missing_sample_file_detected(self, tmp_path):
