@@ -126,12 +126,15 @@ def record_op(inputs: Sequence[Tensor], output: Tensor, backward_fn: BackwardFn)
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into .grad for every tensor on the tape.
+    """Accumulate d(loss)/d(tensor) into .grad for every leaf on the tape.
 
-    The loss must be scalar. Reverse execution order guarantees that a
-    tensor's output gradient is complete before its producing record is
-    visited. Gradients from multiple use sites sum. Tensors the loss does
-    not depend on keep grad None; readers treat None as exact zero.
+    Leaves are the tensors no record produced, such as parameters. The loss
+    must be scalar. Reverse execution order guarantees that a tensor's
+    output gradient is complete before its producing record is visited, so
+    each intermediate gradient is dropped once that record has consumed it;
+    intermediates keep grad None. Gradients from multiple use sites sum.
+    Leaves the loss does not depend on keep grad None; readers treat None as
+    exact zero.
     """
     if loss.data.size != 1:
         raise GradientError(f"loss must be a scalar, got shape {loss.data.shape}")
@@ -141,9 +144,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
         out_grad = flowing.pop(id(rec.output), None)
         if out_grad is None:
             continue
-        if rec.output.requires_grad:
-            held = rec.output.grad
-            rec.output.grad = out_grad if held is None else held + out_grad
         contribs = rec.backward_fn(out_grad)
         if len(contribs) != len(rec.inputs):
             raise GradientError("backward rule arity mismatch")

@@ -196,7 +196,7 @@ def cmd_inject(args) -> int:
     by_id = {s.sample_id: s for items in splits.values() for s in items}
     entries = []
     for entry in manifest["samples"]:
-        sample = inject_fault(by_id[str(entry["id"])], spec)
+        sample = inject_fault(by_id[entry["id"]], spec)
         files = entry["files"]
         write_ppm(sample.rgb, out / files["rgb"])
         write_point_cloud(sample.cloud, out / files["cloud"])

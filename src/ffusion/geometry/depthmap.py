@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ffusion.asciifile import read_ascii
+from ffusion.asciifile import parse_numbers, read_ascii
 from ffusion.errors import DataError
 
 DEPTH_MAGIC = "FFUSION-DEPTH v1"
@@ -76,32 +76,17 @@ def write_depth(depth: DepthMap, path) -> None:
 
 
 def read_depth(path) -> DepthMap:
-    lines = read_ascii(path).splitlines()
-    if not lines:
-        raise DataError(f"empty depth file: {path}")
-    fields = lines[0].split()
+    header, _, body = read_ascii(path).partition("\n")
+    fields = header.split()
     if len(fields) != 4 or " ".join(fields[:2]) != DEPTH_MAGIC:
-        raise DataError(f"unsupported depth header: {lines[0]!r}")
+        raise DataError(f"unsupported depth header: {header!r}")
     try:
         width, height = int(fields[2]), int(fields[3])
     except ValueError as exc:
-        raise DataError(f"bad dimensions in depth header: {lines[0]!r}") from exc
-    body = lines[1:]
-    if len(body) != height:
-        raise DataError(f"depth file has {len(body)} rows, header says {height}")
-    values = np.zeros((height, width))
-    valid = np.zeros((height, width), dtype=bool)
-    for r, line in enumerate(body):
-        cells = line.split()
-        if len(cells) != width:
-            raise DataError(f"depth row {r} has {len(cells)} entries, expected {width}")
-        for c, cell in enumerate(cells):
-            try:
-                v = float(cell)
-            except ValueError as exc:
-                raise DataError(f"malformed depth entry {cell!r} at ({r}, {c})") from exc
-            if v == -1.0:
-                continue
-            values[r, c] = v
-            valid[r, c] = True
+        raise DataError(f"bad dimensions in depth header: {header!r}") from exc
+    if width < 1 or height < 1:
+        raise DataError(f"depth dimensions must be positive, got {width}x{height} in {path}")
+    values = parse_numbers(body, np.float64, (height, width), path, line_width=width)
+    valid = values != -1.0
+    values[~valid] = 0.0
     return DepthMap(values, valid)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ffusion.asciifile import read_ascii
+from ffusion.asciifile import parse_numbers, read_ascii
 from ffusion.errors import DataError
 
 PCD_MAGIC = "FFUSION-PCD v1"
@@ -50,25 +50,14 @@ def write_point_cloud(cloud: PointCloud, path) -> None:
 
 
 def read_point_cloud(path) -> PointCloud:
-    lines = read_ascii(path).splitlines()
-    if not lines:
-        raise DataError(f"empty point cloud file: {path}")
-    head = lines[0].rsplit(" ", 1)
+    header, _, body = read_ascii(path).partition("\n")
+    head = header.rsplit(" ", 1)
     if len(head) != 2 or head[0] != PCD_MAGIC:
-        raise DataError(f"unsupported point cloud header: {lines[0]!r}")
+        raise DataError(f"unsupported point cloud header: {header!r}")
     try:
         count = int(head[1])
     except ValueError as exc:
-        raise DataError(f"bad point count in header: {lines[0]!r}") from exc
-    body = lines[1:]
-    if len(body) != count:
-        raise DataError(f"point cloud lists {len(body)} points, header says {count}")
-    if count == 0:
-        return PointCloud.empty()
-    try:
-        pts = np.array([[float(v) for v in line.split()] for line in body])
-    except ValueError as exc:
-        raise DataError(f"malformed point line in {path}") from exc
-    if pts.shape != (count, 3):
-        raise DataError(f"point lines must hold 3 coordinates each in {path}")
-    return PointCloud(pts)
+        raise DataError(f"bad point count in header: {header!r}") from exc
+    if count < 0:
+        raise DataError(f"point count must not be negative, got {count} in {path}")
+    return PointCloud(parse_numbers(body, np.float64, (count, 3), path, line_width=3))

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Union
 
 import numpy as np
 
@@ -69,17 +67,6 @@ class Vocab:
         ids = [BOS_ID] + [self.word_to_id(w) for w in tokens] + [EOS_ID]
         ids.extend([PAD_ID] * (length - len(ids)))
         return np.asarray(ids, dtype=np.int64)
-
-    def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text("".join(w + "\n" for w in self.words))
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "Vocab":
-        lines = Path(path).read_text().splitlines()
-        words = tuple(line.strip() for line in lines if line.strip())
-        if not words:
-            raise DataError(f"vocabulary file {path} is empty")
-        return cls(words)
 
 
 DEFAULT_VOCAB = Vocab()

@@ -15,13 +15,14 @@ are quantized to the 8-bit grid before use.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from ffusion.asciifile import read_ascii
+from ffusion.asciifile import parse_numbers, read_ascii
 from ffusion.autodiff.rng import Rng
 from ffusion.errors import DataError
 from ffusion.geometry.calibration import Intrinsics
@@ -94,23 +95,22 @@ def write_ppm(rgb: np.ndarray, path) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
-    tokens = read_ascii(path).split()
-    if not tokens or tokens[0] != "P3":
+    head = read_ascii(path).split(maxsplit=4)
+    if not head or head[0] != "P3":
         raise DataError(f"unsupported image format in {path}")
     try:
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-        values = np.array([int(t) for t in tokens[4:]], dtype=np.int64)
+        width, height, maxval = int(head[1]), int(head[2]), int(head[3])
     except (IndexError, ValueError) as exc:
-        raise DataError(f"malformed PPM file {path}") from exc
+        raise DataError(f"malformed PPM header in {path}") from exc
+    if width < 1 or height < 1:
+        raise DataError(f"PPM dimensions must be positive, got {width}x{height} in {path}")
     if maxval != 255:
         raise DataError(f"PPM maxval must be 255, got {maxval}")
-    if values.size != width * height * 3:
-        raise DataError(
-            f"PPM holds {values.size} values, expected {width * height * 3}"
-        )
+    body = head[4] if len(head) == 5 else ""
+    values = parse_numbers(body, np.int64, (height, width, 3), path)
     if values.min() < 0 or values.max() > 255:
         raise DataError("PPM values outside [0, 255]")
-    return values.reshape(height, width, 3) / 255.0
+    return values / 255.0
 
 
 def write_labels(labels: np.ndarray, path) -> None:
@@ -122,25 +122,19 @@ def write_labels(labels: np.ndarray, path) -> None:
 
 
 def read_labels(path) -> np.ndarray:
-    lines = read_ascii(path).splitlines()
-    if not lines:
-        raise DataError(f"empty label file {path}")
-    fields = lines[0].split()
+    header, _, body = read_ascii(path).partition("\n")
+    fields = header.split()
     if len(fields) != 4 or " ".join(fields[:2]) != LABELS_MAGIC:
-        raise DataError(f"unsupported label header {lines[0]!r}")
+        raise DataError(f"unsupported label header {header!r} in {path}")
     try:
         width, height = int(fields[2]), int(fields[3])
     except ValueError as exc:
-        raise DataError(f"bad dimensions in label header {lines[0]!r}") from exc
-    body = lines[1:]
-    if len(body) != height:
-        raise DataError(f"label file has {len(body)} rows, header says {height}")
-    try:
-        grid = np.array([[int(v) for v in line.split()] for line in body], dtype=np.int64)
-    except ValueError as exc:
-        raise DataError(f"malformed label row in {path}") from exc
-    if grid.shape != (height, width):
-        raise DataError(f"label rows do not match header in {path}")
+        raise DataError(f"bad dimensions in label header {header!r}") from exc
+    if width < 1 or height < 1:
+        raise DataError(f"label dimensions must be positive, got {width}x{height} in {path}")
+    grid = parse_numbers(body, np.int64, (height, width), path, line_width=width)
+    if grid.min() < 0 or grid.max() >= len(CLASS_NAMES):
+        raise DataError(f"labels outside the class palette in {path}")
     return grid
 
 
@@ -285,27 +279,51 @@ def manifest_intrinsics(manifest: dict) -> Intrinsics:
         raise DataError(f"manifest image block is missing {exc}") from exc
 
 
-def load_sample(dataset_dir, entry: dict) -> Sample:
-    root = Path(dataset_dir)
-    files = entry.get("files", {})
+def _entry_paths(dataset_dir, entry) -> dict:
+    """Check one manifest entry's schema; return the path of each sample file.
+
+    A file name must be relative and stay inside the dataset directory when
+    normalized; it is checked as written, so symlinks are not followed.
+    """
+    if not isinstance(entry, dict):
+        raise DataError(f"manifest sample entry must be an object, got {entry!r}")
+    sample_id, command, files = entry.get("id"), entry.get("command"), entry.get("files")
+    if not isinstance(sample_id, str):
+        raise DataError(f"manifest entry id must be a string, got {sample_id!r}")
+    if not isinstance(command, str):
+        raise DataError(f"manifest entry {sample_id!r}: command must be a string, got {command!r}")
+    if not (isinstance(files, dict) and all(isinstance(v, str) for v in files.values())):
+        raise DataError(f"manifest entry {sample_id!r}: files must map kinds to file names")
+    paths = {}
     for key in ("rgb", "cloud", "depth", "text", "labels"):
-        if key not in files:
-            raise DataError(f"manifest entry {entry.get('id')!r} lacks a {key} file")
-        if not (root / files[key]).is_file():
-            raise DataError(f"dataset file missing: {files[key]}")
+        name = files.get(key)
+        if name is None:
+            raise DataError(f"manifest entry {sample_id!r} lacks a {key} file")
+        if os.path.isabs(name) or os.path.normpath(name).split(os.sep)[0] == os.pardir:
+            raise DataError(f"manifest entry {sample_id!r}: {key} file {name!r} "
+                            f"is outside the dataset directory")
+        path = os.path.join(dataset_dir, name)
+        if not os.path.isfile(path):
+            raise DataError(f"dataset file missing: {name}")
+        paths[key] = path
+    return paths
+
+
+def load_sample(dataset_dir, entry: dict) -> Sample:
+    paths = _entry_paths(dataset_dir, entry)
     shift = entry.get("registration_shift", (0, 0))
     if not (isinstance(shift, (list, tuple)) and len(shift) == 2
             and all(isinstance(v, int) and not isinstance(v, bool) for v in shift)):
-        raise DataError(f"manifest entry {entry.get('id')!r}: registration_shift "
+        raise DataError(f"manifest entry {entry['id']!r}: registration_shift "
                         f"must be two integers, got {shift!r}")
     return Sample(
-        sample_id=str(entry["id"]),
-        rgb=read_ppm(root / files["rgb"]),
-        cloud=read_point_cloud(root / files["cloud"]),
-        depth=read_depth(root / files["depth"]),
-        text=read_ascii(root / files["text"]).strip(),
-        command=str(entry["command"]),
-        seg_labels=read_labels(root / files["labels"]),
+        sample_id=entry["id"],
+        rgb=read_ppm(paths["rgb"]),
+        cloud=read_point_cloud(paths["cloud"]),
+        depth=read_depth(paths["depth"]),
+        text=read_ascii(paths["text"]).strip(),
+        command=entry["command"],
+        seg_labels=read_labels(paths["labels"]),
         registration_shift=tuple(shift),
     )
 
@@ -318,7 +336,9 @@ def load_dataset(dataset_dir, split: Optional[str] = None):
     wanted = SPLITS if split is None else (split,)
     out = {name: [] for name in wanted}
     for entry in manifest["samples"]:
-        name = entry.get("split")
+        name = entry.get("split") if isinstance(entry, dict) else None
+        if name not in SPLITS:
+            raise DataError(f"manifest entry has split {name!r}, expected one of {SPLITS}")
         if name in out:
             out[name].append(load_sample(dataset_dir, entry))
     return out[split] if split is not None else out

@@ -281,6 +281,29 @@ class TestExitCodes:
         assert "non-ASCII" in err[0] and text.name in err[0]
         assert not checkpoint.exists()
 
+    @pytest.mark.parametrize("edit, cause", [
+        (lambda entry: entry.pop("command"), "command must be a string"),
+        (lambda entry: entry["files"].update(text="../../bad_text.txt"),
+         "outside the dataset directory"),
+    ], ids=["no_command", "name_outside_dataset"])
+    def test_bad_manifest_entry_is_data_error(self, pipeline, tmp_path, capsys, edit, cause):
+        work, config, config_path = pipeline
+        data = tmp_path / "a" / "b" / "data"
+        shutil.copytree(config.paths.dataset_dir, data)
+        (tmp_path / "a" / "bad_text.txt").write_text("go straight\n", encoding="ascii")
+        manifest = json.loads((data / "manifest.json").read_text())
+        edit(manifest["samples"][0])
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        checkpoint = tmp_path / "model.ckpt"
+        capsys.readouterr()
+        assert main(["train", "--config", str(config_path),
+                     "--set", f"paths.dataset_dir={data}",
+                     "--set", f"paths.checkpoint={checkpoint}"]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid-data: ")
+        assert cause in err[0]
+        assert not checkpoint.exists()
+
     def test_report_without_eval(self, tmp_path):
         config = tiny_config(tmp_path)
         path = tmp_path / "run.json"

@@ -81,12 +81,6 @@ class TestVocab:
         assert DEFAULT_VOCAB.size == 20
         assert sorted(DEFAULT_VOCAB.word_to_id(w) for w in DEFAULT_VOCAB.words) == list(range(20))
 
-    def test_save_load_roundtrip(self, tmp_path):
-        path = tmp_path / "vocab.txt"
-        DEFAULT_VOCAB.save(path)
-        again = Vocab.load(path)
-        assert again.words == DEFAULT_VOCAB.words
-
     def test_duplicate_words_rejected(self):
         with pytest.raises(DataError):
             Vocab(("<pad>", "<unk>", "<bos>", "<eos>", "go", "go"))

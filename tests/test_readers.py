@@ -1,0 +1,229 @@
+"""Property tests for the dataset file readers.
+
+Any text given to a reader yields either a DataError or a valid object, never
+another exception; writing an object and reading it back is exact.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from ffusion.errors import DataError
+from ffusion.geometry import (
+    DepthMap,
+    PointCloud,
+    read_depth,
+    read_point_cloud,
+    write_depth,
+    write_point_cloud,
+)
+from ffusion.scene.dataset import read_labels, read_ppm, write_labels, write_ppm
+from ffusion.scene.spec import CLASS_NAMES
+
+HEADERS = {
+    "ppm": "P3\n{w} {h}\n255",
+    "pcd": "FFUSION-PCD v1 {h}",
+    "depth": "FFUSION-DEPTH v1 {w} {h}",
+    "labels": "FFUSION-LABELS v1 {w} {h}",
+}
+
+# Numbers every reader accepts somewhere, plus near misses: floats where ints
+# belong, other bases, digit separators, bare signs, non-finite and huge values.
+TOKENS = st.sampled_from([
+    "0", "1", "2", "7", "255", "256", "-1", "-0", "+3", "1.5", "-1.0", "2.25",
+    "1e3", "1e400", "nan", "inf", "0x10", "1_0", "-", "+", "x", "1-2",
+    "99999999999999999999",
+])
+SEPARATORS = st.sampled_from([" ", " ", " ", "\n", "\n", "  ", "\t", "\r\n", "\x0b", ""])
+
+
+def _valid_ppm(rgb):
+    height, width = rgb.shape[:2]
+    levels = rgb * 255.0
+    return (rgb.dtype == np.float64 and rgb.shape == (height, width, 3)
+            and height >= 1 and width >= 1 and np.array_equal(levels, np.rint(levels))
+            and rgb.min() >= 0.0 and rgb.max() <= 1.0)
+
+
+def _valid_cloud(cloud):
+    pts = cloud.points
+    return isinstance(cloud, PointCloud) and pts.shape == (len(cloud), 3) and np.isfinite(pts).all()
+
+
+def _valid_depth(depth):
+    picked = depth.values[depth.valid]
+    return (isinstance(depth, DepthMap) and depth.height >= 1 and depth.width >= 1
+            and np.isfinite(picked).all() and (picked > 0.0).all()
+            and (depth.values[~depth.valid] == 0.0).all())
+
+
+def _valid_labels(grid):
+    return (grid.dtype == np.int64 and grid.ndim == 2 and min(grid.shape) >= 1
+            and grid.min() >= 0 and grid.max() < len(CLASS_NAMES))
+
+
+READERS = {
+    "ppm": (read_ppm, _valid_ppm),
+    "pcd": (read_point_cloud, _valid_cloud),
+    "depth": (read_depth, _valid_depth),
+    "labels": (read_labels, _valid_labels),
+}
+
+
+def _read_or_reject(kind, data: bytes):
+    """The reader's result for a file holding data, or None on DataError."""
+    reader, valid = READERS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"sample.{kind}"
+        path.write_bytes(data)
+        try:
+            result = reader(path)
+        except DataError:
+            return None
+    assert valid(result), f"{kind} reader returned an invalid object"
+    return result
+
+
+@st.composite
+def formatted_text(draw, kind):
+    """A header of the kind with small, possibly non-positive dimensions, then tokens."""
+    header = HEADERS[kind].format(w=draw(st.integers(-1, 3)), h=draw(st.integers(-1, 3)))
+    pieces = draw(st.lists(st.tuples(TOKENS, SEPARATORS), max_size=30))
+    return header + "\n" + "".join(token + sep for token, sep in pieces)
+
+
+def _write(kind, obj) -> bytes:
+    writer = {"ppm": write_ppm, "pcd": write_point_cloud,
+              "depth": write_depth, "labels": write_labels}[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"sample.{kind}"
+        writer(obj, path)
+        return path.read_bytes()
+
+
+@st.composite
+def ppms(draw):
+    height, width = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(0, 256, size=(height, width, 3)) / 255.0
+
+
+@st.composite
+def clouds(draw):
+    count = draw(st.integers(0, 12))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    coords = draw(st.lists(finite, min_size=3 * count, max_size=3 * count))
+    return PointCloud(np.array(coords, dtype=np.float64).reshape(count, 3))
+
+
+@st.composite
+def depths(draw):
+    height, width = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    positive = st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)
+    cells = draw(st.lists(st.one_of(st.none(), positive),
+                          min_size=height * width, max_size=height * width))
+    valid = np.array([c is not None for c in cells]).reshape(height, width)
+    values = np.array([0.0 if c is None else c for c in cells]).reshape(height, width)
+    return DepthMap(values, valid)
+
+
+@st.composite
+def label_grids(draw):
+    height, width = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(0, len(CLASS_NAMES), size=(height, width))
+
+
+OBJECTS = {"ppm": ppms(), "pcd": clouds(), "depth": depths(), "labels": label_grids()}
+
+
+@st.composite
+def edited_files(draw, kind):
+    """A file the writer produced, with one byte range replaced by a token or separator."""
+    data = _write(kind, draw(OBJECTS[kind]))
+    start = draw(st.integers(0, len(data)))
+    stop = draw(st.integers(start, min(len(data), start + 4)))
+    patch = draw(st.one_of(TOKENS, SEPARATORS)).encode()
+    return data[:start] + patch + data[stop:]
+
+
+def _bits(array):
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+class TestAnyText:
+    @given(text=st.text(max_size=200))
+    def test_arbitrary_text(self, kind, text):
+        _read_or_reject(kind, text.encode("utf-8"))
+
+    @given(data=st.data())
+    def test_formatted_text(self, kind, data):
+        _read_or_reject(kind, data.draw(formatted_text(kind)).encode("ascii"))
+
+    @given(data=st.data())
+    def test_edited_files(self, kind, data):
+        _read_or_reject(kind, data.draw(edited_files(kind)))
+
+
+class TestDefects:
+    """Inputs that escaped as other exceptions or loaded as empty objects."""
+
+    @pytest.mark.parametrize("kind, text", [
+        ("ppm", "P3\n0 0\n255\n"),
+        ("ppm", "P3\n2 0\n255\n"),
+        ("depth", "FFUSION-DEPTH v1 0 0"),
+        ("depth", "FFUSION-DEPTH v1 3 -1\n"),
+        ("labels", "FFUSION-LABELS v1 0 0\n"),
+        ("labels", "FFUSION-LABELS v1 0 2\n\n\n"),
+        ("pcd", "FFUSION-PCD v1 -1\n"),
+        ("ppm", "P3\n99999999999999999999 1\n255\n1 2 3\n"),
+        ("depth", "FFUSION-DEPTH v1 1 1\n \n"),
+        ("ppm", "P3\n1 1\n255\n1 2 -\n"),
+        ("ppm", "P3\n1 1\n255\n1 - 2 3\n"),
+        ("labels", "FFUSION-LABELS v1 2 1\n1 99999999999999999999\n"),
+        ("labels", "FFUSION-LABELS v1 1 1\n1.0\n"),
+        ("pcd", "FFUSION-PCD v1 2\n1 2 3 4\n5 6\n"),
+        ("pcd", "FFUSION-PCD v1 1\n1 2 nan\n"),
+        ("depth", "FFUSION-DEPTH v1 2 1\n1e400 -1\n"),
+        ("depth", "FFUSION-DEPTH v1 99999999999 1\n1\n"),
+    ])
+    def test_rejected(self, kind, text):
+        assert _read_or_reject(kind, text.encode()) is None
+
+    def test_malformed_number_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("FFUSION-LABELS v1 2 1\n1 0x10\n")
+        with pytest.raises(DataError, match="malformed number in .*bad.txt"):
+            read_labels(path)
+
+    def test_missing_final_newline_and_crlf_accepted(self):
+        assert _read_or_reject("depth", b"FFUSION-DEPTH v1 2 1\n1.5 -1").valid.tolist() == [[True, False]]
+        grid = _read_or_reject("labels", b"FFUSION-LABELS v1 2 2\r\n1 2\r\n3 0\r\n")
+        assert grid.tolist() == [[1, 2], [3, 0]]
+
+
+class TestRoundTrip:
+    @given(rgb=ppms())
+    def test_ppm(self, rgb):
+        assert np.array_equal(_bits(_read_or_reject("ppm", _write("ppm", rgb))), _bits(rgb))
+
+    @given(cloud=clouds())
+    @example(cloud=PointCloud(np.array([[-0.0, 5e-324, 1.7976931348623157e308]])))
+    def test_point_cloud(self, cloud):
+        again = _read_or_reject("pcd", _write("pcd", cloud))
+        assert np.array_equal(_bits(again.points), _bits(cloud.points))
+
+    @given(depth=depths())
+    def test_depth(self, depth):
+        again = _read_or_reject("depth", _write("depth", depth))
+        assert np.array_equal(_bits(again.values), _bits(depth.values))
+        assert np.array_equal(again.valid, depth.valid)
+
+    @given(grid=label_grids())
+    def test_labels(self, grid):
+        assert np.array_equal(_read_or_reject("labels", _write("labels", grid)), grid)

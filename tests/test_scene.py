@@ -398,6 +398,39 @@ class TestDataset:
         with pytest.raises(DataError, match="non-ASCII byte at offset 5"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("key, value, cause", [
+        ("id", 7, "id must be a string"),
+        ("command", None, "command must be a string"),
+        ("files", ["rgb_000000.ppm"], "files must map"),
+        ("files", {"rgb": 3}, "files must map"),
+        ("split", "holdout", "split"),
+    ])
+    def test_manifest_entry_schema(self, tmp_path, key, value, cause):
+        manifest = build_dataset(tmp_path, count=4, seed=9, ratios=(0.5, 0.25, 0.25))
+        manifest["samples"][1][key] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=cause):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name", ["../outside.txt", "sub/../../outside.txt", "ABSOLUTE"])
+    def test_file_names_confined_to_dataset_dir(self, tmp_path, name):
+        outside = tmp_path / "outside.txt"
+        outside.write_text("go straight\n", encoding="ascii")
+        data = tmp_path / "data"
+        manifest = build_dataset(data, count=4, seed=9, ratios=(0.5, 0.25, 0.25))
+        manifest["samples"][0]["files"]["text"] = str(outside) if name == "ABSOLUTE" else name
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="outside the dataset directory"):
+            load_dataset(data)
+
+    def test_file_name_in_a_subdirectory_is_read(self, tmp_path):
+        manifest = build_dataset(tmp_path, count=4, seed=9, ratios=(0.5, 0.25, 0.25))
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "text_000000.txt").rename(tmp_path / "sub" / "text.txt")
+        manifest["samples"][0]["files"]["text"] = "sub/../sub/text.txt"
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        assert load_dataset(tmp_path)["train"][0].text
+
     def test_missing_sample_file_detected(self, tmp_path):
         build_dataset(tmp_path / "data", count=4, seed=9, ratios=(0.5, 0.25, 0.25))
         (tmp_path / "data" / "rgb_000000.ppm").unlink()

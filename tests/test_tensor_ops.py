@@ -192,6 +192,19 @@ class TestTapeMechanics:
         backward(tape, loss)
         assert np.array_equal(x.grad, [2.0, 4.0])
 
+    def test_backward_writes_leaf_gradients_only(self):
+        # loss = sum((w*x)^2) on dyadic values, so the leaf gradients 2*h*x and
+        # 2*h*w are exact; the intermediates h and loss keep no gradient.
+        w = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        x = Tensor([0.5, 4.0, -1.5], requires_grad=True)
+        with Tape() as tape:
+            h = ops.mul(w, x)
+            loss = ops.sum_(ops.mul(h, h))
+        backward(tape, loss)
+        assert all(rec.output.grad is None for rec in tape.records)
+        assert np.array_equal(w.grad, 2.0 * h.data * x.data)
+        assert np.array_equal(x.grad, 2.0 * h.data * w.data)
+
     def test_unused_parameter_reads_as_zero_grad(self):
         from ffusion.autodiff import ParamStore
 
