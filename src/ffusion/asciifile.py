@@ -19,6 +19,17 @@ def read_ascii(path) -> str:
         raise DataError(f"non-ASCII byte at offset {exc.start} in {path}") from exc
 
 
+def header_int(token: str, path) -> int:
+    """A header integer: plain ASCII decimal digits, as the body parser reads them.
+
+    A sign, digit separator (`0_2`) or other form `int()` would take is a
+    DataError naming `path`.
+    """
+    if not (token.isascii() and token.isdigit()):
+        raise DataError(f"header field {token!r} in {path} is not a decimal integer")
+    return int(token)
+
+
 def parse_numbers(text: str, dtype, shape: tuple, path, line_width: Optional[int] = None) -> np.ndarray:
     """The whitespace-separated numbers of ASCII `text` as an array of `shape`.
 

@@ -5,11 +5,13 @@ from ffusion.autodiff.checkpoint import load_checkpoint, save_checkpoint
 from ffusion.autodiff.gradcheck import grad_check, grad_check_components, relative_error
 from ffusion.autodiff.ops import (
     add,
+    attention,
     concat,
     cross_entropy,
     embedding_lookup,
     gelu,
     layer_norm,
+    linear,
     matmul,
     mean,
     mul,
@@ -36,6 +38,7 @@ __all__ = [
     "Tensor",
     "adam_step",
     "add",
+    "attention",
     "backward",
     "concat",
     "cross_entropy",
@@ -44,6 +47,7 @@ __all__ = [
     "grad_check",
     "grad_check_components",
     "layer_norm",
+    "linear",
     "load_checkpoint",
     "matmul",
     "mean",

@@ -8,13 +8,14 @@ Layout (bytes):
     raw data                      little-endian float64, concatenated in
                                   header order, row-major
 
-Paths contain no whitespace. A scalar parameter lists no dimensions.
-Round-trips are bit-exact. ParamStore.load_state_dict rejects non-finite
-parameter values.
+Paths contain no whitespace. A scalar parameter lists no dimensions. The
+count and every dimension are plain decimal digits. Round-trips are
+bit-exact. ParamStore.load_state_dict rejects non-finite parameter values.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Mapping, Union
 
@@ -44,6 +45,12 @@ def save_checkpoint(source: Union[ParamStore, Mapping[str, np.ndarray]], path) -
     Path(path).write_bytes("\n".join(header).encode("ascii") + b"\n" + blob)
 
 
+def _header_int(token: str, what: str) -> int:
+    if not (token.isascii() and token.isdigit()):
+        raise CheckpointError(f"checkpoint {what} {token!r} is not a decimal integer")
+    return int(token)
+
+
 def load_checkpoint(path) -> dict:
     """Read a checkpoint back into {path: float64 array}."""
     raw = Path(path).read_bytes()
@@ -53,10 +60,9 @@ def load_checkpoint(path) -> dict:
     lines = head.decode("ascii", errors="replace").split("\n")
     if not lines or lines[0] != MAGIC:
         raise CheckpointError(f"unsupported checkpoint format: {lines[0][:40]!r}")
-    try:
-        count = int(lines[1])
-    except (IndexError, ValueError) as exc:
-        raise CheckpointError("checkpoint is missing its parameter count") from exc
+    if len(lines) < 2:
+        raise CheckpointError("checkpoint is missing its parameter count")
+    count = _header_int(lines[1], "parameter count")
     specs = lines[2:]
     if len(specs) != count:
         raise CheckpointError(f"checkpoint lists {len(specs)} parameters, expected {count}")
@@ -69,16 +75,16 @@ def load_checkpoint(path) -> dict:
         name = fields[0]
         if name in params:
             raise CheckpointError(f"duplicate parameter path: {name!r}")
-        try:
-            shape = tuple(int(d) for d in fields[1:])
-        except ValueError as exc:
-            raise CheckpointError(f"bad shape on parameter line {line!r}") from exc
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = size * 8
-        chunk = rest[offset:offset + nbytes]
-        if len(chunk) != nbytes:
+        shape = tuple(_header_int(d, f"dimension of {name!r}") for d in fields[1:])
+        # Python ints: a product of huge dimensions cannot wrap before this check.
+        nbytes = math.prod(shape) * 8
+        if nbytes > len(rest) - offset:
             raise CheckpointError(f"checkpoint data truncated at parameter {name!r}")
-        params[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).astype(np.float64)
+        chunk = rest[offset:offset + nbytes]
+        try:
+            params[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).astype(np.float64)
+        except ValueError as exc:  # more dimensions than numpy supports
+            raise CheckpointError(f"bad shape on parameter line {line!r}") from exc
         offset += nbytes
     if offset != len(rest):
         raise CheckpointError(f"checkpoint holds {len(rest) - offset} unexpected trailing bytes")

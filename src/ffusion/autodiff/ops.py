@@ -2,8 +2,13 @@
 
 Every operation validates shapes eagerly and raises ShapeError naming the
 offending shapes. Broadcasting is deliberately restricted to suffix-aligned
-bias addition in `add`; everything else requires exact shape agreement, so
-silent shape bugs cannot propagate.
+bias addition in `add` and `linear`; everything else requires exact shape
+agreement, so silent shape bugs cannot propagate.
+
+A backward rule never writes into its incoming gradient (`add` hands the
+same array to both inputs, and `reshape`, `transpose` and `concat` pass
+views of it on) nor into an array its forward returned. `matmul`, `linear`
+and `attention` return None for an operand that does not require a gradient.
 """
 
 from __future__ import annotations
@@ -80,8 +85,16 @@ def gelu(x: Tensor) -> Tensor:
     xd = x.data
 
     def backward_fn(g: Array) -> tuple:
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
-        return (g * (cdf + xd * pdf),)
+        # g * (cdf + xd * pdf) with pdf = exp(-0.5 * xd * xd) / sqrt(2 pi),
+        # evaluated in one temporary.
+        d = -0.5 * xd
+        d *= xd
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= xd
+        d += cdf
+        d *= g
+        return (d,)
 
     record_op((x,), out, backward_fn)
     return out
@@ -248,15 +261,69 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def backward_fn(g: Array) -> tuple:
-        da = np.matmul(g, np.swapaxes(bd, -1, -2))
-        if bd.ndim == 2 and ad.ndim > 2:
-            db = np.matmul(ad.reshape(-1, ad.shape[-1]).T, g.reshape(-1, g.shape[-1]))
-        else:
-            db = np.matmul(np.swapaxes(ad, -1, -2), g)
-        return da, db
+        da = np.matmul(g, np.swapaxes(bd, -1, -2)) if a.requires_grad else None
+        return da, _matmul_right_grad(ad, bd, g) if b.requires_grad else None
 
     record_op((a, b), out, backward_fn)
     return out
+
+
+def _matmul_right_grad(ad: Array, bd: Array, g: Array) -> Array:
+    """d(a @ b)/db; a shared (k, n) right operand sums over every leading axis."""
+    if bd.ndim == 2 and ad.ndim > 2:
+        return np.matmul(ad.reshape(-1, ad.shape[-1]).T, g.reshape(-1, g.shape[-1]))
+    return np.matmul(np.swapaxes(ad, -1, -2), g)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Affine map x @ weight + bias on the last axis, as one tape record.
+
+    x is (..., k), weight (k, n) and bias (n,). Forward and backward make
+    the same numpy calls as matmul followed by add, so results match that
+    chain bit for bit.
+    """
+    xshape, wshape = x.data.shape, weight.data.shape
+    if x.data.ndim < 2 or weight.data.ndim != 2 or xshape[-1] != wshape[0]:
+        raise ShapeError(f"linear: cannot map {xshape} through weight {wshape}")
+    if bias is not None and bias.data.shape != wshape[1:]:
+        raise ShapeError(f"linear: bias {bias.data.shape} does not match weight {wshape}")
+    arr = np.matmul(x.data, weight.data)
+    if bias is not None:
+        arr += bias.data
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    out = _result(inputs, arr)
+    xd, wd = x.data, weight.data
+    lead = tuple(range(x.data.ndim - 1))
+
+    def backward_fn(g: Array) -> tuple:
+        dx = np.matmul(g, wd.T) if x.requires_grad else None
+        dw = _matmul_right_grad(xd, wd, g) if weight.requires_grad else None
+        if bias is None:
+            return dx, dw
+        return dx, dw, g.sum(axis=lead) if bias.requires_grad else None
+
+    record_op(inputs, out, backward_fn)
+    return out
+
+
+def _softmax_rows(logits: Array, axis: int, out: Optional[Array] = None) -> Array:
+    """exp(logits - row max) normalized along axis, written into out if given."""
+    top = logits.max(axis=axis, keepdims=True)
+    if not np.all(np.isfinite(top)):
+        raise MaskError("softmax: non-finite logits (a row has no finite maximum)")
+    e = np.subtract(logits, top, out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
+
+
+def _softmax_grad(weights: Array, g: Array, axis: int) -> Array:
+    """weights * (g - sum(g * weights)) along axis, in one new array."""
+    d = g * weights
+    inner = d.sum(axis=axis, keepdims=True)
+    np.subtract(g, inner, out=d)
+    d *= weights
+    return d
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -269,20 +336,51 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     if not (-ndim <= axis < ndim):
         raise ShapeError(f"softmax: axis {axis} out of range for ndim {ndim}")
     ax = axis % ndim
-    top = x.data.max(axis=ax, keepdims=True)
-    if not np.all(np.isfinite(top)):
-        raise MaskError("softmax: non-finite logits (a row has no finite maximum)")
-    e = np.exp(x.data - top)
-    denom = e.sum(axis=ax, keepdims=True)
-    arr = e / denom
+    arr = _softmax_rows(x.data, ax)
     out = _result((x,), arr)
 
     def backward_fn(g: Array) -> tuple:
-        inner = (g * arr).sum(axis=ax, keepdims=True)
-        return (arr * (g - inner),)
+        return (_softmax_grad(arr, g, ax),)
 
     record_op((x,), out, backward_fn)
     return out
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor) -> tuple:
+    """Scaled dot-product attention over (..., H, T, hd), as one tape record.
+
+    Computes softmax(q @ k^T / sqrt(hd)) @ v with the numpy calls of the
+    transpose, matmul, scale, softmax, matmul chain, in the same order, so
+    results match that chain bit for bit. Returns the output tensor and
+    the attention weights (..., H, T, T) as a plain array; like softmax,
+    rejects a row of non-finite logits with MaskError.
+    """
+    shape = q.data.shape
+    if q.data.ndim < 2 or k.data.shape != shape or v.data.shape != shape:
+        raise ShapeError(
+            f"attention: q {shape}, k {k.data.shape} and v {v.data.shape} must agree"
+        )
+    qd, kd, vd = q.data, k.data, v.data
+    f = 1.0 / math.sqrt(shape[-1])
+    weights = np.matmul(qd, np.swapaxes(kd, -1, -2))
+    weights *= f
+    _softmax_rows(weights, -1, out=weights)
+    out = _result((q, k, v), np.matmul(weights, vd))
+
+    def backward_fn(g: Array) -> tuple:
+        dv = np.matmul(np.swapaxes(weights, -1, -2), g) if v.requires_grad else None
+        if not (q.requires_grad or k.requires_grad):
+            return None, None, dv
+        dlogits = _softmax_grad(weights, np.matmul(g, np.swapaxes(vd, -1, -2)), -1)
+        dlogits *= f
+        dq = np.matmul(dlogits, kd) if q.requires_grad else None
+        dk = None
+        if k.requires_grad:
+            dk = np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), dlogits), -1, -2)
+        return dq, dk, dv
+
+    record_op((q, k, v), out, backward_fn)
+    return out, weights
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -296,21 +394,34 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm: gain {gain.data.shape} and bias {bias.data.shape} must be ({n},)"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    normed = centered * inv
-    out = _result((x, gain, bias), normed * gain.data + bias.data)
+    # The centered values become `normed` in place; `arr` holds their
+    # squares, then the output.
+    normed = x.data - x.data.mean(axis=-1, keepdims=True)
+    arr = normed * normed
+    inv = arr.mean(axis=-1, keepdims=True)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    normed *= inv
+    np.multiply(normed, gain.data, out=arr)
+    arr += bias.data
+    out = _result((x, gain, bias), arr)
     gd = gain.data
 
     def backward_fn(g: Array) -> tuple:
-        dgain = (g * normed).reshape(-1, n).sum(axis=0)
+        # dx = inv * (dnormed - mean(dnormed) - normed * mean(dnormed * normed))
+        # with dnormed = g * gain, in two temporaries.
+        t = g * normed
+        dgain = t.reshape(-1, n).sum(axis=0)
         dbias = g.reshape(-1, n).sum(axis=0)
-        dnormed = g * gd
-        m1 = dnormed.mean(axis=-1, keepdims=True)
-        m2 = (dnormed * normed).mean(axis=-1, keepdims=True)
-        dx = inv * (dnormed - m1 - normed * m2)
+        dx = g * gd
+        m1 = dx.mean(axis=-1, keepdims=True)
+        np.multiply(dx, normed, out=t)
+        m2 = t.mean(axis=-1, keepdims=True)
+        dx -= m1
+        np.multiply(normed, m2, out=t)
+        dx -= t
+        dx *= inv
         return dx, dgain, dbias
 
     record_op((x, gain, bias), out, backward_fn)

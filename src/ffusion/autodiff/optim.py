@@ -73,13 +73,21 @@ def adam_step(
             raise OptimizerError(f"non-finite gradient for parameter {path!r}")
         m = state.m[path]
         v = state.v[path]
+        # param -= lr * m_hat / (sqrt(v_hat) + eps), in two temporaries.
+        step = np.multiply(g, 1.0 - config.beta1)
         m *= config.beta1
-        m += (1.0 - config.beta1) * g
+        m += step
+        np.multiply(g, g, out=step)
+        step *= 1.0 - config.beta2
         v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        m_hat = m / correction1
-        v_hat = v / correction2
-        param.data -= config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        v += step
+        np.divide(m, correction1, out=step)
+        step *= config.lr
+        denom = np.divide(v, correction2)
+        np.sqrt(denom, out=denom)
+        denom += config.eps
+        step /= denom
+        param.data -= step
 
 
 class Adam:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ffusion.asciifile import parse_numbers, read_ascii
+from ffusion.asciifile import header_int, parse_numbers, read_ascii
 from ffusion.errors import DataError
 
 DEPTH_MAGIC = "FFUSION-DEPTH v1"
@@ -80,10 +80,7 @@ def read_depth(path) -> DepthMap:
     fields = header.split()
     if len(fields) != 4 or " ".join(fields[:2]) != DEPTH_MAGIC:
         raise DataError(f"unsupported depth header: {header!r}")
-    try:
-        width, height = int(fields[2]), int(fields[3])
-    except ValueError as exc:
-        raise DataError(f"bad dimensions in depth header: {header!r}") from exc
+    width, height = header_int(fields[2], path), header_int(fields[3], path)
     if width < 1 or height < 1:
         raise DataError(f"depth dimensions must be positive, got {width}x{height} in {path}")
     values = parse_numbers(body, np.float64, (height, width), path, line_width=width)

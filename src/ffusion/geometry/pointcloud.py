@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ffusion.asciifile import parse_numbers, read_ascii
+from ffusion.asciifile import header_int, parse_numbers, read_ascii
 from ffusion.errors import DataError
 
 PCD_MAGIC = "FFUSION-PCD v1"
@@ -54,10 +54,5 @@ def read_point_cloud(path) -> PointCloud:
     head = header.rsplit(" ", 1)
     if len(head) != 2 or head[0] != PCD_MAGIC:
         raise DataError(f"unsupported point cloud header: {header!r}")
-    try:
-        count = int(head[1])
-    except ValueError as exc:
-        raise DataError(f"bad point count in header: {header!r}") from exc
-    if count < 0:
-        raise DataError(f"point count must not be negative, got {count} in {path}")
+    count = header_int(head[1], path)
     return PointCloud(parse_numbers(body, np.float64, (count, 3), path, line_width=3))

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from ffusion.autodiff import ParamStore, Rng, Tensor, add, embedding_lookup, matmul
+from ffusion.autodiff import ParamStore, Rng, Tensor, add, embedding_lookup, linear
 from ffusion.errors import ConfigError, ShapeError
 from ffusion.model.config import ModelConfig
 from ffusion.model.layers import Linear, TransformerBlock, init_param
@@ -100,7 +100,7 @@ class EncoderBranch:
                 f"{self.modality}: expected patches (..., {self.tokens}, "
                 f"{self.patch_len}), got {arr.shape}"
             )
-        return add(matmul(Tensor.constant(arr), self.embed.weight), self.embed.bias)
+        return linear(Tensor.constant(arr), self.embed.weight, self.embed.bias)
 
     def _embed_text(self, ids: np.ndarray) -> Tensor:
         arr = np.asarray(ids)

@@ -145,7 +145,7 @@ class FusionCore:
         return FusedLatent(
             tokens=self.norm(tokens),
             spans=spans,
-            arbitration=self._arbitration(attn.data, spans),
+            arbitration=self._arbitration(attn, spans),
         )
 
     @staticmethod

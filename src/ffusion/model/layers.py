@@ -16,12 +16,11 @@ from ffusion.autodiff import (
     Rng,
     Tensor,
     add,
+    attention,
     gelu,
     layer_norm,
-    matmul,
+    linear,
     reshape,
-    scale,
-    softmax,
     transpose,
 )
 from ffusion.errors import ShapeError
@@ -51,8 +50,7 @@ class Linear:
         self.bias = init_param(store, rng, f"{path}.bias", (fan_out,)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = matmul(x, self.weight)
-        return add(y, self.bias) if self.bias is not None else y
+        return linear(x, self.weight, self.bias)
 
 
 class LayerNorm:
@@ -69,7 +67,8 @@ class LayerNorm:
 class MultiHeadAttention:
     """Self-attention over (..., T, d).
 
-    Returns the output and the attention weights (..., H, T, T).
+    Returns the output and the attention weights (..., H, T, T) as a plain
+    array.
     """
 
     def __init__(self, store: ParamStore, rng: Rng, path: str, dim: int, heads: int):
@@ -99,12 +98,10 @@ class MultiHeadAttention:
         q = self._split(self.query(x), lead, seq)
         k = self._split(self.key(x), lead, seq)
         v = self._split(self.value(x), lead, seq)
+        mixed, weights = attention(q, k, v)
         ndim = len(lead) + 3
-        swap = tuple(range(ndim - 2)) + (ndim - 1, ndim - 2)
-        logits = scale(matmul(q, transpose(k, swap)), 1.0 / np.sqrt(self.head_dim))
-        attn = softmax(logits, axis=-1)
-        mixed = transpose(matmul(attn, v), tuple(range(len(lead))) + (ndim - 2, ndim - 3, ndim - 1))
-        return self.out(reshape(mixed, lead + (seq, self.dim))), attn
+        mixed = transpose(mixed, tuple(range(len(lead))) + (ndim - 2, ndim - 3, ndim - 1))
+        return self.out(reshape(mixed, lead + (seq, self.dim))), weights
 
 
 class TransformerBlock:

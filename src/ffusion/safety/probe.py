@@ -75,7 +75,7 @@ def _train_probe(train_x: np.ndarray, train_y: np.ndarray,
             labels = train_y[batch]
             store.zero_grad()
             with Tape() as tape:
-                logits = ops.add(ops.matmul(x, weight), bias)
+                logits = ops.linear(x, weight, bias)
                 probs = ops.softmax(logits, axis=-1)
                 loss = ops.cross_entropy(probs, labels)
             backward(tape, loss)

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from ffusion.asciifile import parse_numbers, read_ascii
+from ffusion.asciifile import header_int, parse_numbers, read_ascii
 from ffusion.autodiff.rng import Rng
 from ffusion.errors import DataError
 from ffusion.geometry.calibration import Intrinsics
@@ -98,10 +98,9 @@ def read_ppm(path) -> np.ndarray:
     head = read_ascii(path).split(maxsplit=4)
     if not head or head[0] != "P3":
         raise DataError(f"unsupported image format in {path}")
-    try:
-        width, height, maxval = int(head[1]), int(head[2]), int(head[3])
-    except (IndexError, ValueError) as exc:
-        raise DataError(f"malformed PPM header in {path}") from exc
+    if len(head) < 4:
+        raise DataError(f"malformed PPM header in {path}")
+    width, height, maxval = (header_int(token, path) for token in head[1:4])
     if width < 1 or height < 1:
         raise DataError(f"PPM dimensions must be positive, got {width}x{height} in {path}")
     if maxval != 255:
@@ -126,10 +125,7 @@ def read_labels(path) -> np.ndarray:
     fields = header.split()
     if len(fields) != 4 or " ".join(fields[:2]) != LABELS_MAGIC:
         raise DataError(f"unsupported label header {header!r} in {path}")
-    try:
-        width, height = int(fields[2]), int(fields[3])
-    except ValueError as exc:
-        raise DataError(f"bad dimensions in label header {header!r}") from exc
+    width, height = header_int(fields[2], path), header_int(fields[3], path)
     if width < 1 or height < 1:
         raise DataError(f"label dimensions must be positive, got {width}x{height} in {path}")
     grid = parse_numbers(body, np.int64, (height, width), path, line_width=width)

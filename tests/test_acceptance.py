@@ -207,6 +207,37 @@ def _op_gradcheck_errors():
     errs["cross_entropy"] = grad_check(
         lambda t: ops.cross_entropy(ops.softmax(t, axis=-1), labels), logits)
 
+    x = Tensor(rand((3, 4)), requires_grad=True)
+    lin_w = Tensor(rand((4, 2)), requires_grad=True)
+    lin_b = Tensor(rand((2,)), requires_grad=True)
+    w = weight((3, 2))
+    fixed_x, fixed_w, fixed_b = (Tensor(t.data.copy()) for t in (x, lin_w, lin_b))
+    errs["linear_x"] = grad_check(
+        lambda t: ops.sum_(ops.mul(ops.linear(t, fixed_w, fixed_b), w)), x)
+    errs["linear_weight"] = grad_check(
+        lambda t: ops.sum_(ops.mul(ops.linear(fixed_x, t, fixed_b), w)), lin_w)
+    errs["linear_bias"] = grad_check(
+        lambda t: ops.sum_(ops.mul(ops.linear(fixed_x, fixed_w, t), w)), lin_b)
+    errs["linear_no_bias"] = grad_check(
+        lambda t: ops.sum_(ops.mul(ops.linear(fixed_x, t), w)), lin_w)
+    x = Tensor(rand((2, 3, 4)), requires_grad=True)
+    w = weight((2, 3, 2))
+    fixed_x = Tensor(x.data.copy())
+    errs["linear_batched_x"] = grad_check(
+        lambda t: ops.sum_(ops.mul(ops.linear(t, fixed_w, fixed_b), w)), x)
+    errs["linear_batched_weight"] = grad_check(
+        lambda t: ops.sum_(ops.mul(ops.linear(fixed_x, t, fixed_b), w)), lin_w)
+
+    q, k, v = (Tensor(rand((2, 3, 4)), requires_grad=True) for _ in range(3))
+    w = weight((2, 3, 4))
+    fixed_q, fixed_k, fixed_v = (Tensor(t.data.copy()) for t in (q, k, v))
+    errs["attention_q"] = grad_check(
+        lambda t: ops.sum_(ops.mul(ops.attention(t, fixed_k, fixed_v)[0], w)), q)
+    errs["attention_k"] = grad_check(
+        lambda t: ops.sum_(ops.mul(ops.attention(fixed_q, t, fixed_v)[0], w)), k)
+    errs["attention_v"] = grad_check(
+        lambda t: ops.sum_(ops.mul(ops.attention(fixed_q, fixed_k, t)[0], w)), v)
+
     return errs
 
 

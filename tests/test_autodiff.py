@@ -1,7 +1,12 @@
 """Gradient correctness, optimizer behavior, rng determinism and checkpoints."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ffusion.autodiff import (
     Adam,
@@ -314,3 +319,58 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="'w'.*non-finite"):
             store.load_state_dict({"w": np.array([1.0, np.nan, 1.0, 1.0])})
         assert np.array_equal(store["w"].data, np.ones(4))
+
+    # Each data block is as long as int() parsing of the header would read.
+    @pytest.mark.parametrize("header, values", [
+        (b"1\nw -1 -1", 1),
+        (b"1\nw -2 -4", 8),
+        (b"1\nw 4294967296 4294967296", 0),  # the int64 product wraps to 0
+        (b"+1\nw 1", 1),
+        (b"1\nw 0_2", 2),
+        (b"1\nw " + b"1 " * 65, 1),  # more dimensions than numpy supports
+    ])
+    def test_rejects_malformed_header(self, tmp_path, header, values):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"FFUSION-CKPT v1\n" + header + b"\nend\n" + bytes(8 * values))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+def _checkpoint_bytes() -> bytes:
+    rng = Rng(5)
+    store = ParamStore()
+    store.register("enc.w", Tensor(rng.normal((3, 2)), requires_grad=True))
+    store.register("enc.b", Tensor(rng.normal((2,)), requires_grad=True))
+    store.register("head", Tensor(np.array(0.5), requires_grad=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(store, path)
+        return path.read_bytes()
+
+
+CHECKPOINT = _checkpoint_bytes()
+
+
+def _load_or_reject(data: bytes):
+    """load_checkpoint's result for a file holding data, or None on CheckpointError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        path.write_bytes(data)
+        try:
+            params = load_checkpoint(path)
+        except CheckpointError:
+            return None
+    assert all(isinstance(name, str) and isinstance(arr, np.ndarray)
+               and arr.dtype == np.float64 for name, arr in params.items())
+    return params
+
+
+class TestCheckpointProperties:
+    def test_every_truncation_rejected(self):
+        for end in range(len(CHECKPOINT)):
+            assert _load_or_reject(CHECKPOINT[:end]) is None, end
+        assert sorted(_load_or_reject(CHECKPOINT)) == ["enc.b", "enc.w", "head"]
+
+    @given(offset=st.integers(0, len(CHECKPOINT) - 1), value=st.integers(0, 255))
+    def test_one_byte_mutation_rejected_or_loaded(self, offset, value):
+        _load_or_reject(CHECKPOINT[:offset] + bytes([value]) + CHECKPOINT[offset + 1:])

@@ -265,6 +265,20 @@ class TestExitCodes:
         assert "'fusion.cls'" in err and "non-finite" in err
         assert not report.exists()
 
+    def test_malformed_checkpoint_header_is_data_error(self, pipeline, tmp_path, capsys):
+        work, config, config_path = pipeline
+        bad = tmp_path / "negative.ckpt"
+        bad.write_bytes(b"FFUSION-CKPT v1\n1\nfusion.cls -1 -1\nend\n" + bytes(8))
+        report = tmp_path / "should_not_exist.json"
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config_path),
+                     "--set", f"paths.checkpoint={bad}",
+                     "--set", f"paths.eval_report={report}"]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid-data: ")
+        assert "'-1'" in err[0]
+        assert not report.exists()
+
     def test_non_ascii_dataset_is_data_error(self, pipeline, tmp_path, capsys):
         work, config, config_path = pipeline
         data = tmp_path / "data"

@@ -118,21 +118,21 @@ class TestAttention:
         attn = MultiHeadAttention(store, Rng(1), "attn", 16, 2)
         x = Tensor.constant(Rng(2).normal((5, 16)))
         _, weights = attn(x)
-        assert np.abs(weights.data.sum(axis=-1) - 1.0).max() < 1e-9
+        assert np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-9
 
     def test_single_token_weight_exactly_one(self):
         store = ParamStore()
         attn = MultiHeadAttention(store, Rng(1), "attn", 16, 2)
         x = Tensor.constant(Rng(2).normal((1, 16)))
         _, weights = attn(x)
-        assert np.array_equal(weights.data, np.ones((2, 1, 1)))
+        assert np.array_equal(weights, np.ones((2, 1, 1)))
 
     def test_identical_tokens_uniform_attention(self):
         store = ParamStore()
         attn = MultiHeadAttention(store, Rng(1), "attn", 16, 2)
         x = Tensor.constant(np.tile(Rng(2).normal((1, 16)), (6, 1)))
         _, weights = attn(x)
-        assert np.allclose(weights.data, 1.0 / 6.0, atol=1e-12)
+        assert np.allclose(weights, 1.0 / 6.0, atol=1e-12)
 
 
 class TestEncoders:

@@ -191,6 +191,12 @@ class TestDefects:
         ("pcd", "FFUSION-PCD v1 1\n1 2 nan\n"),
         ("depth", "FFUSION-DEPTH v1 2 1\n1e400 -1\n"),
         ("depth", "FFUSION-DEPTH v1 99999999999 1\n1\n"),
+        ("labels", "FFUSION-LABELS v1 0_2 +1\n1 2\n"),
+        ("ppm", "P3\n+1 0_1\n255\n1 2 3\n"),
+        ("ppm", "P3\n1 1\n+255\n1 2 3\n"),
+        ("depth", "FFUSION-DEPTH v1 +1 1\n1\n"),
+        ("pcd", "FFUSION-PCD v1 +1\n1 2 3\n"),
+        ("pcd", "FFUSION-PCD v1 0_1\n1 2 3\n"),
     ])
     def test_rejected(self, kind, text):
         assert _read_or_reject(kind, text.encode()) is None

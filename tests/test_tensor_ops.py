@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ffusion.autodiff import Rng, Tape, Tensor, backward, ops
 from ffusion.errors import MaskError, ShapeError
@@ -63,6 +65,12 @@ class TestForwardOracles:
         x = Tensor.constant([[float("-inf"), float("-inf")]])
         with pytest.raises(MaskError):
             ops.softmax(x, axis=-1)
+
+    def test_attention_non_finite_logits_rejected(self):
+        q = Tensor.constant([[float("inf"), 0.0], [1.0, 0.0]])
+        k = Tensor.constant([[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(MaskError):
+            ops.attention(q, k, Tensor(np.ones((2, 2))))
 
     def test_layer_norm_hand_value(self):
         # [1, 3]: mean 2, var 1 -> close to [-1, 1] up to the eps guard
@@ -168,6 +176,17 @@ class TestShapeErrors:
         with pytest.raises(IndexError):
             ops.cross_entropy(probs, np.array(4))
 
+    def test_linear_rejects_mismatch(self):
+        with pytest.raises(ShapeError):
+            ops.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+        with pytest.raises(ShapeError):
+            ops.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))), Tensor(np.ones(4)))
+
+    def test_attention_rejects_mismatch(self):
+        with pytest.raises(ShapeError):
+            ops.attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))),
+                          Tensor(np.ones((2, 4))))
+
     def test_layer_norm_rejects_bad_gain(self):
         x = Tensor(np.zeros((2, 4)))
         with pytest.raises(ShapeError):
@@ -242,3 +261,143 @@ class TestTapeMechanics:
         with Tape() as tape:
             ops.mul(a, b)
         assert len(tape) == 0
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.int64)
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
+
+
+def _leaf(values, requires_grad=True):
+    return Tensor(values, requires_grad=True) if requires_grad else Tensor.constant(values)
+
+
+def _run_linear(fused, xs, ws, bs, out_w, x_grad):
+    x, w = _leaf(xs, x_grad), _leaf(ws)
+    b = None if bs is None else _leaf(bs)
+    with Tape() as tape:
+        if fused:
+            y = ops.linear(x, w, b)
+        else:
+            y = ops.matmul(x, w)
+            y = y if b is None else ops.add(y, b)
+        loss = ops.sum_(ops.mul(y, Tensor(out_w)))
+    backward(tape, loss)
+    return [y.data, x.grad, w.grad] + ([] if b is None else [b.grad])
+
+
+def _run_attention(fused, qs, ks, vs, out_w):
+    # q, k and v arrive as transposed views, and the output gradient leaves
+    # through a transpose, as in MultiHeadAttention.
+    n = qs.ndim
+    swap = tuple(range(n - 3)) + (n - 2, n - 3, n - 1)
+    leaves = [_leaf(a) for a in (qs, ks, vs)]
+    with Tape() as tape:
+        q, k, v = (ops.transpose(t, swap) for t in leaves)
+        if fused:
+            out, weights = ops.attention(q, k, v)
+        else:
+            kt = ops.transpose(k, tuple(range(n - 2)) + (n - 1, n - 2))
+            logits = ops.scale(ops.matmul(q, kt), 1.0 / np.sqrt(qs.shape[-1]))
+            attn = ops.softmax(logits, axis=-1)
+            out, weights = ops.matmul(attn, v), attn.data
+        loss = ops.sum_(ops.mul(ops.transpose(out, swap), Tensor(out_w)))
+    backward(tape, loss)
+    return [out.data, weights] + [t.grad for t in leaves]
+
+
+class TestFusedOps:
+    """linear and attention against the chains of ops they replace."""
+
+    @given(lead=st.lists(st.integers(1, 4), max_size=2), rows=st.integers(1, 9),
+           k=st.integers(1, 6), n=st.integers(1, 6), bias=st.booleans(),
+           x_grad=st.booleans(), seed=st.integers(0, 2**16))
+    def test_linear_equals_matmul_add_bitwise(self, lead, rows, k, n, bias, x_grad, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(lead) + (rows, k)
+        xs, ws = rng.normal(size=shape), rng.normal(size=(k, n))
+        bs = rng.normal(size=n) if bias else None
+        out_w = rng.normal(size=shape[:-1] + (n,))
+        fused = _run_linear(True, xs, ws, bs, out_w, x_grad)
+        chain = _run_linear(False, xs, ws, bs, out_w, x_grad)
+        assert all(_same_bits(a, b) for a, b in zip(fused, chain))
+
+    @given(lead=st.lists(st.integers(1, 3), max_size=1), seq=st.integers(1, 9),
+           heads=st.integers(1, 3), head_dim=st.integers(1, 8),
+           seed=st.integers(0, 2**16))
+    def test_attention_equals_chain_bitwise(self, lead, seq, heads, head_dim, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(lead) + (seq, heads, head_dim)
+        qs, ks, vs, out_w = (rng.normal(size=shape) * 2.0 for _ in range(4))
+        fused = _run_attention(True, qs, ks, vs, out_w)
+        chain = _run_attention(False, qs, ks, vs, out_w)
+        assert all(_same_bits(a, b) for a, b in zip(fused, chain))
+
+    @pytest.mark.parametrize("op", ["gelu", "layer_norm", "softmax", "linear",
+                                    "attention", "matmul"])
+    def test_backward_leaves_incoming_gradient_intact(self, op):
+        # add hands the same gradient array to both of its inputs, so a rule
+        # that wrote into its incoming gradient would corrupt the other
+        # input's; the reference runs each consumer on its own loss.
+        rng = np.random.default_rng(3)
+        gain, bias = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6))
+        weight = Tensor(rng.normal(size=(6, 6)))
+        apply = {
+            "gelu": ops.gelu,
+            "layer_norm": lambda t: ops.layer_norm(t, gain, bias),
+            "softmax": lambda t: ops.softmax(t, axis=-1),
+            "linear": lambda t: ops.linear(t, weight, bias),
+            "attention": lambda t: ops.attention(t, t, t)[0],
+            "matmul": lambda t: ops.matmul(t, weight),
+        }[op]
+        values = [rng.normal(size=(2, 5, 6)) for _ in range(2)]
+        out_w = Tensor(rng.normal(size=(2, 5, 6)))
+
+        shared = [Tensor(v, requires_grad=True) for v in values]
+        with Tape() as tape:
+            outs = [apply(t) for t in shared]
+            loss = ops.sum_(ops.mul(ops.add(*outs), out_w))
+        before = [o.data.copy() for o in outs]
+        backward(tape, loss)
+        assert all(_same_bits(o.data, b) for o, b in zip(outs, before))
+
+        for t, v in zip(shared, values):
+            alone = Tensor(v.copy(), requires_grad=True)
+            with Tape() as tape:
+                solo = ops.sum_(ops.mul(apply(alone), out_w))
+            backward(tape, solo)
+            assert _same_bits(t.grad, alone.grad)
+
+    def test_attention_weights_untouched_by_backward(self):
+        rng = np.random.default_rng(4)
+        q, k, v = (Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True) for _ in range(3))
+        with Tape() as tape:
+            out, weights = ops.attention(q, k, v)
+            loss = ops.sum_(ops.mul(out, Tensor(rng.normal(size=(2, 4, 3)))))
+        before = weights.copy()
+        backward(tape, loss)
+        assert _same_bits(weights, before)
+
+    def test_constant_operand_gets_no_gradient(self):
+        rng = np.random.default_rng(5)
+        const = Tensor.constant(rng.normal(size=(2, 3, 4)))
+        weight = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        bias = Tensor(rng.normal(size=4), requires_grad=True)
+        param = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        with Tape() as tape:
+            ops.linear(const, weight, bias)
+            ops.matmul(const, weight)
+            ops.matmul(param, Tensor.constant(np.eye(4)))
+            ops.attention(const, const, param)
+        g = np.ones((2, 3, 4))
+        linear_grads, left_grads, right_grads, attention_grads = (
+            rec.backward_fn(g) for rec in tape.records)
+        assert linear_grads[0] is None and linear_grads[1] is not None
+        assert left_grads[0] is None and left_grads[1] is not None
+        assert right_grads[0] is not None and right_grads[1] is None
+        assert attention_grads[:2] == (None, None) and attention_grads[2] is not None
