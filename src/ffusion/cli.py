@@ -43,16 +43,7 @@ from .safety import (
     write_text_report,
     REPORT_FORMAT,
 )
-from .scene.dataset import (
-    MANIFEST_FORMAT,
-    build_dataset,
-    load_dataset,
-    read_manifest,
-    write_labels,
-    write_ppm,
-)
-from .geometry.pointcloud import write_point_cloud
-from .geometry.depthmap import write_depth
+from .scene.dataset import build_dataset, load_dataset, read_manifest, write_sample
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -197,12 +188,7 @@ def cmd_inject(args) -> int:
     entries = []
     for entry in manifest["samples"]:
         sample = inject_fault(by_id[entry["id"]], spec)
-        files = entry["files"]
-        write_ppm(sample.rgb, out / files["rgb"])
-        write_point_cloud(sample.cloud, out / files["cloud"])
-        write_depth(sample.depth, out / files["depth"])
-        (out / files["text"]).write_text(sample.text + "\n", encoding="ascii")
-        write_labels(sample.seg_labels, out / files["labels"])
+        write_sample(sample, out, entry["files"])
         new_entry = dict(entry)
         if sample.registration_shift != (0, 0):
             new_entry["registration_shift"] = list(sample.registration_shift)

@@ -12,6 +12,7 @@ from typing import Optional, Tuple
 
 from .errors import ConfigError
 from .model import ModelConfig, TrainConfig
+from .model.config import require_int
 from .safety import Scenario, default_scenarios
 
 CONFIG_FORMAT = "ffusion-config-v1"
@@ -32,8 +33,8 @@ class DatasetConfig:
     ratios: Tuple[float, float, float] = (0.8, 0.1, 0.1)
 
     def __post_init__(self):
-        if not isinstance(self.count, int) or self.count < 1:
-            raise ConfigError(f"dataset count must be a positive int, got {self.count}")
+        require_int("dataset count", self.count, 1)
+        require_int("dataset seed", self.seed, 0)
         ratios = tuple(float(r) for r in self.ratios)
         if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
             raise ConfigError(

@@ -66,12 +66,8 @@ class DepthMap:
 
 def write_depth(depth: DepthMap, path) -> None:
     lines = [f"{DEPTH_MAGIC} {depth.width} {depth.height}"]
-    for r in range(depth.height):
-        row = [
-            repr(float(depth.values[r, c])) if depth.valid[r, c] else "-1"
-            for c in range(depth.width)
-        ]
-        lines.append(" ".join(row))
+    for values, valid in zip(depth.values.tolist(), depth.valid.tolist()):
+        lines.append(" ".join([repr(v) if ok else "-1" for v, ok in zip(values, valid)]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

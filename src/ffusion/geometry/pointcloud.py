@@ -44,8 +44,8 @@ class PointCloud:
 
 def write_point_cloud(cloud: PointCloud, path) -> None:
     lines = [f"{PCD_MAGIC} {len(cloud)}"]
-    for x, y, z in cloud.points:
-        lines.append(f"{float(x)!r} {float(y)!r} {float(z)!r}")
+    coords = list(map(repr, cloud.points.ravel().tolist()))
+    lines += map(" ".join, zip(coords[0::3], coords[1::3], coords[2::3]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

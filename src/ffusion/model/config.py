@@ -5,6 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ffusion.errors import ConfigError
+from ffusion.scene.render import LABEL_GRID
+
+IMAGE_SIDE = 32  # camera and depth images are IMAGE_SIDE pixels square
+SEG_BLOCK = 2  # label cells per patch side that the segmentation head decodes
+
+
+def require_int(name: str, value, low: int) -> None:
+    """Raise ConfigError unless value is an int >= low; a bool (JSON true) is not a count."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -23,9 +33,14 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("d", "blocks", "heads", "patch", "text_len"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+            require_int(name, getattr(self, name), 1)
+        side, rest = divmod(IMAGE_SIDE, self.patch)
+        if rest or side * SEG_BLOCK != LABEL_GRID:
+            raise ConfigError(
+                f"patch={self.patch} must cut the {IMAGE_SIDE}-pixel image into "
+                f"{LABEL_GRID // SEG_BLOCK}x{LABEL_GRID // SEG_BLOCK} patches, one per "
+                f"{SEG_BLOCK}x{SEG_BLOCK} block of the {LABEL_GRID}x{LABEL_GRID} label grid"
+            )
         if self.d % self.heads != 0:
             raise ConfigError(f"d={self.d} is not divisible by heads={self.heads}")
         if self.text_len < 3:

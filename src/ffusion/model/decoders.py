@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ffusion.autodiff import ParamStore, Rng, Tensor, add, reshape, softmax, transpose
-from ffusion.errors import FusionError
-from ffusion.model.config import ModelConfig
+from ffusion.model.config import IMAGE_SIDE, SEG_BLOCK, ModelConfig
 from ffusion.model.fusion import FusedLatent
 from ffusion.model.layers import Linear
 from ffusion.scene.commands import COMMANDS
@@ -41,19 +40,12 @@ class SegHead:
     and the blocks assemble into the (8, 8, 4) class distribution grid.
     """
 
-    BLOCK = 2  # label cells per patch side
-
     def __init__(self, store: ParamStore, rng: Rng, config: ModelConfig):
         self.config = config
-        side = 32 // config.patch
-        if side * self.BLOCK != LABEL_GRID:
-            raise FusionError(
-                f"patch grid {side} cannot expand to the {LABEL_GRID}x{LABEL_GRID} label grid"
-            )
-        self.side = side
+        self.side = IMAGE_SIDE // config.patch  # ModelConfig checks it tiles the label grid
         self.proj = Linear(
             store, rng, "head.segmentation",
-            config.d, self.BLOCK * self.BLOCK * N_SEG_CLASSES,
+            config.d, SEG_BLOCK * SEG_BLOCK * N_SEG_CLASSES,
         )
 
     def __call__(self, fused: FusedLatent) -> Tensor:
@@ -67,7 +59,7 @@ class SegHead:
             logits = add(Tensor.constant(np.zeros(shape)), self.proj.bias)
         lead = logits.shape[:-2]
         n = len(lead)
-        side, block = self.side, self.BLOCK
+        side, block = self.side, SEG_BLOCK
         grid = reshape(logits, lead + (side, side, block, block, N_SEG_CLASSES))
         # (pr, pc, i, j, c) -> (pr, i, pc, j, c) so rows become 2*pr+i.
         axes = tuple(range(n)) + (n, n + 2, n + 1, n + 3, n + 4)

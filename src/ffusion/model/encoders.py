@@ -14,12 +14,11 @@ import numpy as np
 
 from ffusion.autodiff import ParamStore, Rng, Tensor, add, embedding_lookup, linear
 from ffusion.errors import ConfigError, ShapeError
-from ffusion.model.config import ModelConfig
+from ffusion.model.config import IMAGE_SIDE, ModelConfig
 from ffusion.model.layers import Linear, TransformerBlock, init_param
 
 MODALITIES = ("camera", "depth", "text")
 
-IMAGE_SIDE = 32
 CAMERA_CHANNELS = 3
 DEPTH_CHANNELS = 2  # depth value + validity mask
 
@@ -70,10 +69,6 @@ class EncoderBranch:
         self.modality = modality
         self.config = config
         self.prefix = f"encoder.{modality}"
-        if IMAGE_SIDE % config.patch != 0:
-            raise ConfigError(
-                f"image side {IMAGE_SIDE} not divisible by patch {config.patch}"
-            )
         side = IMAGE_SIDE // config.patch
         if modality == "text":
             if vocab_size is None:

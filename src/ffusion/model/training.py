@@ -9,6 +9,7 @@ import numpy as np
 
 from ffusion.autodiff import AdamConfig, AdamState, Rng, Tape, adam_step, backward
 from ffusion.errors import ConfigError, DataError, TrainingError
+from ffusion.model.config import require_int
 from ffusion.model.encoders import MODALITIES
 from ffusion.model.fusion import AvailabilityMask
 from ffusion.model.inputs import (
@@ -38,10 +39,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.epochs, int) or self.epochs < 1:
-            raise ConfigError(f"epochs must be a positive integer, got {self.epochs!r}")
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size!r}")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            require_int(name, getattr(self, name), low)
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate!r}")
         if not (0.0 <= self.p_drop <= 0.5):

@@ -29,8 +29,16 @@ from ffusion.geometry.calibration import Intrinsics
 from ffusion.geometry.depthmap import DepthMap, read_depth, write_depth
 from ffusion.geometry.pointcloud import PointCloud, read_point_cloud, write_point_cloud
 from ffusion.scene.commands import COMMAND_IDS, COMMANDS, derive_command
-from ffusion.scene.lidar import simulate_depth_scan
-from ffusion.scene.render import DEFAULT_INTRINSICS, LABEL_GRID, render_depth, render_labels, render_rgb
+from ffusion.scene.lidar import scan_from_hits
+from ffusion.scene.render import (
+    DEFAULT_INTRINSICS,
+    LABEL_GRID,
+    cast_rays,
+    depth_from_hits,
+    labels_from_hits,
+    pixel_directions,
+    rgb_from_hits,
+)
 from ffusion.scene.spec import CLASS_NAMES, generate_scene
 
 MANIFEST_FORMAT = "FFUSION-DATASET v1"
@@ -82,6 +90,10 @@ def quantize_rgb(rgb: np.ndarray) -> np.ndarray:
     return np.rint(np.clip(rgb, 0.0, 1.0) * 255.0) / 255.0
 
 
+# Decimal text of every 8-bit level; also covers every label class id.
+_LEVEL_TEXT = tuple(str(v) for v in range(256))
+
+
 def write_ppm(rgb: np.ndarray, path) -> None:
     img = np.asarray(rgb, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] != 3:
@@ -89,8 +101,8 @@ def write_ppm(rgb: np.ndarray, path) -> None:
     height, width = img.shape[:2]
     levels = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.int64)
     lines = ["P3", f"{width} {height}", "255"]
-    for r in range(height):
-        lines.append(" ".join(str(v) for v in levels[r].reshape(-1)))
+    rows = levels.reshape(height, -1).tolist()
+    lines += [" ".join(map(_LEVEL_TEXT.__getitem__, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -115,8 +127,7 @@ def read_ppm(path) -> np.ndarray:
 def write_labels(labels: np.ndarray, path) -> None:
     grid = np.asarray(labels, dtype=np.int64)
     lines = [f"{LABELS_MAGIC} {grid.shape[1]} {grid.shape[0]}"]
-    for row in grid:
-        lines.append(" ".join(str(v) for v in row))
+    lines += [" ".join(map(_LEVEL_TEXT.__getitem__, row)) for row in grid.tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -140,17 +151,22 @@ def synthesize_sample(
     intrinsics: Intrinsics = DEFAULT_INTRINSICS,
     row_step: int = SCAN_ROW_STEP,
 ) -> Sample:
-    """Render one sample from its seed; rgb is pre-quantized to disk precision."""
+    """Render one sample from its seed; rgb is pre-quantized to disk precision.
+
+    The pixel grid is cast once; image, depth, labels and the scan are all
+    derived from the same hits.
+    """
     scene = generate_scene(seed)
     command, sentence = derive_command(scene)
+    hits = cast_rays(scene, pixel_directions(intrinsics))
     return Sample(
         sample_id=sample_id,
-        rgb=quantize_rgb(render_rgb(scene, intrinsics)),
-        cloud=simulate_depth_scan(scene, intrinsics, row_step),
-        depth=render_depth(scene, intrinsics),
+        rgb=quantize_rgb(rgb_from_hits(scene, hits, intrinsics)),
+        cloud=scan_from_hits(hits, intrinsics, row_step),
+        depth=depth_from_hits(hits, intrinsics),
         text=sentence,
         command=command,
-        seg_labels=render_labels(scene, intrinsics),
+        seg_labels=labels_from_hits(scene, hits, intrinsics),
     )
 
 
@@ -174,6 +190,16 @@ def _sample_files(sample_id: str) -> dict:
         "text": f"text_{sample_id}.txt",
         "labels": f"labels_{sample_id}.txt",
     }
+
+
+def write_sample(sample: Sample, out_dir, files: dict) -> None:
+    """Write a sample's five files into out_dir under the names in files."""
+    out = Path(out_dir)
+    write_ppm(sample.rgb, out / files["rgb"])
+    write_point_cloud(sample.cloud, out / files["cloud"])
+    write_depth(sample.depth, out / files["depth"])
+    (out / files["text"]).write_text(sample.text + "\n", encoding="ascii")
+    write_labels(sample.seg_labels, out / files["labels"])
 
 
 def build_dataset(
@@ -207,11 +233,7 @@ def build_dataset(
         split = next(name for name, lo, hi in boundaries if lo <= i < hi)
         sample = synthesize_sample(sample_id, sample_seed, intrinsics)
         files = _sample_files(sample_id)
-        write_ppm(sample.rgb, out / files["rgb"])
-        write_point_cloud(sample.cloud, out / files["cloud"])
-        write_depth(sample.depth, out / files["depth"])
-        (out / files["text"]).write_text(sample.text + "\n", encoding="ascii")
-        write_labels(sample.seg_labels, out / files["labels"])
+        write_sample(sample, out, files)
         entries.append(
             {
                 "id": sample_id,
@@ -258,21 +280,6 @@ def read_manifest(dataset_dir) -> dict:
     if not isinstance(manifest.get("samples"), list):
         raise DataError("manifest.json has no samples list")
     return manifest
-
-
-def manifest_intrinsics(manifest: dict) -> Intrinsics:
-    image = manifest.get("image", {})
-    try:
-        return Intrinsics(
-            fx=float(image["fx"]),
-            fy=float(image["fy"]),
-            cx=float(image["cx"]),
-            cy=float(image["cy"]),
-            width=int(image["width"]),
-            height=int(image["height"]),
-        )
-    except KeyError as exc:
-        raise DataError(f"manifest image block is missing {exc}") from exc
 
 
 def _entry_paths(dataset_dir, entry) -> dict:

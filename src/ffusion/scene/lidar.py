@@ -1,101 +1,21 @@
-"""LiDAR simulation: angular scan grids and pixel-aligned depth scans."""
+"""LiDAR simulation: a co-located line scan along the camera's pixel rays."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
-
 from ffusion.errors import SceneError
-from ffusion.geometry.calibration import Extrinsics, Intrinsics
+from ffusion.geometry.calibration import Intrinsics
 from ffusion.geometry.pointcloud import PointCloud
-from ffusion.scene.render import DEFAULT_INTRINSICS, cast_rays, pixel_directions
+from ffusion.scene.render import DEFAULT_INTRINSICS, RayHits, cast_rays, pixel_directions
 from ffusion.scene.spec import SceneSpec
 
-MAX_RAYS = 65536
 
-
-@dataclass(frozen=True)
-class LidarPattern:
-    """Uniform azimuth/elevation scan grid, degrees.
-
-    Azimuth is positive to the right of the forward axis, elevation positive
-    upward. Rays sweep elevation rows from start to stop, azimuth within
-    each row.
-    """
-
-    azimuth_start: float = -30.0
-    azimuth_stop: float = 30.0
-    azimuth_step: float = 1.0
-    elevation_start: float = -12.0
-    elevation_stop: float = 8.0
-    elevation_step: float = 1.0
-
-    def __post_init__(self):
-        for name in ("azimuth_step", "elevation_step"):
-            step = getattr(self, name)
-            if not (np.isfinite(step) and step > 0.0):
-                raise SceneError(f"{name} must be positive, got {step}")
-        if self.azimuth_stop < self.azimuth_start:
-            raise SceneError("azimuth range is reversed")
-        if self.elevation_stop < self.elevation_start:
-            raise SceneError("elevation range is reversed")
-        if self.ray_count > MAX_RAYS:
-            raise SceneError(f"pattern emits {self.ray_count} rays, limit is {MAX_RAYS}")
-
-    @property
-    def azimuths(self) -> np.ndarray:
-        n = int(np.floor((self.azimuth_stop - self.azimuth_start) / self.azimuth_step + 1e-9)) + 1
-        return self.azimuth_start + self.azimuth_step * np.arange(n)
-
-    @property
-    def elevations(self) -> np.ndarray:
-        n = int(
-            np.floor((self.elevation_stop - self.elevation_start) / self.elevation_step + 1e-9)
-        ) + 1
-        return self.elevation_start + self.elevation_step * np.arange(n)
-
-    @property
-    def ray_count(self) -> int:
-        return len(self.azimuths) * len(self.elevations)
-
-    def directions(self) -> np.ndarray:
-        """Unit ray directions in the sensor frame (x right, y down, z forward)."""
-        az = np.radians(self.azimuths)
-        el = np.radians(self.elevations)
-        az_grid, el_grid = np.meshgrid(az, el)
-        x = np.sin(az_grid) * np.cos(el_grid)
-        y = -np.sin(el_grid)
-        z = np.cos(az_grid) * np.cos(el_grid)
-        return np.stack([x, y, z], axis=-1).reshape(-1, 3)
-
-
-DEFAULT_PATTERN = LidarPattern()
-
-
-def simulate_lidar(
-    scene: SceneSpec,
-    pattern: LidarPattern = DEFAULT_PATTERN,
-    extrinsics: Optional[Extrinsics] = None,
-) -> PointCloud:
-    """Cast the scan pattern into the scene; hits become sensor-frame points.
-
-    Extrinsics give the sensor pose in the camera frame; rays are cast in
-    camera coordinates and hits are mapped back, so a later projection with
-    the same extrinsics reproduces the camera-frame geometry. Missed rays
-    produce no point.
-    """
-    dirs = pattern.directions()
-    if extrinsics is None:
-        hits = cast_rays(scene, dirs)
-        points = hits.points[hits.hit]
-    else:
-        cam_dirs = dirs @ extrinsics.rotation.T
-        hits = cast_rays(scene, cam_dirs, origin=extrinsics.translation)
-        cam_points = hits.points[hits.hit]
-        points = (cam_points - extrinsics.translation) @ extrinsics.rotation
-    return PointCloud(points) if points.size else PointCloud.empty()
+def scan_from_hits(hits: RayHits, intrinsics: Intrinsics, row_step: int) -> PointCloud:
+    """Hit points of pixel rows 0, row_step, 2 * row_step, ... in row-major order."""
+    if row_step < 1:
+        raise SceneError(f"row_step must be at least 1, got {row_step}")
+    shape = (intrinsics.height, intrinsics.width)
+    rows = hits.points.reshape(shape + (3,))[::row_step]
+    return PointCloud(rows[hits.hit.reshape(shape)[::row_step]])
 
 
 def simulate_depth_scan(
@@ -110,10 +30,4 @@ def simulate_depth_scan(
     pixels. Covering every other row leaves the sparse map half empty,
     which is what densification is for.
     """
-    if row_step < 1:
-        raise SceneError(f"row_step must be at least 1, got {row_step}")
-    rows = np.arange(0, intrinsics.height, row_step)
-    dirs = pixel_directions(intrinsics, rows=rows)
-    hits = cast_rays(scene, dirs)
-    points = hits.points[hits.hit]
-    return PointCloud(points) if points.size else PointCloud.empty()
+    return scan_from_hits(cast_rays(scene, pixel_directions(intrinsics)), intrinsics, row_step)

@@ -333,6 +333,22 @@ class TestExitCodes:
         graph.write_text("a: D\na => b\n")
         assert main(["asil-check", "--graph", str(graph)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("override", [
+        "training.seed=-1", "training.seed=1.5", "training.epochs=true",
+        "training.batch_size=true", "model.patch=4", "model.patch=16",
+        "dataset.seed=-1", "dataset.count=true",
+    ])
+    def test_bad_config_value_is_config_error(self, pipeline, tmp_path, capsys, override):
+        work, config, config_path = pipeline
+        checkpoint = tmp_path / "model.ckpt"
+        capsys.readouterr()
+        assert main(["train", "--config", str(config_path), "--set", override,
+                     "--set", f"paths.checkpoint={checkpoint}"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: ")
+        assert override.split("=")[0].split(".")[1] in err[0]
+        assert not checkpoint.exists()
+
     def test_bad_override_is_config_error(self, tmp_path):
         assert main(["generate", "--set", "nonsense"]) == EXIT_CONFIG
 

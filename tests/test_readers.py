@@ -233,3 +233,92 @@ class TestRoundTrip:
     @given(grid=label_grids())
     def test_labels(self, grid):
         assert np.array_equal(_read_or_reject("labels", _write("labels", grid)), grid)
+
+
+def _ppm_by_cell(rgb, path):
+    img = np.asarray(rgb, dtype=np.float64)
+    height, width = img.shape[:2]
+    levels = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.int64)
+    lines = ["P3", f"{width} {height}", "255"]
+    for r in range(height):
+        lines.append(" ".join(str(v) for v in levels[r].reshape(-1)))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def _cloud_by_cell(cloud, path):
+    lines = [f"FFUSION-PCD v1 {len(cloud)}"]
+    for x, y, z in cloud.points:
+        lines.append(f"{float(x)!r} {float(y)!r} {float(z)!r}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def _depth_by_cell(depth, path):
+    lines = [f"FFUSION-DEPTH v1 {depth.width} {depth.height}"]
+    for r in range(depth.height):
+        row = [repr(float(depth.values[r, c])) if depth.valid[r, c] else "-1"
+               for c in range(depth.width)]
+        lines.append(" ".join(row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def _labels_by_cell(labels, path):
+    grid = np.asarray(labels, dtype=np.int64)
+    lines = [f"FFUSION-LABELS v1 {grid.shape[1]} {grid.shape[0]}"]
+    for row in grid:
+        lines.append(" ".join(str(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+REFERENCE_WRITERS = {"ppm": _ppm_by_cell, "pcd": _cloud_by_cell,
+                     "depth": _depth_by_cell, "labels": _labels_by_cell}
+
+
+def _reference_bytes(kind, obj) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"sample.{kind}"
+        REFERENCE_WRITERS[kind](obj, path)
+        return path.read_bytes()
+
+
+@st.composite
+def raw_rgbs(draw):
+    """Unquantized colors, some outside [0, 1], that the PPM writer clips and rounds."""
+    height, width = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.uniform(-0.1, 1.1, size=(height, width, 3))
+
+
+@st.composite
+def masked_depths(draw):
+    """Depth maps whose invalid share is drawn from 0 % to 100 %."""
+    height, width = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    valid = rng.uniform(size=(height, width)) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    values = np.exp(rng.uniform(-700.0, 700.0, size=(height, width)))
+    return DepthMap(np.where(valid, values, 0.0), valid)
+
+
+class TestWritersMatchCellByCellReference:
+    """The writers format plain Python values; the bytes equal per-cell numpy formatting."""
+
+    @given(rgb=st.one_of(ppms(), raw_rgbs()))
+    @example(rgb=(np.arange(768) % 256).reshape(16, 16, 3) / 255.0)
+    def test_ppm(self, rgb):
+        assert _write("ppm", rgb) == _reference_bytes("ppm", rgb)
+
+    @given(cloud=clouds())
+    @example(cloud=PointCloud.empty())
+    @example(cloud=PointCloud(np.array([[-0.0, 5e-324, 1.7976931348623157e308],
+                                        [-5e-324, -1.7976931348623157e308, 0.1]])))
+    def test_point_cloud(self, cloud):
+        assert _write("pcd", cloud) == _reference_bytes("pcd", cloud)
+
+    @given(depth=st.one_of(depths(), masked_depths()))
+    @example(depth=DepthMap.empty(3, 4))
+    @example(depth=DepthMap(np.array([[5e-324, 1.7976931348623157e308]]), np.ones((1, 2), bool)))
+    def test_depth(self, depth):
+        assert _write("depth", depth) == _reference_bytes("depth", depth)
+
+    @given(grid=label_grids())
+    def test_labels(self, grid):
+        assert _write("labels", grid) == _reference_bytes("labels", grid)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ffusion.autodiff import Rng
 from ffusion.errors import DataError, SceneError
@@ -12,9 +14,10 @@ from ffusion.scene import (
     CLASS_IDS,
     DEFAULT_INTRINSICS,
     GROUND_HEIGHT,
-    LidarPattern,
     MAX_OBJECTS,
     MIN_SPACING,
+    OBJECT_CLASSES,
+    RayHits,
     Sample,
     SceneObject,
     SceneSpec,
@@ -23,16 +26,20 @@ from ffusion.scene import (
     derive_command,
     generate_scene,
     load_dataset,
+    pixel_directions,
+    quantize_rgb,
     read_ppm,
     render_depth,
     render_labels,
     render_rgb,
     simulate_depth_scan,
-    simulate_lidar,
     synthesize_sample,
     write_ppm,
 )
-from ffusion.geometry.calibration import Extrinsics
+from ffusion.geometry.calibration import Intrinsics
+from ffusion.scene.dataset import SCAN_ROW_STEP
+from ffusion.scene.render import HIT_GROUND, HIT_NONE, HIT_OBJECT, labels_from_hits, rgb_from_hits
+from ffusion.scene.spec import GROUND_COLORS, SKY_COLOR
 
 
 def _box(x, z, size=1.0, class_name="vehicle", y=None):
@@ -174,9 +181,8 @@ class TestRendering:
 
 class TestLidar:
     def test_ground_points_satisfy_plane_equation(self):
-        scene = SceneSpec((_box(50.0, 17.0, size=0.4, y=GROUND_HEIGHT - 0.2),))
-        pattern = LidarPattern(-20.0, 20.0, 2.0, -12.0, -4.0, 1.0)
-        cloud = simulate_lidar(scene, pattern)
+        scene = SceneSpec((_box(50.0, 17.0, size=0.4, y=GROUND_HEIGHT - 0.2),))  # out of view
+        cloud = simulate_depth_scan(scene, DEFAULT_INTRINSICS, row_step=1)
         assert len(cloud) > 0
         assert np.all(np.abs(cloud.points[:, 1] - GROUND_HEIGHT) < 1e-9)
 
@@ -185,8 +191,7 @@ class TestLidar:
         scene = SceneSpec(
             (SceneObject("sphere", "vehicle", center, 2.0, np.array([0.5, 0.5, 0.5])),)
         )
-        pattern = LidarPattern(-8.0, 8.0, 1.0, -8.0, 8.0, 1.0)
-        cloud = simulate_lidar(scene, pattern)
+        cloud = simulate_depth_scan(scene, DEFAULT_INTRINSICS, row_step=1)
         on_sphere = np.abs(np.linalg.norm(cloud.points - center, axis=1) - 1.0) < 1e-9
         near_ground = np.abs(cloud.points[:, 1] - GROUND_HEIGHT) < 1e-9
         assert len(cloud) > 0
@@ -195,37 +200,11 @@ class TestLidar:
 
     def test_miss_rays_produce_no_points(self):
         scene = SceneSpec((_box(0.0, 4.0),))
-        pattern = LidarPattern(-5.0, 5.0, 1.0, 20.0, 30.0, 1.0)  # upward, all sky
-        cloud = simulate_lidar(scene, pattern)
+        # Principal point on the bottom row: every pixel ray points above the horizon.
+        upward = Intrinsics(fx=28.0, fy=28.0, cx=16.0, cy=7.9, width=32, height=8)
+        cloud = simulate_depth_scan(scene, upward, row_step=1)
         assert len(cloud) == 0
-
-    def test_pattern_validation(self):
-        with pytest.raises(SceneError):
-            LidarPattern(azimuth_step=0.0)
-        with pytest.raises(SceneError):
-            LidarPattern(azimuth_start=10.0, azimuth_stop=-10.0)
-        with pytest.raises(SceneError):
-            LidarPattern(-60.0, 60.0, 0.01, -20.0, 20.0, 0.01)  # too many rays
-
-    def test_ray_count_and_grid(self):
-        pattern = LidarPattern(-30.0, 30.0, 1.0, -12.0, 8.0, 1.0)
-        assert len(pattern.azimuths) == 61
-        assert len(pattern.elevations) == 21
-        assert pattern.ray_count == 61 * 21
-        dirs = pattern.directions()
-        assert dirs.shape == (61 * 21, 3)
-        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
-
-    def test_extrinsics_points_in_sensor_frame(self):
-        # Sensor 0.5 m left of the camera: ground hits must still satisfy the
-        # plane equation after mapping back to the camera frame.
-        scene = SceneSpec((_box(50.0, 17.0, size=0.4, y=GROUND_HEIGHT - 0.2),))
-        extr = Extrinsics(np.eye(3), np.array([-0.5, 0.0, 0.0]))
-        pattern = LidarPattern(-10.0, 10.0, 2.0, -12.0, -6.0, 1.0)
-        cloud = simulate_lidar(scene, pattern, extr)
-        cam_points = extr.apply(cloud.points)
-        assert len(cloud) > 0
-        assert np.all(np.abs(cam_points[:, 1] - GROUND_HEIGHT) < 1e-9)
+        assert cloud.points.shape == (0, 3)
 
 
 class TestDepthScanOracle:
@@ -249,40 +228,131 @@ class TestDepthScanOracle:
         rows = np.nonzero(sparse.valid.any(axis=1))[0]
         assert np.all(rows % 2 == 0)
 
-    def test_angular_scan_agrees_on_fronto_parallel_faces(self):
-        # Random floating boxes: the face z = c is hit by angular rays and
-        # pixel rays alike, so projected scan depth equals rendered depth to
-        # 1e-6. This is the geometry the cross-sensor consistency bound
-        # actually promises; slanted surfaces diverge at pixel-footprint
-        # scale by construction.
-        rng = Rng(2024)
-        for _ in range(20):
-            z = float(rng.uniform(5.0, 10.0))
-            size = float(rng.uniform(1.0, 2.0))
-            x = float(rng.uniform(-1.0, 1.0))
-            y = float(rng.uniform(-0.5, 0.7))  # keep the face above the ground line
-            obj = SceneObject("box", "vehicle", np.array([x, y, z]), size,
-                              np.array([0.4, 0.4, 0.6]))
-            scene = SceneSpec((obj,))
-            face_z = z - size / 2.0
-            # Aim at the middle sixth of the face so angle-grid warp plus the
-            # half-pixel projection offset cannot escape the face footprint.
-            half_angle = np.degrees(np.arctan((size / 6.0) / face_z))
-            az_c = np.degrees(np.arctan(x / face_z))
-            el_c = np.degrees(np.arctan(-y / face_z))
-            pattern = LidarPattern(
-                az_c - half_angle, az_c + half_angle, max(half_angle / 4.0, 0.02),
-                el_c - half_angle, el_c + half_angle, max(half_angle / 4.0, 0.02),
-            )
-            cloud = simulate_lidar(scene, pattern)
-            assert len(cloud) > 0
-            sparse = project_point_cloud(cloud, DEFAULT_INTRINSICS)
-            rendered = render_depth(scene, DEFAULT_INTRINSICS)
-            rows, cols = np.nonzero(sparse.valid)
-            hit_face = np.abs(sparse.values[rows, cols] - face_z) < 1e-9
-            assert hit_face.all()
-            diff = np.abs(sparse.values[rows, cols] - rendered.values[rows, cols])
-            assert diff.max() < 1e-6
+
+def _bits(array):
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.int64)
+
+
+class TestOneCastPerSample:
+    """A sample's four views come from one pixel-grid cast; each equals its own renderer."""
+
+    @given(seed=st.integers(0, 2**64 - 1), row_step=st.integers(1, 4))
+    def test_synthesized_views_equal_the_renderers(self, seed, row_step):
+        scene = generate_scene(seed)
+        sample = synthesize_sample("000000", seed, row_step=row_step)
+        assert np.array_equal(_bits(sample.rgb), _bits(quantize_rgb(render_rgb(scene))))
+        depth = render_depth(scene)
+        assert np.array_equal(_bits(sample.depth.values), _bits(depth.values))
+        assert np.array_equal(sample.depth.valid, depth.valid)
+        assert np.array_equal(sample.seg_labels, render_labels(scene))
+        scan = simulate_depth_scan(scene, DEFAULT_INTRINSICS, row_step)
+        assert np.array_equal(_bits(sample.cloud.points), _bits(scan.points))
+
+    @given(seed=st.integers(0, 2**64 - 1), row_step=st.integers(1, 4))
+    def test_row_sliced_scan_equals_casting_only_the_scanned_rows(self, seed, row_step):
+        scene = generate_scene(seed)
+        intr = DEFAULT_INTRINSICS
+        dirs = pixel_directions(intr).reshape(intr.height, intr.width, 3)[::row_step]
+        hits = cast_rays(scene, dirs.reshape(-1, 3))
+        scan = simulate_depth_scan(scene, intr, row_step)
+        assert np.array_equal(_bits(scan.points), _bits(hits.points[hits.hit]))
+
+    def test_default_sample_uses_the_dataset_row_step(self):
+        scene = generate_scene(41)
+        scan = simulate_depth_scan(scene, DEFAULT_INTRINSICS, SCAN_ROW_STEP)
+        sample = synthesize_sample("000000", 41)
+        assert np.array_equal(_bits(sample.cloud.points), _bits(scan.points))
+
+
+def _rgb_by_object_loop(scene, hits):
+    """Shading as first written, one masked assignment per region: the reference for rgb_from_hits."""
+    img = np.tile(np.asarray(SKY_COLOR), (hits.t.shape[0], 1))
+    ground = hits.kind == HIT_GROUND
+    if ground.any():
+        cells = np.floor(hits.points[ground, 0]) + np.floor(hits.points[ground, 2])
+        parity = np.mod(cells, 2.0) == 0.0
+        img[ground] = np.where(
+            parity[:, None], np.asarray(GROUND_COLORS[0]), np.asarray(GROUND_COLORS[1])
+        )
+    for i, obj in enumerate(scene.objects):
+        img[(hits.kind == HIT_OBJECT) & (hits.index == i)] = obj.color
+    return img.reshape(32, 32, 3)
+
+
+class TestShading:
+    @given(seed=st.integers(0, 2**64 - 1))
+    def test_palette_equals_the_per_object_loop(self, seed):
+        scene = generate_scene(seed)
+        hits = cast_rays(scene, pixel_directions(DEFAULT_INTRINSICS))
+        assert np.array_equal(_bits(rgb_from_hits(scene, hits, DEFAULT_INTRINSICS)),
+                              _bits(_rgb_by_object_loop(scene, hits)))
+
+
+def _labels_by_cell_loop(scene, hits):
+    """The per-cell majority vote as first written: the reference for labels_from_hits."""
+    pixel_class = np.zeros(hits.t.shape[0], dtype=np.int64)
+    obj_rows = hits.kind == HIT_OBJECT
+    if obj_rows.any():
+        ids = np.array([obj.class_id for obj in scene.objects], dtype=np.int64)
+        pixel_class[obj_rows] = ids[hits.index[obj_rows]]
+    blocks = (
+        pixel_class.reshape(32, 32).reshape(8, 4, 8, 4).transpose(0, 2, 1, 3).reshape(8, 8, 16)
+    )
+    labels = np.zeros((8, 8), dtype=np.int64)
+    for r in range(8):
+        for c in range(8):
+            cell = blocks[r, c]
+            object_pixels = cell[cell != 0]
+            if object_pixels.size > 8:
+                labels[r, c] = int(np.argmax(np.bincount(object_pixels)))
+    return labels
+
+
+@st.composite
+def pixel_hits(draw):
+    """A scene and hits whose 4x4 cells hold 0-16 object pixels drawn from two objects."""
+    count = draw(st.integers(1, MAX_OBJECTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    classes = rng.choice(len(OBJECT_CLASSES), size=count)
+    scene = SceneSpec(tuple(_box(2.0 * i, 6.0, class_name=OBJECT_CLASSES[k])
+                            for i, k in enumerate(classes)))
+    cells = np.full((8, 8, 16), -1, dtype=np.int64)
+    for r in range(8):
+        for c in range(8):
+            objects = rng.integers(0, count, size=2)[rng.integers(0, 2, size=16)]
+            cells[r, c] = np.where(np.arange(16) < rng.integers(0, 17), objects, -1)
+            rng.shuffle(cells[r, c])
+    index = cells.reshape(8, 8, 4, 4).transpose(0, 2, 1, 3).reshape(-1)
+    background = rng.choice([HIT_NONE, HIT_GROUND], size=index.shape)
+    kind = np.where(index >= 0, HIT_OBJECT, background)
+    n = index.size
+    return scene, RayHits(t=np.ones(n), kind=kind, index=index, points=np.zeros((n, 3)))
+
+
+class TestLabelVote:
+    @given(case=pixel_hits())
+    def test_vote_equals_the_per_cell_loop(self, case):
+        scene, hits = case
+        assert np.array_equal(labels_from_hits(scene, hits, DEFAULT_INTRINSICS),
+                              _labels_by_cell_loop(scene, hits))
+
+    def test_exact_half_and_ties(self):
+        scene = SceneSpec((_box(0.0, 6.0, class_name="barrier"),
+                           _box(2.0, 6.0, class_name="pedestrian")))
+        index = np.full((8, 8, 16), -1, dtype=np.int64)
+        index[0, 0, :8] = 0        # 8 of 16 object pixels: no majority
+        index[0, 1, :9] = 0        # 9 of 16: barrier
+        index[0, 2, :5] = 0        # 5 barrier, 5 pedestrian: the lower id wins
+        index[0, 2, 5:10] = 1
+        index[0, 3, :16] = 1       # all pedestrian
+        flat = index.reshape(8, 8, 4, 4).transpose(0, 2, 1, 3).reshape(-1)
+        kind = np.where(flat >= 0, HIT_OBJECT, HIT_GROUND)
+        hits = RayHits(t=np.ones(flat.size), kind=kind, index=flat, points=np.zeros((flat.size, 3)))
+        labels = labels_from_hits(scene, hits, DEFAULT_INTRINSICS)
+        assert labels[0, :4].tolist() == [0, CLASS_IDS["barrier"], CLASS_IDS["pedestrian"],
+                                          CLASS_IDS["pedestrian"]]
+        assert labels[1:].sum() == 0 and labels[0, 4:].sum() == 0
+        assert np.array_equal(labels, _labels_by_cell_loop(scene, hits))
 
 
 class TestCommands:
