@@ -2,7 +2,7 @@
 
 from ffusion.autodiff import ops
 from ffusion.autodiff.checkpoint import load_checkpoint, save_checkpoint
-from ffusion.autodiff.gradcheck import grad_check, grad_check_components, relative_error
+from ffusion.autodiff.gradcheck import grad_check, grad_check_components
 from ffusion.autodiff.ops import (
     add,
     attention,
@@ -23,13 +23,12 @@ from ffusion.autodiff.ops import (
     sum_,
     transpose,
 )
-from ffusion.autodiff.optim import Adam, AdamConfig, AdamState, adam_step
+from ffusion.autodiff.optim import AdamConfig, AdamState, adam_step
 from ffusion.autodiff.params import ParamStore
 from ffusion.autodiff.rng import Rng
 from ffusion.autodiff.tensor import Tape, Tensor, backward
 
 __all__ = [
-    "Adam",
     "AdamConfig",
     "AdamState",
     "ParamStore",
@@ -53,7 +52,6 @@ __all__ = [
     "mean",
     "mul",
     "ops",
-    "relative_error",
     "relu",
     "reshape",
     "save_checkpoint",

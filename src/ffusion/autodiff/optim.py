@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -89,15 +89,3 @@ def adam_step(
         step /= denom
         param.data -= step
 
-
-class Adam:
-    """Stateful wrapper binding a store to AdamState and AdamConfig."""
-
-    def __init__(self, store: ParamStore, config: Optional[AdamConfig] = None):
-        self.store = store
-        self.config = config or AdamConfig()
-        self.state = AdamState.for_store(store)
-
-    def step(self, grads: Optional[Mapping[str, Array]] = None) -> None:
-        adam_step(self.store, grads if grads is not None else self.store.gradients(),
-                  self.state, self.config)

@@ -84,6 +84,3 @@ class ParamStore:
         for path, param in self.items():
             param.data = np.ascontiguousarray(np.asarray(state[path], dtype=np.float64))
             param.grad = None
-
-    def total_parameters(self) -> int:
-        return sum(param.data.size for param in self._params.values())

@@ -35,8 +35,6 @@ from .safety import (
     fail_operational_eval,
     inject_fault,
     load_arch_graph,
-    render_json,
-    render_text_summary,
     single_modality_probe,
     snr_enrichment_eval,
     write_json_report,
@@ -46,7 +44,6 @@ from .safety import (
 from .scene.dataset import build_dataset, load_dataset, read_manifest, write_sample
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_MISSING = 4
 EXIT_DATA = 5

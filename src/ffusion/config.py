@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 from .errors import ConfigError
 from .model import ModelConfig, TrainConfig
-from .model.config import require_int
+from .model.config import require_int, require_real
 from .safety import Scenario, default_scenarios
 
 CONFIG_FORMAT = "ffusion-config-v1"
@@ -35,8 +35,10 @@ class DatasetConfig:
     def __post_init__(self):
         require_int("dataset count", self.count, 1)
         require_int("dataset seed", self.seed, 0)
-        ratios = tuple(float(r) for r in self.ratios)
-        if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        if not isinstance(self.ratios, (list, tuple)) or len(self.ratios) != 3:
+            raise ConfigError(f"split ratios must be a list of three numbers, got {self.ratios!r}")
+        ratios = tuple(require_real("ratios entry", r) for r in self.ratios)
+        if not (all(r > 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
             raise ConfigError(
                 f"split ratios must be three positive numbers summing to 1, got {self.ratios}")
         object.__setattr__(self, "ratios", ratios)
@@ -47,10 +49,7 @@ class DatasetConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "DatasetConfig":
         _require_keys(data, {"count", "seed", "ratios"}, "dataset")
-        kwargs = dict(data)
-        if "ratios" in kwargs:
-            kwargs["ratios"] = tuple(kwargs["ratios"])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -99,10 +98,12 @@ class RunConfig:
     paths: Paths = field(default_factory=Paths)
 
     def __post_init__(self):
-        for sigma in self.sigmas:
-            if not (float(sigma) >= 0.0):
-                raise ConfigError(f"noise sigma must be >= 0, got {sigma}")
-        object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
+        if not isinstance(self.sigmas, (list, tuple)):
+            raise ConfigError(f"sigmas must be a list of numbers, got {self.sigmas!r}")
+        sigmas = tuple(require_real("sigmas entry", s) for s in self.sigmas)
+        if not all(0.0 <= s < float("inf") for s in sigmas):
+            raise ConfigError(f"sigmas must be finite and >= 0, got {self.sigmas}")
+        object.__setattr__(self, "sigmas", sigmas)
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
 
     def to_dict(self) -> dict:
@@ -133,7 +134,7 @@ class RunConfig:
             training=TrainConfig.from_dict(data.get("training", {})),
             dataset=DatasetConfig.from_dict(data.get("dataset", {})),
             scenarios=scenarios,
-            sigmas=tuple(data.get("sigmas", (0.0, 0.25, 0.5))),
+            sigmas=data.get("sigmas", (0.0, 0.25, 0.5)),
             paths=Paths.from_dict(data.get("paths", {})),
         )
 

@@ -34,11 +34,7 @@ class CheckpointError(FfusionError):
 
 
 class CalibrationError(FfusionError):
-    """Invalid camera intrinsics or extrinsics."""
-
-
-class RegistrationError(FfusionError):
-    """Depth-to-image registration failure, e.g. dimension mismatch."""
+    """Invalid camera intrinsics."""
 
 
 class SceneError(FfusionError):

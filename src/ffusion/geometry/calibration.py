@@ -1,15 +1,12 @@
-"""Camera intrinsics, sensor extrinsics and calibration validation."""
+"""Camera intrinsics: the pinhole model shared by rendering and projection."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from ffusion.errors import CalibrationError
-
-ORTHONORMALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -34,70 +31,3 @@ class Intrinsics:
             raise CalibrationError(f"cx {self.cx} outside [0, {self.width})")
         if not (0.0 <= self.cy < self.height):
             raise CalibrationError(f"cy {self.cy} outside [0, {self.height})")
-
-
-@dataclass(frozen=True, eq=False)
-class Extrinsics:
-    """Rigid transform taking sensor-frame points into the camera frame."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        rot = np.ascontiguousarray(np.asarray(self.rotation, dtype=np.float64))
-        trans = np.ascontiguousarray(np.asarray(self.translation, dtype=np.float64))
-        if rot.shape != (3, 3):
-            raise CalibrationError(f"rotation must be 3x3, got {rot.shape}")
-        if trans.shape != (3,):
-            raise CalibrationError(f"translation must have 3 entries, got {trans.shape}")
-        if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(trans))):
-            raise CalibrationError("extrinsics contain non-finite values")
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", trans)
-
-    @classmethod
-    def identity(cls) -> "Extrinsics":
-        return cls(np.eye(3), np.zeros(3))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.rotation.T + self.translation
-
-
-@dataclass(frozen=True)
-class CalibrationReport:
-    """Diagnostics from validate_calibration; ok means every check passed."""
-
-    ok: bool
-    orthonormality_residual: float
-    det_deviation: float
-    issues: tuple = field(default_factory=tuple)
-
-
-def validate_calibration(
-    intrinsics: Intrinsics,
-    extrinsics: Optional[Extrinsics] = None,
-    tol: float = ORTHONORMALITY_TOL,
-) -> CalibrationReport:
-    """Check rotation orthonormality, determinant and principal point bounds.
-
-    The orthonormality residual is max|R^T R - I|; a rotation scaled by s
-    shows up as |s^2 - 1| on the diagonal. Intrinsics bounds are enforced at
-    construction, so only the rotation can fail here.
-    """
-    issues = []
-    residual = 0.0
-    det_dev = 0.0
-    if extrinsics is not None:
-        gram = extrinsics.rotation.T @ extrinsics.rotation
-        residual = float(np.abs(gram - np.eye(3)).max())
-        det_dev = float(abs(np.linalg.det(extrinsics.rotation) - 1.0))
-        if residual > tol:
-            issues.append(f"rotation is not orthonormal: residual {residual:.3e}")
-        if det_dev > tol:
-            issues.append(f"rotation determinant deviates from 1 by {det_dev:.3e}")
-    return CalibrationReport(
-        ok=not issues,
-        orthonormality_residual=residual,
-        det_deviation=det_dev,
-        issues=tuple(issues),
-    )

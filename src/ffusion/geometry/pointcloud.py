@@ -20,7 +20,7 @@ PCD_MAGIC = "FFUSION-PCD v1"
 
 @dataclass(eq=False)
 class PointCloud:
-    """N sensor-frame points, meters, float64, all finite."""
+    """N camera-frame points (the depth scan is co-located), meters, float64, all finite."""
 
     points: np.ndarray
 

@@ -1,13 +1,10 @@
-"""Pinhole projection between point clouds and depth maps."""
+"""Pinhole projection of camera-frame point clouds into depth maps."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from ffusion.errors import CalibrationError
-from ffusion.geometry.calibration import Extrinsics, Intrinsics, validate_calibration
+from ffusion.geometry.calibration import Intrinsics
 from ffusion.geometry.depthmap import DepthMap
 from ffusion.geometry.pointcloud import PointCloud
 
@@ -15,22 +12,15 @@ from ffusion.geometry.pointcloud import PointCloud
 NEAR_PLANE = 1e-6
 
 
-def project_point_cloud(
-    cloud: PointCloud,
-    intrinsics: Intrinsics,
-    extrinsics: Optional[Extrinsics] = None,
-) -> DepthMap:
-    """Project sensor-frame points into a sparse depth map.
+def project_point_cloud(cloud: PointCloud, intrinsics: Intrinsics) -> DepthMap:
+    """Project camera-frame points into a sparse depth map.
 
     Pixel cells are found by flooring the continuous image coordinates.
     When several points land in one cell the smallest depth wins (z-buffer);
     among equal depths the latest point in cloud order wins, which keeps the
     result independent of sorting internals.
     """
-    report = validate_calibration(intrinsics, extrinsics)
-    if not report.ok:
-        raise CalibrationError("; ".join(report.issues))
-    pts = cloud.points if extrinsics is None else extrinsics.apply(cloud.points)
+    pts = cloud.points
     depth = DepthMap.empty(intrinsics.height, intrinsics.width)
     if pts.shape[0] == 0:
         return depth
@@ -55,25 +45,3 @@ def project_point_cloud(
     depth.valid[rows, cols] = True
     return depth
 
-
-def back_project_pixel(row: int, col: int, depth: float, intrinsics: Intrinsics) -> np.ndarray:
-    """Camera-frame point for a pixel center at the given depth."""
-    if depth <= 0.0 or not np.isfinite(depth):
-        raise ValueError(f"depth must be positive and finite, got {depth}")
-    x = (col + 0.5 - intrinsics.cx) * depth / intrinsics.fx
-    y = (row + 0.5 - intrinsics.cy) * depth / intrinsics.fy
-    return np.array([x, y, depth])
-
-
-def back_project_depth(depth: DepthMap, intrinsics: Intrinsics) -> PointCloud:
-    """Lift every valid depth cell back to a camera-frame point cloud."""
-    if (depth.height, depth.width) != (intrinsics.height, intrinsics.width):
-        raise CalibrationError(
-            f"depth map {depth.height}x{depth.width} does not match camera "
-            f"{intrinsics.height}x{intrinsics.width}"
-        )
-    rows, cols = np.nonzero(depth.valid)
-    z = depth.values[rows, cols]
-    x = (cols + 0.5 - intrinsics.cx) * z / intrinsics.fx
-    y = (rows + 0.5 - intrinsics.cy) * z / intrinsics.fy
-    return PointCloud(np.stack([x, y, z], axis=1)) if z.size else PointCloud.empty()

@@ -19,7 +19,6 @@ from ffusion.model.fusion import (
     AvailabilityMask,
     FusedLatent,
     FusionCore,
-    arbitration_weights,
 )
 from ffusion.model.health import (
     DEGRADED,
@@ -98,7 +97,6 @@ __all__ = [
     "TransformerBlock",
     "UNK_ID",
     "Vocab",
-    "arbitration_weights",
     "build_branches",
     "camera_health",
     "depth_health",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from ffusion.errors import ConfigError
@@ -15,6 +16,13 @@ def require_int(name: str, value, low: int) -> None:
     """Raise ConfigError unless value is an int >= low; a bool (JSON true) is not a count."""
     if not isinstance(value, int) or isinstance(value, bool) or value < low:
         raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def require_real(name: str, value) -> float:
+    """Return value as a float; raise ConfigError unless it is a real number, not a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,6 @@ class AvailabilityMask:
             raise FusionError(f"unknown modality {modality!r}")
         return getattr(self, modality)
 
-    def as_dict(self) -> Dict[str, bool]:
-        return {m: getattr(self, m) for m in MODALITIES}
-
 
 @dataclass
 class FusedLatent:
@@ -74,12 +71,6 @@ class FusedLatent:
         dim = self.tokens.shape[-1]
         index = tuple(slice(None) for _ in lead) + (slice(start, stop), slice(0, dim))
         return slice_(self.tokens, index)
-
-
-def arbitration_weights(fused: FusedLatent) -> Dict[str, float]:
-    """Per-modality arbitration scores averaged over any batch axes."""
-    flat = fused.arbitration.reshape(-1, len(MODALITIES)).mean(axis=0)
-    return {m: float(flat[i]) for i, m in enumerate(MODALITIES)}
 
 
 class FusionCore:

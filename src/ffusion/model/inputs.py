@@ -1,7 +1,7 @@
 """Sample-to-feature preparation: geometry, health checks, tokenization.
 
 The depth path reconstructs a dense map from the point cloud (project,
-apply the calibrated registration shift, densify) and feeds value/validity
+apply the sample's registration shift, densify) and feeds value/validity
 channels, densifying the maps of all samples prepared in one call together;
 the camera path sanitizes non-finite pixels after health triage;
 the text path tokenizes against the fixed vocabulary. Failed modalities get
@@ -11,13 +11,12 @@ zero placeholder features and availability False.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ffusion.errors import DataError
 from ffusion.geometry import DepthMap, densify_stack, project_point_cloud, translate_depth
-from ffusion.geometry.calibration import Intrinsics
 from ffusion.model.config import ModelConfig
 from ffusion.model.encoders import (
     CAMERA_CHANNELS,
@@ -32,8 +31,6 @@ from ffusion.scene.dataset import Sample
 from ffusion.scene.render import DEFAULT_INTRINSICS
 
 DEPTH_SCALE = 20.0  # scenes top out below 20 m; normalizes depth to ~[0, 1]
-DENSIFY_RADIUS = 6
-DENSIFY_NEIGHBORS = 8
 DENSIFY_CHUNK = 32  # maps per densify_stack call: fastest measured, small working set
 
 
@@ -54,8 +51,8 @@ class FeatureSet:
         return tuple(self.health[m].available for m in MODALITIES)
 
 
-def prepare_samples(samples: Sequence[Sample], config: ModelConfig, vocab: Vocab,
-                    intrinsics: Optional[Intrinsics] = None) -> List[FeatureSet]:
+def prepare_samples(samples: Sequence[Sample], config: ModelConfig,
+                    vocab: Vocab) -> List[FeatureSet]:
     """Prepare encoder inputs for many samples, in order.
 
     Per sample: camera triage and patches, projection with the registration
@@ -64,7 +61,6 @@ def prepare_samples(samples: Sequence[Sample], config: ModelConfig, vocab: Vocab
     as they accumulate (the last call takes the rest), which gives each map
     the same bits as densifying it alone.
     """
-    intr = DEFAULT_INTRINSICS if intrinsics is None else intrinsics
     patch = config.patch
     tokens = (IMAGE_SIDE // patch) ** 2
     features: List[FeatureSet] = []
@@ -78,7 +74,7 @@ def prepare_samples(samples: Sequence[Sample], config: ModelConfig, vocab: Vocab
         else:
             cam_patches = np.zeros((tokens, patch * patch * CAMERA_CHANNELS))
 
-        sparse = project_point_cloud(sample.cloud, intr)
+        sparse = project_point_cloud(sample.cloud, DEFAULT_INTRINSICS)
         dx, dy = (int(v) for v in sample.registration_shift)
         if (dx, dy) != (0, 0):
             sparse = translate_depth(sparse, dx, dy)
@@ -116,17 +112,15 @@ def _densify_into(pending: Sequence[Tuple[FeatureSet, DepthMap]], patch: int) ->
     values, valid = densify_stack(
         np.stack([sparse.values for _, sparse in pending]),
         np.stack([sparse.valid for _, sparse in pending]),
-        radius=DENSIFY_RADIUS, k=DENSIFY_NEIGHBORS,
     )
     channels = np.stack([values / DEPTH_SCALE, valid.astype(np.float64)], axis=-1)
     for (feature, _), image in zip(pending, channels):
         feature.depth = patchify(image, patch)
 
 
-def prepare_features(sample: Sample, config: ModelConfig, vocab: Vocab,
-                     intrinsics: Optional[Intrinsics] = None) -> FeatureSet:
+def prepare_features(sample: Sample, config: ModelConfig, vocab: Vocab) -> FeatureSet:
     """prepare_samples for one sample."""
-    return prepare_samples([sample], config, vocab, intrinsics)[0]
+    return prepare_samples([sample], config, vocab)[0]
 
 
 @dataclass

@@ -8,6 +8,7 @@ features) is exactly what deployment would see.
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -53,8 +54,12 @@ class FaultSpec:
         if self.modality not in _VALID[self.kind]:
             raise FaultError(
                 f"fault kind {self.kind!r} does not apply to {self.modality!r}")
-        if not math.isfinite(self.magnitude) or self.magnitude < 0:
-            raise FaultError(f"fault magnitude must be >= 0, got {self.magnitude}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise FaultError(f"fault seed must be an integer >= 0, got {self.seed!r}")
+        if (not isinstance(self.magnitude, numbers.Real) or isinstance(self.magnitude, bool)
+                or not math.isfinite(self.magnitude) or self.magnitude < 0):
+            raise FaultError(f"fault magnitude must be a number >= 0, got {self.magnitude!r}")
+        object.__setattr__(self, "magnitude", float(self.magnitude))
         if self.kind == "partial_dropout" and self.magnitude > 1.0:
             raise FaultError(f"dropout fraction must be <= 1, got {self.magnitude}")
 
@@ -69,9 +74,7 @@ class FaultSpec:
             raise FaultError(f"unknown fault fields: {sorted(extra)}")
         if "modality" not in data or "kind" not in data:
             raise FaultError("fault needs at least modality and kind")
-        return cls(modality=data["modality"], kind=data["kind"],
-                   magnitude=float(data.get("magnitude", 0.0)),
-                   seed=int(data.get("seed", 0)))
+        return cls(**data)
 
 
 def _fault_rng(sample: Sample, spec: FaultSpec) -> Rng:

@@ -7,7 +7,7 @@ die. A control probe on uniformly re-drawn labels should sit at chance.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -113,14 +113,12 @@ def probe_modality(network, train_samples: Sequence, val_samples: Sequence,
 
 def single_modality_probe(network, train_samples: Sequence,
                           val_samples: Sequence,
-                          modalities: Optional[Sequence[str]] = None,
                           seed: int = PROBE_SEED) -> Dict[str, ProbeResult]:
-    """Probe each requested modality; keys follow MODALITIES order.
+    """Probe each modality; keys follow MODALITIES order.
 
     Both splits are prepared once and shared by every modality's probe.
     """
-    chosen = MODALITIES if modalities is None else tuple(modalities)
     train_features = prepare_all(train_samples, network)
     val_features = prepare_all(val_samples, network)
     return {m: _probe(network, train_features, val_features, m, False, seed)
-            for m in chosen}
+            for m in MODALITIES}

@@ -25,10 +25,9 @@ import numpy as np
 from ffusion.asciifile import header_int, parse_numbers, read_ascii
 from ffusion.autodiff.rng import Rng
 from ffusion.errors import DataError
-from ffusion.geometry.calibration import Intrinsics
 from ffusion.geometry.depthmap import DepthMap, read_depth, write_depth
 from ffusion.geometry.pointcloud import PointCloud, read_point_cloud, write_point_cloud
-from ffusion.scene.commands import COMMAND_IDS, COMMANDS, derive_command
+from ffusion.scene.commands import COMMAND_IDS, derive_command
 from ffusion.scene.lidar import scan_from_hits
 from ffusion.scene.render import (
     DEFAULT_INTRINSICS,
@@ -145,12 +144,7 @@ def read_labels(path) -> np.ndarray:
     return grid
 
 
-def synthesize_sample(
-    sample_id: str,
-    seed: int,
-    intrinsics: Intrinsics = DEFAULT_INTRINSICS,
-    row_step: int = SCAN_ROW_STEP,
-) -> Sample:
+def synthesize_sample(sample_id: str, seed: int, row_step: int = SCAN_ROW_STEP) -> Sample:
     """Render one sample from its seed; rgb is pre-quantized to disk precision.
 
     The pixel grid is cast once; image, depth, labels and the scan are all
@@ -158,15 +152,15 @@ def synthesize_sample(
     """
     scene = generate_scene(seed)
     command, sentence = derive_command(scene)
-    hits = cast_rays(scene, pixel_directions(intrinsics))
+    hits = cast_rays(scene, pixel_directions(DEFAULT_INTRINSICS))
     return Sample(
         sample_id=sample_id,
-        rgb=quantize_rgb(rgb_from_hits(scene, hits, intrinsics)),
-        cloud=scan_from_hits(hits, intrinsics, row_step),
-        depth=depth_from_hits(hits, intrinsics),
+        rgb=quantize_rgb(rgb_from_hits(scene, hits, DEFAULT_INTRINSICS)),
+        cloud=scan_from_hits(hits, DEFAULT_INTRINSICS, row_step),
+        depth=depth_from_hits(hits, DEFAULT_INTRINSICS),
         text=sentence,
         command=command,
-        seg_labels=labels_from_hits(scene, hits, intrinsics),
+        seg_labels=labels_from_hits(scene, hits, DEFAULT_INTRINSICS),
     )
 
 
@@ -202,13 +196,7 @@ def write_sample(sample: Sample, out_dir, files: dict) -> None:
     write_labels(sample.seg_labels, out / files["labels"])
 
 
-def build_dataset(
-    out_dir,
-    count: int,
-    seed: int,
-    ratios=DEFAULT_RATIOS,
-    intrinsics: Intrinsics = DEFAULT_INTRINSICS,
-) -> dict:
+def build_dataset(out_dir, count: int, seed: int, ratios=DEFAULT_RATIOS) -> dict:
     """Generate `count` samples into out_dir and return the manifest.
 
     Every sample gets its own seed derived from (dataset seed, sample id),
@@ -231,7 +219,7 @@ def build_dataset(
         sample_id = f"{i:06d}"
         sample_seed = root.derive_seed(f"sample/{sample_id}")
         split = next(name for name, lo, hi in boundaries if lo <= i < hi)
-        sample = synthesize_sample(sample_id, sample_seed, intrinsics)
+        sample = synthesize_sample(sample_id, sample_seed)
         files = _sample_files(sample_id)
         write_sample(sample, out, files)
         entries.append(
@@ -249,12 +237,12 @@ def build_dataset(
         "seed": seed,
         "ratios": list(ratios),
         "image": {
-            "width": intrinsics.width,
-            "height": intrinsics.height,
-            "fx": intrinsics.fx,
-            "fy": intrinsics.fy,
-            "cx": intrinsics.cx,
-            "cy": intrinsics.cy,
+            "width": DEFAULT_INTRINSICS.width,
+            "height": DEFAULT_INTRINSICS.height,
+            "fx": DEFAULT_INTRINSICS.fx,
+            "fy": DEFAULT_INTRINSICS.fy,
+            "cx": DEFAULT_INTRINSICS.cx,
+            "cy": DEFAULT_INTRINSICS.cy,
         },
         "scan_row_step": SCAN_ROW_STEP,
         "samples": entries,

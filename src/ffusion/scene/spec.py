@@ -8,8 +8,7 @@ boxes) rest on it ahead of the camera.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 

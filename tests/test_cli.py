@@ -337,6 +337,9 @@ class TestExitCodes:
         "training.seed=-1", "training.seed=1.5", "training.epochs=true",
         "training.batch_size=true", "model.patch=4", "model.patch=16",
         "dataset.seed=-1", "dataset.count=true",
+        'training.learning_rate="x"', 'training.p_drop="x"', "training.learning_rate=true",
+        'dataset.ratios=[0.8,0.1,"x"]', "dataset.ratios=0.5", 'sigmas=["x"]', "sigmas=0.5",
+        "sigmas=[true]", "sigmas=[Infinity]",
     ])
     def test_bad_config_value_is_config_error(self, pipeline, tmp_path, capsys, override):
         work, config, config_path = pipeline
@@ -346,8 +349,21 @@ class TestExitCodes:
                      "--set", f"paths.checkpoint={checkpoint}"]) == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config: ")
-        assert override.split("=")[0].split(".")[1] in err[0]
+        assert override.split("=")[0].split(".")[-1] in err[0]
         assert not checkpoint.exists()
+
+    def test_negative_fault_seed_is_data_error(self, pipeline, tmp_path, capsys):
+        work, config, config_path = pipeline
+        out = tmp_path / "noisy"
+        capsys.readouterr()
+        assert main(["inject", "--config", str(config_path),
+                     "--modality", "camera", "--kind", "gaussian_noise",
+                     "--magnitude", "0.1", "--fault-seed", "-1",
+                     "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid-data: ")
+        assert "fault seed" in err[0]
+        assert not out.exists()
 
     def test_bad_override_is_config_error(self, tmp_path):
         assert main(["generate", "--set", "nonsense"]) == EXIT_CONFIG

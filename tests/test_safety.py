@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ffusion.model.training as training
 from ffusion.autodiff import Rng, Tensor
@@ -38,6 +40,7 @@ from ffusion.safety import (
     verify_independence,
 )
 from ffusion.safety.asil import ASIL_RANK
+from ffusion.safety.faults import _VALID
 from ffusion.scene import synthesize_sample
 
 SMALL = ModelConfig(d=16, blocks=1, heads=2, patch=8, text_len=8)
@@ -88,6 +91,22 @@ class TestFaultSpec:
         with pytest.raises(FaultError):
             FaultSpec.from_dict({"modality": "camera", "kind": "blackout",
                                  "strength": 1})
+
+    @pytest.mark.parametrize("fields", [
+        {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "3"},
+        {"magnitude": "x"}, {"magnitude": True}, {"magnitude": None},
+    ], ids=["seed_negative", "seed_float", "seed_bool", "seed_str",
+            "magnitude_str", "magnitude_bool", "magnitude_null"])
+    def test_seed_and_magnitude_types(self, fields):
+        with pytest.raises(FaultError):
+            FaultSpec.from_dict({"modality": "camera", "kind": "gaussian_noise", **fields})
+
+    def test_integer_magnitude_is_stored_as_float(self):
+        spec = FaultSpec.from_dict({"modality": "lidar", "kind": "miscalibration_shift",
+                                    "magnitude": 2, "seed": 4})
+        assert spec.to_dict() == {"modality": "lidar", "kind": "miscalibration_shift",
+                                  "magnitude": 2.0, "seed": 4}
+        assert isinstance(spec.magnitude, float)
 
 
 class TestInjection:
@@ -144,6 +163,43 @@ class TestInjection:
         straight = prepare_features(samples[0], ModelConfig(), DEFAULT_VOCAB)
         shifted = prepare_features(hit, ModelConfig(), DEFAULT_VOCAB)
         assert not np.array_equal(straight.depth, shifted.depth)
+
+
+FAULT_PAIRS = [(m, k) for k, modalities in _VALID.items() for m in modalities]
+
+
+class TestInjectionProperties:
+    @given(pair=st.sampled_from(FAULT_PAIRS), index=st.integers(0, 19),
+           fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**63))
+    def test_injection_contract(self, samples, pair, index, fraction, seed):
+        modality, kind = pair
+        magnitude = fraction if kind == "partial_dropout" else 4.0 * fraction
+        spec = FaultSpec(modality, kind, magnitude, seed)
+        sample = samples[index]
+        rgb, points = sample.rgb.copy(), sample.cloud.points.copy()
+        first, second = inject_fault(sample, spec), inject_fault(sample, spec)
+        assert np.array_equal(first.rgb, second.rgb)
+        assert np.array_equal(first.cloud.points, second.cloud.points)
+        assert first.text == second.text
+        assert first.registration_shift == second.registration_shift
+        assert np.array_equal(sample.rgb, rgb) and np.array_equal(sample.cloud.points, points)
+        assert first.rgb.shape == rgb.shape and first.rgb.dtype == np.float64
+        n = len(points)
+        kept = n - round(magnitude * n) if kind == "partial_dropout" else n
+        assert first.cloud.points.shape == (kept, 3)
+        assert first.cloud.points.dtype == np.float64
+
+    @given(index=st.integers(0, 19), fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**63))
+    def test_partial_dropout_keeps_n_minus_round_fn(self, samples, index, fraction, seed):
+        n = len(samples[index].cloud)
+        hit = inject_fault(samples[index], FaultSpec("lidar", "partial_dropout", fraction, seed))
+        assert hit.cloud.points.shape == (n - round(fraction * n), 3)
+
+    @given(pair=st.sampled_from([("camera", "gaussian_noise"), ("lidar", "gaussian_noise"),
+                                 ("lidar", "partial_dropout")]),
+           index=st.integers(0, 19), seed=st.integers(0, 2**63))
+    def test_zero_magnitude_returns_sample(self, samples, pair, index, seed):
+        assert inject_fault(samples[index], FaultSpec(*pair, 0.0, seed)) is samples[index]
 
 
 class TestHarness:
