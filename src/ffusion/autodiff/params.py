@@ -60,9 +60,6 @@ class ParamStore:
             )
         return grads
 
-    def state_dict(self) -> dict:
-        return {path: param.data.copy() for path, param in self.items()}
-
     def load_state_dict(self, state: Mapping[str, Array]) -> None:
         """Overwrite parameter values; paths and shapes must match exactly
         and every value must be finite."""

@@ -29,6 +29,7 @@ from .errors import (
     GraphError,
 )
 from .model import FusionNetwork, evaluate, train
+from .model.config import to_plain
 from .safety import (
     FaultSpec,
     check_decomposition,
@@ -63,8 +64,8 @@ def _load_config(args) -> RunConfig:
             raise MissingInputError(f"config file not found: {path}")
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
     apply_overrides(data, args.set or [])
@@ -130,7 +131,7 @@ def cmd_train(args) -> int:
         "version": __version__,
         "config": config.to_dict(),
         "train_loss_curve": curve,
-        "val": val_metrics.to_dict(),
+        "val": to_plain(val_metrics),
     }
     _prepare_parent(config.paths.train_metrics)
     write_json_report(config.paths.train_metrics, payload)
@@ -159,8 +160,8 @@ def cmd_eval(args) -> int:
         "version": __version__,
         "config": config.to_dict(),
         "degradation": degradation.to_dict(),
-        "probes": [probes[m].to_dict() for m in sorted(probes)],
-        "enrichment": [row.to_dict() for row in enrichment],
+        "probes": [to_plain(probes[m]) for m in sorted(probes)],
+        "enrichment": to_plain(enrichment),
     }
     _prepare_parent(config.paths.eval_report)
     write_json_report(config.paths.eval_report, payload)
@@ -192,7 +193,7 @@ def cmd_inject(args) -> int:
         entries.append(new_entry)
     corrupted = dict(manifest)
     corrupted["samples"] = entries
-    corrupted["fault"] = spec.to_dict()
+    corrupted["fault"] = to_plain(spec)
     (out / "manifest.json").write_text(
         json.dumps(corrupted, indent=2, sort_keys=True) + "\n",
         encoding="ascii")

@@ -6,22 +6,16 @@ instead of silently ignoring typos.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Tuple
 
 from .errors import ConfigError
 from .model import ModelConfig, TrainConfig
-from .model.config import require_int, require_real
+from .model.config import from_plain, require_int, require_real, to_plain
 from .safety import Scenario, default_scenarios
 
 CONFIG_FORMAT = "ffusion-config-v1"
-
-
-def _require_keys(data: dict, allowed: set, context: str) -> None:
-    extra = set(data) - allowed
-    if extra:
-        raise ConfigError(f"unknown {context} keys: {sorted(extra)}")
 
 
 @dataclass(frozen=True)
@@ -43,14 +37,6 @@ class DatasetConfig:
                 f"split ratios must be three positive numbers summing to 1, got {self.ratios}")
         object.__setattr__(self, "ratios", ratios)
 
-    def to_dict(self) -> dict:
-        return {"count": self.count, "seed": self.seed, "ratios": list(self.ratios)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DatasetConfig":
-        _require_keys(data, {"count", "seed", "ratios"}, "dataset")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class Paths:
@@ -66,23 +52,11 @@ class Paths:
     timings: str = "out/timings.json"
     arch_graph: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "dataset_dir": self.dataset_dir,
-            "checkpoint": self.checkpoint,
-            "train_metrics": self.train_metrics,
-            "eval_report": self.eval_report,
-            "eval_summary": self.eval_summary,
-            "report": self.report,
-            "report_summary": self.report_summary,
-            "timings": self.timings,
-            "arch_graph": self.arch_graph,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Paths":
-        _require_keys(data, set(cls().to_dict()), "paths")
-        return cls(**data)
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, str) or (value is None and f.name == "arch_graph")):
+                raise ConfigError(f"{f.name} must be a string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -104,59 +78,33 @@ class RunConfig:
         if not all(0.0 <= s < float("inf") for s in sigmas):
             raise ConfigError(f"sigmas must be finite and >= 0, got {self.sigmas}")
         object.__setattr__(self, "sigmas", sigmas)
+        if not isinstance(self.scenarios, (list, tuple)):
+            raise ConfigError(f"scenarios must be a list, got {self.scenarios!r}")
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
 
     def to_dict(self) -> dict:
-        return {
-            "format": CONFIG_FORMAT,
-            "model": self.model.to_dict(),
-            "training": self.training.to_dict(),
-            "dataset": self.dataset.to_dict(),
-            "scenarios": [s.to_dict() for s in self.scenarios],
-            "sigmas": list(self.sigmas),
-            "paths": self.paths.to_dict(),
-        }
+        return {"format": CONFIG_FORMAT, **to_plain(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        allowed = {"format", "model", "training", "dataset", "scenarios",
-                   "sigmas", "paths"}
-        _require_keys(data, allowed, "config")
-        tag = data.get("format", CONFIG_FORMAT)
+        raw = dict(data)
+        tag = raw.pop("format", CONFIG_FORMAT)
         if tag != CONFIG_FORMAT:
             raise ConfigError(f"unsupported config format {tag!r}")
-        if "scenarios" in data:
-            scenarios = tuple(Scenario.from_dict(s) for s in data["scenarios"])
-        else:
-            scenarios = tuple(default_scenarios())
-        return cls(
-            model=ModelConfig.from_dict(data.get("model", {})),
-            training=TrainConfig.from_dict(data.get("training", {})),
-            dataset=DatasetConfig.from_dict(data.get("dataset", {})),
-            scenarios=scenarios,
-            sigmas=data.get("sigmas", (0.0, 0.25, 0.5)),
-            paths=Paths.from_dict(data.get("paths", {})),
-        )
+        for name, section in (("model", ModelConfig), ("training", TrainConfig),
+                              ("dataset", DatasetConfig), ("paths", Paths)):
+            if name in raw:
+                raw[name] = from_plain(section, raw[name], name)
+        if isinstance(raw.get("scenarios"), list):
+            raw["scenarios"] = [Scenario.from_dict(s, f"scenarios[{i}]")
+                                for i, s in enumerate(raw["scenarios"])]
+        return from_plain(cls, raw, "")
 
     def serialize(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
-    @classmethod
-    def parse(cls, text: str) -> "RunConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object")
-        return cls.from_dict(data)
-
     def save(self, path) -> None:
         Path(path).write_text(self.serialize(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "RunConfig":
-        return cls.parse(Path(path).read_text(encoding="utf-8"))
 
 
 def parse_override(text: str):
@@ -180,11 +128,10 @@ def apply_overrides(data: dict, overrides) -> dict:
         key, value = parse_override(text)
         parts = key.split(".")
         node = data
-        for part in parts[:-1]:
-            child = node.get(part)
-            if not isinstance(child, dict):
-                child = {}
-                node[part] = child
-            node = child
+        for depth, part in enumerate(parts[:-1], start=1):
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"cannot set {key}: {'.'.join(parts[:depth])} "
+                                  f"is {node!r}, not an object")
         node[parts[-1]] = value
     return data

@@ -1,9 +1,10 @@
-"""Shared architecture constants for encoders, fusion and decoders."""
+"""Shared architecture constants for encoders, fusion and decoders, and the one
+reader and writer of JSON config sections."""
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 from ffusion.errors import ConfigError
 from ffusion.scene.render import LABEL_GRID
@@ -23,6 +24,48 @@ def require_real(name: str, value) -> float:
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def from_plain(cls, raw, where: str, error=ConfigError):
+    """Build the dataclass cls from a JSON object; the one reader of every config section.
+
+    raw must be a mapping whose keys are fields of cls. A missing key takes
+    the field's default; an unknown key, or a missing one without a default,
+    is an error. where is the dotted path of raw in the document ("" for the
+    root), so every message names the key at fault; the field checks in
+    __post_init__ get it as a prefix.
+    """
+    if not isinstance(raw, dict):
+        raise error(f"{where} must be an object, got {type(raw).__name__}")
+    prefix = f"{where}." if where else ""
+    names = {f.name for f in fields(cls)}
+    unknown = [prefix + key for key in raw if key not in names]
+    if unknown:
+        raise error(f"unknown key {', '.join(unknown)}")
+    missing = [prefix + f.name for f in fields(cls) if f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise error(f"missing key {', '.join(missing)}")
+    try:
+        return cls(**raw)
+    except error as exc:
+        if not where:
+            raise
+        raise error(f"{where}: {exc}") from None
+
+
+def to_plain(value):
+    """JSON-ready copy of value; the one writer of every config section and record.
+
+    A dataclass becomes a dict of its fields in declaration order and a
+    tuple or list becomes a list, recursing into both; any other value is
+    returned as it is.
+    """
+    if is_dataclass(value):
+        return {f.name: to_plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [to_plain(item) for item in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -53,27 +96,3 @@ class ModelConfig:
             raise ConfigError(f"d={self.d} is not divisible by heads={self.heads}")
         if self.text_len < 3:
             raise ConfigError("text_len must fit BOS, one word and EOS")
-
-    @property
-    def head_dim(self) -> int:
-        return self.d // self.heads
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "blocks": self.blocks,
-            "heads": self.heads,
-            "patch": self.patch,
-            "text_len": self.text_len,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ModelConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"model config must be a mapping, got {type(raw).__name__}")
-        known = {"d", "blocks", "heads", "patch", "text_len"}
-        extra = sorted(set(raw) - known)
-        if extra:
-            raise ConfigError(f"unknown model config keys: {', '.join(extra)}")
-        merged = {**cls().to_dict(), **raw}
-        return cls(**merged)

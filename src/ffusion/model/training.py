@@ -46,25 +46,6 @@ class TrainConfig:
         if not (0.0 <= require_real("p_drop", self.p_drop) <= 0.5):
             raise ConfigError(f"p_drop must lie in [0, 0.5], got {self.p_drop!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "p_drop": self.p_drop,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TrainConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"train config must be a mapping, got {type(raw).__name__}")
-        known = set(cls().to_dict())
-        extra = sorted(set(raw) - known)
-        if extra:
-            raise ConfigError(f"unknown train config keys: {', '.join(extra)}")
-        return cls(**{**cls().to_dict(), **raw})
-
 
 @dataclass
 class Metrics:
@@ -81,15 +62,6 @@ class Metrics:
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise TrainingError(f"{name} outside [0, 1]: {value}")
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "command_accuracy": self.command_accuracy,
-            "per_class": self.per_class,
-            "seg_accuracy": self.seg_accuracy,
-            "loss_curve": self.loss_curve,
-        }
 
 
 def _first_nonfinite_path(network: FusionNetwork) -> Optional[str]:

@@ -11,6 +11,7 @@ B+QM or A+A; A into A+QM) together with every over-provisioned variant.
 
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, FrozenSet, List, Tuple
 
 from ..errors import GraphError
@@ -188,6 +189,8 @@ def parse_arch_graph(text: str) -> ArchGraph:
 
 
 def load_arch_graph(path) -> ArchGraph:
-    from pathlib import Path
-
-    return parse_arch_graph(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"architecture graph {path} is not UTF-8: {exc}") from exc
+    return parse_arch_graph(text)

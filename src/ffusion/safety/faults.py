@@ -63,19 +63,6 @@ class FaultSpec:
         if self.kind == "partial_dropout" and self.magnitude > 1.0:
             raise FaultError(f"dropout fraction must be <= 1, got {self.magnitude}")
 
-    def to_dict(self) -> dict:
-        return {"modality": self.modality, "kind": self.kind,
-                "magnitude": self.magnitude, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSpec":
-        extra = set(data) - {"modality", "kind", "magnitude", "seed"}
-        if extra:
-            raise FaultError(f"unknown fault fields: {sorted(extra)}")
-        if "modality" not in data or "kind" not in data:
-            raise FaultError("fault needs at least modality and kind")
-        return cls(**data)
-
 
 def _fault_rng(sample: Sample, spec: FaultSpec) -> Rng:
     return Rng(spec.seed).derive(f"{spec.kind}/{sample.sample_id}")

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ConfigError, DataError, FusionError
+from ..errors import ConfigError, DataError, FaultError, FusionError
 from ..model import (
     AvailabilityMask,
     FeatureSet,
@@ -23,6 +23,7 @@ from ..model import (
     prepare_all,
     stack_features,
 )
+from ..model.config import from_plain, to_plain
 from ..scene.dataset import Sample
 from .faults import FaultSpec, inject_faults
 from .independence import IndependenceReport, verify_independence
@@ -42,22 +43,23 @@ class Scenario:
     faults: Tuple[FaultSpec, ...] = ()
 
     def __post_init__(self):
-        if not self.name or not self.name.strip():
-            raise ConfigError("scenario needs a non-empty name")
+        if not isinstance(self.name, str) or not self.name.strip():
+            raise ConfigError(f"scenario name must be a non-empty string, got {self.name!r}")
+        if not isinstance(self.faults, (list, tuple)):
+            raise ConfigError(f"scenario faults must be a list, got {self.faults!r}")
+        object.__setattr__(self, "faults", tuple(self.faults))
 
     def apply(self, samples: Sequence[Sample]) -> List[Sample]:
         return [inject_faults(s, self.faults) for s in samples]
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "faults": [f.to_dict() for f in self.faults]}
-
     @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        extra = set(data) - {"name", "faults"}
-        if extra:
-            raise ConfigError(f"unknown scenario fields: {sorted(extra)}")
-        faults = tuple(FaultSpec.from_dict(f) for f in data.get("faults", ()))
-        return cls(name=data.get("name", ""), faults=faults)
+    def from_dict(cls, raw, where: str) -> "Scenario":
+        """Read one config scenario; where is its path, e.g. scenarios[0]."""
+        if isinstance(raw, dict) and isinstance(raw.get("faults"), list):
+            faults = [from_plain(FaultSpec, f, f"{where}.faults[{i}]", FaultError)
+                      for i, f in enumerate(raw["faults"])]
+            raw = {**raw, "faults": faults}
+        return from_plain(cls, raw, where)
 
 
 def default_scenarios(seed: int = 0) -> List[Scenario]:
@@ -86,16 +88,6 @@ class ScenarioResult:
     retained_accuracy: Optional[float] = None
     error: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "metrics": None if self.metrics is None else self.metrics.to_dict(),
-            "arbitration": self.arbitration,
-            "retained_accuracy": self.retained_accuracy,
-            "error": self.error,
-        }
-
 
 @dataclass
 class DegradationReport:
@@ -113,8 +105,8 @@ class DegradationReport:
 
     def to_dict(self) -> dict:
         return {
-            "nominal": self.nominal.to_dict(),
-            "scenarios": [s.to_dict() for s in self.scenarios],
+            "nominal": to_plain(self.nominal),
+            "scenarios": to_plain(self.scenarios),
             "independence": None if self.independence is None
             else self.independence.to_dict(),
         }
@@ -193,10 +185,6 @@ class EnrichmentRow:
     sigma: float
     fused_accuracy: float
     camera_only_accuracy: float
-
-    def to_dict(self) -> dict:
-        return {"sigma": self.sigma, "fused_accuracy": self.fused_accuracy,
-                "camera_only_accuracy": self.camera_only_accuracy}
 
 
 def _masked_accuracy(network, features: Sequence[FeatureSet],

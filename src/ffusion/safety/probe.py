@@ -37,10 +37,6 @@ class ProbeResult:
     accuracy: float
     shuffled_labels: bool
 
-    def to_dict(self) -> dict:
-        return {"modality": self.modality, "accuracy": self.accuracy,
-                "shuffled_labels": self.shuffled_labels}
-
 
 def pooled_embeddings(network, features: Sequence[FeatureSet],
                       modality: str) -> np.ndarray:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ffusion.autodiff import load_checkpoint, save_checkpoint
 from ffusion.cli import (
@@ -25,6 +27,7 @@ from ffusion.config import (
 from ffusion.errors import ConfigError
 from ffusion.model import ModelConfig, TrainConfig
 from ffusion.safety import FaultSpec, Scenario
+from ffusion.safety.faults import _VALID
 from ffusion.scene.dataset import load_dataset
 
 
@@ -69,24 +72,48 @@ def pipeline(tmp_path_factory):
     return work, config, config_path
 
 
-class TestRunConfig:
-    def test_roundtrip_default(self):
-        config = RunConfig()
-        assert RunConfig.parse(config.serialize()) == config
+@st.composite
+def model_configs(draw):
+    heads = draw(st.integers(1, 4))
+    return ModelConfig(d=heads * draw(st.integers(1, 16)), blocks=draw(st.integers(1, 3)),
+                       heads=heads, patch=8, text_len=draw(st.integers(3, 12)))
 
-    def test_roundtrip_customized(self, tmp_path):
-        config = tiny_config(tmp_path)
-        config = RunConfig(
-            model=config.model, training=config.training,
-            dataset=config.dataset, paths=config.paths,
-            sigmas=(0.1,),
-            scenarios=(Scenario("nominal"),
-                       Scenario("noise", (FaultSpec("camera", "gaussian_noise",
-                                                    0.5, 2),))),
-        )
-        path = tmp_path / "cfg.json"
-        config.save(path)
-        assert RunConfig.load(path) == config
+
+def split_ratios(pair):
+    train, val = pair
+    return (train, val, 1.0 - train - val)
+
+
+names = st.text(min_size=1).filter(str.strip)
+faults = st.builds(lambda pair, magnitude, seed: FaultSpec(*pair, magnitude, seed),
+                   st.sampled_from([(m, k) for k, ms in _VALID.items() for m in ms]),
+                   st.floats(0.0, 1.0), st.integers(0, 2**63))
+run_configs = st.builds(
+    RunConfig,
+    model=model_configs(),
+    training=st.builds(TrainConfig, epochs=st.integers(1, 100),
+                       batch_size=st.integers(1, 64),
+                       learning_rate=st.floats(1e-9, 1.0), p_drop=st.floats(0.0, 0.5),
+                       seed=st.integers(0, 2**63)),
+    dataset=st.builds(DatasetConfig, count=st.integers(1, 10**6), seed=st.integers(0, 2**63),
+                      ratios=st.tuples(st.floats(0.05, 0.5), st.floats(0.05, 0.4))
+                      .map(split_ratios)),
+    scenarios=st.lists(st.builds(Scenario, names, st.lists(faults, max_size=3)), max_size=4),
+    sigmas=st.lists(st.floats(0.0, 10.0), max_size=4),
+    paths=st.builds(Paths, dataset_dir=names, checkpoint=names,
+                    arch_graph=st.none() | names),
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+
+
+class TestRunConfig:
+    @given(config=run_configs)
+    @example(config=RunConfig())
+    def test_serialize_roundtrip(self, config):
+        assert RunConfig.from_dict(json.loads(config.serialize())) == config
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -127,6 +154,11 @@ class TestRunConfig:
             parse_override("no-equals-sign")
         with pytest.raises(ConfigError):
             parse_override("=3")
+
+    @given(key=st.text(min_size=1).filter(lambda k: "=" not in k and k.strip()),
+           value=json_values)
+    def test_override_parsing_json_values(self, key, value):
+        assert parse_override(f"{key}={json.dumps(value)}") == (key.strip(), value)
 
 
 class TestPipeline:
@@ -232,6 +264,8 @@ class TestExitCodes:
         assert main(["generate", "--config", str(bad)]) == EXIT_CONFIG
         bad.write_text('{"training": {"epoch": 1}}')
         assert main(["generate", "--config", str(bad)]) == EXIT_CONFIG
+        bad.write_bytes(b'{"paths": {"dataset_dir": "\xff"}}')
+        assert main(["generate", "--config", str(bad)]) == EXIT_CONFIG
 
     def test_eval_without_dataset(self, tmp_path):
         config = tiny_config(tmp_path)
@@ -332,6 +366,8 @@ class TestExitCodes:
         graph = tmp_path / "arch.txt"
         graph.write_text("a: D\na => b\n")
         assert main(["asil-check", "--graph", str(graph)]) == EXIT_DATA
+        graph.write_bytes(b"a: D\n\xff\n")
+        assert main(["asil-check", "--graph", str(graph)]) == EXIT_DATA
 
     @pytest.mark.parametrize("override", [
         "training.seed=-1", "training.seed=1.5", "training.epochs=true",
@@ -340,6 +376,9 @@ class TestExitCodes:
         'training.learning_rate="x"', 'training.p_drop="x"', "training.learning_rate=true",
         'dataset.ratios=[0.8,0.1,"x"]', "dataset.ratios=0.5", 'sigmas=["x"]', "sigmas=0.5",
         "sigmas=[true]", "sigmas=[Infinity]",
+        "dataset=5", "paths=5", "paths.dataset_dir=5", "paths.arch_graph=7",
+        "scenarios=5", "scenarios=[5]", 'scenarios=[{"name":5}]',
+        'scenarios=[{"name":"nominal","faults":5}]',
     ])
     def test_bad_config_value_is_config_error(self, pipeline, tmp_path, capsys, override):
         work, config, config_path = pipeline
@@ -364,6 +403,18 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: invalid-data: ")
         assert "fault seed" in err[0]
         assert not out.exists()
+
+    def test_non_object_fault_entry_is_data_error(self, pipeline, tmp_path, capsys):
+        work, config, config_path = pipeline
+        checkpoint = tmp_path / "model.ckpt"
+        capsys.readouterr()
+        assert main(["train", "--config", str(config_path),
+                     "--set", 'scenarios=[{"name":"nominal","faults":[1]}]',
+                     "--set", f"paths.checkpoint={checkpoint}"]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid-data: ")
+        assert "scenarios[0].faults[0]" in err[0]
+        assert not checkpoint.exists()
 
     def test_bad_override_is_config_error(self, tmp_path):
         assert main(["generate", "--set", "nonsense"]) == EXIT_CONFIG

@@ -35,6 +35,7 @@ from ffusion.model import (
     train,
 )
 from ffusion.model import inputs
+from ffusion.model.config import from_plain, to_plain
 from ffusion.model.vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 from ffusion.autodiff import ParamStore
 from ffusion.safety import FaultSpec, inject_fault
@@ -452,7 +453,7 @@ class TestTraining:
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=-1.0)
         with pytest.raises(ConfigError):
-            TrainConfig.from_dict({"epoch": 3})
+            from_plain(TrainConfig, {"epoch": 3}, "training")
 
     def test_evaluate_rejects_mismatched_features(self):
         samples = make_samples(3)
@@ -463,7 +464,7 @@ class TestTraining:
 
     def test_train_config_roundtrip(self):
         config = TrainConfig(epochs=3, batch_size=8, learning_rate=2e-3, p_drop=0.1, seed=4)
-        assert TrainConfig.from_dict(config.to_dict()) == config
+        assert from_plain(TrainConfig, to_plain(config), "training") == config
 
     def test_training_is_deterministic(self):
         samples = make_samples(12)
@@ -518,7 +519,7 @@ class TestTraining:
         net = FusionNetwork(config=SMALL, seed=2)
         first, arb1 = evaluate(net, samples)
         second, arb2 = evaluate(net, samples)
-        assert first.to_dict() == second.to_dict()
+        assert to_plain(first) == to_plain(second)
         assert np.array_equal(arb1, arb2)
         assert 0.0 <= first.command_accuracy <= 1.0
         assert set(first.per_class) == {"stop", "go", "turn_left", "turn_right"}

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import ffusion.model.training as training
 from ffusion.autodiff import Rng, Tensor
 from ffusion.errors import ConfigError, DataError, FaultError, GraphError
+from ffusion.model.config import from_plain, to_plain
 from ffusion.model import (
     DEFAULT_VOCAB,
     FusionNetwork,
@@ -62,6 +63,11 @@ def network(samples):
     return net
 
 
+def read_fault(raw):
+    """Read one fault entry the way a config scenario does."""
+    return from_plain(FaultSpec, raw, "fault", FaultError)
+
+
 class TestFaultSpec:
     def test_unknown_kind_and_modality(self):
         with pytest.raises(FaultError):
@@ -87,10 +93,9 @@ class TestFaultSpec:
 
     def test_dict_roundtrip(self):
         spec = FaultSpec("lidar", "partial_dropout", 0.25, seed=9)
-        assert FaultSpec.from_dict(spec.to_dict()) == spec
+        assert read_fault(to_plain(spec)) == spec
         with pytest.raises(FaultError):
-            FaultSpec.from_dict({"modality": "camera", "kind": "blackout",
-                                 "strength": 1})
+            read_fault({"modality": "camera", "kind": "blackout", "strength": 1})
 
     @pytest.mark.parametrize("fields", [
         {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "3"},
@@ -99,12 +104,12 @@ class TestFaultSpec:
             "magnitude_str", "magnitude_bool", "magnitude_null"])
     def test_seed_and_magnitude_types(self, fields):
         with pytest.raises(FaultError):
-            FaultSpec.from_dict({"modality": "camera", "kind": "gaussian_noise", **fields})
+            read_fault({"modality": "camera", "kind": "gaussian_noise", **fields})
 
     def test_integer_magnitude_is_stored_as_float(self):
-        spec = FaultSpec.from_dict({"modality": "lidar", "kind": "miscalibration_shift",
-                                    "magnitude": 2, "seed": 4})
-        assert spec.to_dict() == {"modality": "lidar", "kind": "miscalibration_shift",
+        spec = read_fault({"modality": "lidar", "kind": "miscalibration_shift",
+                           "magnitude": 2, "seed": 4})
+        assert to_plain(spec) == {"modality": "lidar", "kind": "miscalibration_shift",
                                   "magnitude": 2.0, "seed": 4}
         assert isinstance(spec.magnitude, float)
 
@@ -269,7 +274,7 @@ class TestHarness:
 
     def test_scenario_dict_roundtrip(self):
         scenario = Scenario("noise", (FaultSpec("camera", "gaussian_noise", 0.5, 2),))
-        assert Scenario.from_dict(scenario.to_dict()) == scenario
+        assert Scenario.from_dict(to_plain(scenario), "scenario") == scenario
 
 
 class TestEnrichment:
@@ -495,8 +500,7 @@ class TestReportRendering:
             "degradation": report.to_dict(),
             "probes": [{"modality": "text", "accuracy": 1.0,
                         "shuffled_labels": False}],
-            "enrichment": [row.to_dict() for row in snr_enrichment_eval(
-                network, samples[12:14], [0.0])],
+            "enrichment": to_plain(snr_enrichment_eval(network, samples[12:14], [0.0])),
             "asil_verdicts": [v.to_dict() for v in check_decomposition(graph)],
             "timings": {"train": 1.5},
         }
