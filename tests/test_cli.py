@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from ffusion.autodiff import load_checkpoint, save_checkpoint
@@ -111,9 +111,27 @@ json_values = st.recursive(
 
 class TestRunConfig:
     @given(config=run_configs)
-    @example(config=RunConfig())
     def test_serialize_roundtrip(self, config):
         assert RunConfig.from_dict(json.loads(config.serialize())) == config
+
+    def test_roundtrip_default(self):
+        config = RunConfig()
+        assert RunConfig.from_dict(json.loads(config.serialize())) == config
+
+    def test_roundtrip_customized(self, tmp_path):
+        config = tiny_config(tmp_path)
+        config = RunConfig(
+            model=config.model, training=config.training,
+            dataset=config.dataset, paths=config.paths,
+            sigmas=(0.1,),
+            scenarios=(Scenario("nominal"),
+                       Scenario("noise", (FaultSpec("camera", "gaussian_noise",
+                                                    0.5, 2),))),
+        )
+        path = tmp_path / "cfg.json"
+        config.save(path)
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        assert RunConfig.from_dict(raw) == config
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
