@@ -347,18 +347,22 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> tuple:
-    """Scaled dot-product attention over (..., H, T, hd), as one tape record.
+    """Scaled dot-product attention, as one tape record.
 
-    Computes softmax(q @ k^T / sqrt(hd)) @ v with the numpy calls of the
-    transpose, matmul, scale, softmax, matmul chain, in the same order, so
-    results match that chain bit for bit. Returns the output tensor and
-    the attention weights (..., H, T, T) as a plain array; like softmax,
-    rejects a row of non-finite logits with MaskError.
+    q is (..., H, Tq, hd) and k, v are (..., H, T, hd); Tq may differ from
+    T, as when only some rows are queries. Computes
+    softmax(q @ k^T / sqrt(hd)) @ v with the numpy calls of the transpose,
+    matmul, scale, softmax, matmul chain, in the same order, so results
+    match that chain bit for bit. Returns the output tensor (..., H, Tq, hd)
+    and the attention weights (..., H, Tq, T) as a plain array; like
+    softmax, rejects a row of non-finite logits with MaskError.
     """
-    shape = q.data.shape
-    if q.data.ndim < 2 or k.data.shape != shape or v.data.shape != shape:
+    shape = k.data.shape
+    if (q.data.ndim < 2 or v.data.shape != shape
+            or q.data.shape[:-2] + q.data.shape[-1:] != shape[:-2] + shape[-1:]):
         raise ShapeError(
-            f"attention: q {shape}, k {k.data.shape} and v {v.data.shape} must agree"
+            f"attention: q {q.data.shape}, k {shape} and v {v.data.shape} must agree "
+            "on every axis but the query rows"
         )
     qd, kd, vd = q.data, k.data, v.data
     f = 1.0 / math.sqrt(shape[-1])

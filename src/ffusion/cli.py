@@ -96,10 +96,8 @@ def _merge_timing(config: RunConfig, key: str, seconds: float) -> None:
     data = {"format": "ffusion-timings-v1"}
     if path.is_file():
         try:
-            previous = json.loads(path.read_text(encoding="utf-8"))
-            if isinstance(previous, dict):
-                data.update(previous)
-        except json.JSONDecodeError:
+            data.update(_read_json(path, "timings sidecar"))
+        except DataError:
             pass  # stale sidecar; rewrite it
     data[key] = round(seconds, 3)
     path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
@@ -234,9 +232,13 @@ def _read_json(path, description: str) -> dict:
     if not file.is_file():
         raise MissingInputError(f"{description} not found: {path}")
     try:
-        return json.loads(file.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{description} is not valid JSON: {exc}") from exc
+        payload = json.loads(file.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{description} is not valid UTF-8 JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(
+            f"{description} must hold a JSON object, got {type(payload).__name__}")
+    return payload
 
 
 def cmd_report(args) -> int:

@@ -3,12 +3,17 @@
 Only available modalities enter the concatenated sequence; an unavailable
 or absent modality gets an empty span. Fusing with a modality masked is
 therefore the same computation as fusing with it physically absent.
+
+The heads read only the summary token and the camera span, which lead the
+sequence. Every block but the last runs on the whole sequence, because its
+outputs are the last block's keys and values; the last block and the
+final norm compute only that read prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -16,7 +21,7 @@ from ffusion.autodiff import ParamStore, Rng, Tensor, add, concat, reshape, slic
 from ffusion.errors import FusionError, ShapeError
 from ffusion.model.config import ModelConfig
 from ffusion.model.encoders import MODALITIES, TokenSequence
-from ffusion.model.layers import LayerNorm, TransformerBlock, init_param
+from ffusion.model.layers import LayerNorm, TransformerBlock, init_param, take_rows
 
 FUSION_BLOCKS = 2
 
@@ -41,36 +46,37 @@ class AvailabilityMask:
 
 @dataclass
 class FusedLatent:
-    """Fused token sequence, span bookkeeping and arbitration scores.
+    """The fused rows the heads read, span bookkeeping and arbitration scores.
 
-    tokens is (..., 1 + sum of span lengths, d) with the summary token at
-    index 0. spans maps modality -> (start, stop) into the token axis
-    ((start == stop) when the modality was unavailable or absent).
-    arbitration holds per-sample scores (..., 3) in MODALITIES order: the
-    summary token's final-block attention mass per span, head-averaged and
-    renormalized excluding the summary's self-attention.
+    tokens is (..., R, d): the summary token at index 0 followed by the
+    camera span, R = spans["camera"][1] (the summary alone without a
+    camera). spans maps modality -> (start, stop) into the token axis of
+    the whole fused sequence ((start == stop) when the modality was
+    unavailable or absent). rows computes any other rows of the fused
+    output on request, through the same last-block call. arbitration holds
+    per-sample scores (..., 3) in MODALITIES order: the summary token's
+    final-block attention mass per span, head-averaged and renormalized
+    excluding the summary's self-attention.
     """
 
     tokens: Tensor
     spans: Dict[str, Tuple[int, int]]
     arbitration: np.ndarray
+    rows: Callable[[Tuple[int, int]], Tensor]
 
     @property
     def summary(self) -> Tensor:
         """The fused summary vector(s), shape (..., d)."""
-        lead = self.tokens.shape[:-2]
-        dim = self.tokens.shape[-1]
-        index = tuple(slice(None) for _ in lead) + (slice(0, 1), slice(0, dim))
-        return reshape(slice_(self.tokens, index), lead + (dim,))
+        return reshape(take_rows(self.tokens, (0, 1)),
+                       self.tokens.shape[:-2] + self.tokens.shape[-1:])
 
     def span_tokens(self, modality: str) -> Tensor:
         start, stop = self.spans[modality]
         if start == stop:
             raise FusionError(f"{modality} span is empty in this fused latent")
-        lead = self.tokens.shape[:-2]
-        dim = self.tokens.shape[-1]
-        index = tuple(slice(None) for _ in lead) + (slice(start, stop), slice(0, dim))
-        return slice_(self.tokens, index)
+        if stop > self.tokens.shape[-2]:
+            return self.rows((start, stop))
+        return take_rows(self.tokens, (start, stop))
 
 
 class FusionCore:
@@ -130,18 +136,25 @@ class FusionCore:
         if len(parts) == 1:
             raise FusionError("no modality available: system-level fail signal")
 
-        tokens = concat(parts, axis=len(lead))
-        for block in self.blocks:
-            tokens, attn = block(tokens)
+        context = concat(parts, axis=len(lead))
+        for block in self.blocks[:-1]:
+            context, _ = block(context)
+        tokens, attn = self._final(context, (0, spans["camera"][1]))
         return FusedLatent(
-            tokens=self.norm(tokens),
+            tokens=tokens,
             spans=spans,
             arbitration=self._arbitration(attn, spans),
+            rows=lambda rows: self._final(context, rows)[0],
         )
+
+    def _final(self, context: Tensor, rows: Tuple[int, int]) -> Tuple[Tensor, np.ndarray]:
+        """The last block and the final norm on rows [start, stop) of context."""
+        out, attn = self.blocks[-1](context, rows)
+        return self.norm(out), attn
 
     @staticmethod
     def _arbitration(attn: np.ndarray, spans: Dict[str, Tuple[int, int]]) -> np.ndarray:
-        # Summary-token query row, averaged over heads: (..., H, T, T) -> (..., T)
+        # Summary-token query row, averaged over heads: (..., H, R, T) -> (..., T)
         per_key = attn[..., :, 0, :].mean(axis=-2)
         masses = np.stack(
             [per_key[..., start:stop].sum(axis=-1) for start, stop in

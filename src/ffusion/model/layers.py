@@ -21,6 +21,7 @@ from ffusion.autodiff import (
     layer_norm,
     linear,
     reshape,
+    slice_,
     transpose,
 )
 from ffusion.errors import ShapeError
@@ -64,11 +65,22 @@ class LayerNorm:
         return layer_norm(x, self.gain, self.bias)
 
 
+Rows = Optional[Tuple[int, int]]
+
+
+def take_rows(x: Tensor, rows: Tuple[int, int]) -> Tensor:
+    """Rows [start, stop) of the token axis of (..., T, d)."""
+    lead = tuple(slice(None) for _ in x.shape[:-2])
+    return slice_(x, lead + (slice(*rows),))
+
+
 class MultiHeadAttention:
     """Self-attention over (..., T, d).
 
-    Returns the output and the attention weights (..., H, T, T) as a plain
-    array.
+    With rows=(start, stop), only those rows are queries, while keys and
+    values still come from all T rows. Returns the output (..., Tq, d)
+    and the attention weights (..., H, Tq, T) as a plain array, where Tq
+    is the number of query rows.
     """
 
     def __init__(self, store: ParamStore, rng: Rng, path: str, dim: int, heads: int):
@@ -90,24 +102,30 @@ class MultiHeadAttention:
         axes = tuple(range(len(lead))) + (ndim - 2, ndim - 3, ndim - 1)
         return transpose(split, axes)
 
-    def __call__(self, x: Tensor) -> Tuple[Tensor, Tensor]:
+    def __call__(self, x: Tensor, rows: Rows = None) -> Tuple[Tensor, Tensor]:
         shape = x.shape
         if len(shape) < 2 or shape[-1] != self.dim:
             raise ShapeError(f"attention input must be (..., T, {self.dim}), got {shape}")
         lead, seq = shape[:-2], shape[-2]
-        q = self._split(self.query(x), lead, seq)
+        queries = x if rows is None else take_rows(x, rows)
+        n = queries.shape[-2]
+        q = self._split(self.query(queries), lead, n)
         k = self._split(self.key(x), lead, seq)
         v = self._split(self.value(x), lead, seq)
         mixed, weights = attention(q, k, v)
         ndim = len(lead) + 3
         mixed = transpose(mixed, tuple(range(len(lead))) + (ndim - 2, ndim - 3, ndim - 1))
-        return self.out(reshape(mixed, lead + (seq, self.dim))), weights
+        return self.out(reshape(mixed, lead + (n, self.dim))), weights
 
 
 class TransformerBlock:
     """Pre-norm block: x + MHA(LN(x)), then x + MLP(LN(x)).
 
-    The attention weights of the block are returned alongside the output.
+    With rows=(start, stop), only those output rows are computed; every
+    row still serves as a key and value. Each output row depends on its
+    own input row and on the keys and values alone, so the rows match the
+    same rows of a full-sequence call. The attention weights of the block
+    are returned alongside the output.
     """
 
     MLP_RATIO = 4
@@ -120,8 +138,10 @@ class TransformerBlock:
         self.expand = Linear(store, rng, f"{path}.mlp.expand", dim, hidden)
         self.contract = Linear(store, rng, f"{path}.mlp.contract", hidden, dim)
 
-    def __call__(self, x: Tensor) -> Tuple[Tensor, Tensor]:
-        attended, attn = self.attn(self.norm_attn(x))
+    def __call__(self, x: Tensor, rows: Rows = None) -> Tuple[Tensor, Tensor]:
+        attended, attn = self.attn(self.norm_attn(x), rows)
+        if rows is not None:
+            x = take_rows(x, rows)
         x = add(x, attended)
         x = add(x, self.contract(gelu(self.expand(self.norm_mlp(x)))))
         return x, attn

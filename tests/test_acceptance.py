@@ -238,6 +238,18 @@ def _op_gradcheck_errors():
     errs["attention_v"] = grad_check(
         lambda t: ops.sum_(ops.mul(ops.attention(fixed_q, fixed_k, t)[0], w)), v)
 
+    # Fewer query rows than keys, as in the last fusion block.
+    q = Tensor(rand((2, 2, 4)), requires_grad=True)
+    k, v = (Tensor(rand((2, 5, 4)), requires_grad=True) for _ in range(2))
+    w = weight((2, 2, 4))
+    fixed_q, fixed_k, fixed_v = (Tensor(t.data.copy()) for t in (q, k, v))
+    errs["attention_rows_q"] = grad_check(
+        lambda t: ops.sum_(ops.mul(ops.attention(t, fixed_k, fixed_v)[0], w)), q)
+    errs["attention_rows_k"] = grad_check(
+        lambda t: ops.sum_(ops.mul(ops.attention(fixed_q, t, fixed_v)[0], w)), k)
+    errs["attention_rows_v"] = grad_check(
+        lambda t: ops.sum_(ops.mul(ops.attention(fixed_q, fixed_k, t)[0], w)), v)
+
     return errs
 
 

@@ -376,6 +376,39 @@ class TestExitCodes:
         config.save(path)
         assert main(["report", "--config", str(path)]) == EXIT_MISSING
 
+    @pytest.mark.parametrize("key, content, cause", [
+        ("train_metrics", b'{"val": "\xff"}', "training metrics is not valid UTF-8 JSON"),
+        ("train_metrics", b"[1]", "training metrics must hold a JSON object"),
+        ("eval_report", b"[1]", "evaluation report must hold a JSON object"),
+        ("timings", b"\xff", "timings sidecar is not valid UTF-8 JSON"),
+    ], ids=["non_utf8_metrics", "list_metrics", "list_eval_report", "non_utf8_timings"])
+    def test_bad_report_input_is_data_error(self, pipeline, tmp_path, capsys,
+                                            key, content, cause):
+        work, config, config_path = pipeline
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert main(["report", "--config", str(config_path),
+                     "--set", f"paths.{key}={bad}",
+                     "--set", f"paths.report={report}"]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid-data: ")
+        assert cause in err[0]
+        assert not report.exists()
+
+    @pytest.mark.parametrize("content", [b"\xff", b"[1]"], ids=["non_utf8", "list"])
+    def test_stale_timings_sidecar_is_rewritten(self, pipeline, tmp_path, content):
+        work, config, config_path = pipeline
+        timings = tmp_path / "timings.json"
+        timings.write_bytes(content)
+        assert main(["eval", "--config", str(config_path),
+                     "--set", f"paths.eval_report={tmp_path / 'r.json'}",
+                     "--set", f"paths.eval_summary={tmp_path / 'r.txt'}",
+                     "--set", f"paths.timings={timings}"]) == EXIT_OK
+        data = json.loads(timings.read_text(encoding="utf-8"))
+        assert sorted(data) == ["eval_seconds", "format"]
+
     def test_missing_graph_file(self, tmp_path):
         assert main(["asil-check", "--graph",
                      str(tmp_path / "nope.txt")]) == EXIT_MISSING

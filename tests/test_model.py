@@ -206,11 +206,41 @@ def random_latents(config, seed=3, lead=()):
 
 class TestFusion:
     def test_token_count_and_spans(self):
+        # The latent holds the rows the heads read: the summary token and
+        # the camera span. The spans still index the whole 41-token sequence.
         core = FusionCore(ParamStore(), Rng(0), SMALL)
         fused = core.fuse(random_latents(SMALL), AvailabilityMask())
-        assert fused.tokens.shape == (41, SMALL.d)
+        assert fused.tokens.shape == (17, SMALL.d)
         assert fused.spans == {"camera": (1, 17), "depth": (17, 33), "text": (33, 41)}
         assert np.all(np.isfinite(fused.tokens.data))
+        blind = core.fuse(random_latents(SMALL), AvailabilityMask(camera=False))
+        assert blind.tokens.shape == (1, SMALL.d)
+        assert blind.spans == {"camera": (1, 1), "depth": (1, 17), "text": (17, 25)}
+
+    @pytest.mark.parametrize("mask", [
+        AvailabilityMask(camera=c, depth=d, text=t)
+        for c in (True, False) for d in (True, False) for t in (True, False)
+        if c or d or t
+    ], ids=lambda m: "".join("cdt"[i] for i, on in enumerate((m.camera, m.depth, m.text)) if on))
+    def test_read_rows_match_full_sequence(self, mask):
+        # The last block computes only the read rows (and the depth or text
+        # span on request). Blocks of two or more rows equal the same rows of
+        # a full-sequence run bit for bit; a single row goes through numpy's
+        # matrix-vector path, which may round differently.
+        config = ModelConfig()
+        core = FusionCore(ParamStore(), Rng(0), config)
+        fused = core.fuse(random_latents(config, lead=(3,)), mask)
+        full = fused.rows((0, max(stop for _, stop in fused.spans.values()))).data
+        read = fused.tokens.shape[-2]
+        assert read == fused.spans["camera"][1]
+        if read >= 2:
+            assert np.array_equal(fused.tokens.data, full[:, :read])
+        else:
+            assert np.allclose(fused.tokens.data, full[:, :1], rtol=1e-12, atol=1e-12)
+        for m in ("camera", "depth", "text"):
+            start, stop = fused.spans[m]
+            if start < stop:
+                assert np.array_equal(fused.span_tokens(m).data, full[:, start:stop])
 
     def test_masked_equals_physically_removed(self):
         core = FusionCore(ParamStore(), Rng(0), SMALL)
@@ -414,6 +444,30 @@ class TestDecoders:
 
 
 class TestNetwork:
+    @pytest.mark.parametrize("mask, read, seq", [
+        (AvailabilityMask(), 17, 41),
+        (AvailabilityMask(camera=False), 1, 25),
+    ], ids=["full", "camera_dropped"])
+    def test_last_fusion_block_tape_sees_read_rows(self, mask, read, seq):
+        # One training step's tape: in the last fusion block only the key
+        # and value maps see every token; the query, out-projection and MLP
+        # maps see the rows the heads read.
+        net = FusionNetwork(config=SMALL, seed=0)
+        batch = stack_features(prepare_all(make_samples(2), net))
+        with Tape() as tape:
+            loss = net.loss(net.forward(batch, mask), batch)
+        backward(tape, loss)
+        block = net.fusion.blocks[-1]
+        layers = {"query": block.attn.query, "key": block.attn.key,
+                  "value": block.attn.value, "out": block.attn.out,
+                  "expand": block.expand, "contract": block.contract}
+        seen = {name: [rec.inputs[0].shape for rec in tape.records
+                       if len(rec.inputs) > 1 and rec.inputs[1] is layer.weight]
+                for name, layer in layers.items()}
+        rows = {name: seq if name in ("key", "value") else read for name in layers}
+        assert seen == {name: [(2, rows[name], SMALL.d * (4 if name == "contract" else 1))]
+                        for name in layers}
+
     def test_batched_matches_single(self):
         net = FusionNetwork(config=SMALL, seed=1)
         feats = prepare_all(make_samples(3), net)

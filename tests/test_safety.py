@@ -426,7 +426,68 @@ independent: camera_chain, lidar_chain
 """
 
 
+GAP = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def arch_graph_lines(draw):
+    """A valid graph as (code, comment) lines, plus what each line declares.
+
+    Every claim's parent precedes its parts in the element order, so the
+    claims never form a cycle.
+    """
+    names = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True),
+                          min_size=3, max_size=6, unique=True))
+    elements = {name: draw(st.sampled_from(ASIL_LEVELS)) for name in names}
+    claims = []
+    for _ in range(draw(st.integers(0, 4))):
+        first = draw(st.integers(0, len(names) - 3))
+        parts = draw(st.lists(st.sampled_from(names[first + 1:]), min_size=2,
+                              max_size=2, unique=True))
+        claims.append(Claim(names[first], tuple(parts)))
+    pairs = draw(st.lists(st.lists(st.sampled_from(names), min_size=2, max_size=2,
+                                   unique=True), max_size=4))
+
+    def g():
+        return draw(GAP)
+
+    code = ([f"{g()}{name}{g()}:{g()}{level}{g()}" for name, level in elements.items()]
+            + [f"{c.parent}{g()}->{g()}{c.parts[0]}{g()}+{g()}{c.parts[1]}" for c in claims]
+            + [f"independent{g()}:{g()}{a}{g()},{g()}{b}" for a, b in pairs])
+    lines = []
+    for text in code:
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from([("", ""), ("", "# note"), (" ", "#")])))
+        lines.append((text, draw(st.sampled_from(["", " # why", "#x"]))))
+    independence = frozenset(frozenset(pair) for pair in pairs)
+    return lines, elements, claims, independence
+
+
 class TestArchGraph:
+    @given(graph=arch_graph_lines())
+    def test_generated_graph_parses_back(self, graph):
+        lines, elements, claims, independence = graph
+        parsed = parse_arch_graph("\n".join(code + comment for code, comment in lines))
+        assert parsed.elements == elements
+        assert parsed.claims == claims
+        assert parsed.independence == independence
+
+    @given(graph=arch_graph_lines(), data=st.data())
+    def test_mutated_line_names_its_line_number(self, graph, data):
+        # No line form admits these characters, wherever they land in the
+        # code part of a line.
+        lines = graph[0]
+        index = data.draw(st.sampled_from([i for i, (code, _) in enumerate(lines)
+                                           if code.strip()]))
+        code, comment = lines[index]
+        at = data.draw(st.integers(0, len(code)))
+        mark = data.draw(st.sampled_from("!=@$%;"))
+        lines = list(lines)
+        lines[index] = (code[:at] + mark + code[at:], comment)
+        with pytest.raises(GraphError) as info:
+            parse_arch_graph("\n".join(c + tail for c, tail in lines))
+        assert str(info.value).startswith(f"line {index + 1}: cannot parse")
+
     def test_parse_and_check(self):
         graph = parse_arch_graph(graph_text())
         verdicts = check_decomposition(graph)

@@ -186,6 +186,13 @@ class TestShapeErrors:
         with pytest.raises(ShapeError):
             ops.attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))),
                           Tensor(np.ones((2, 4))))
+        # Query rows may differ from the keys; the head width and the
+        # leading axes may not.
+        keys = Tensor(np.ones((2, 5, 4)))
+        assert ops.attention(Tensor(np.ones((2, 3, 4))), keys, keys)[1].shape == (2, 3, 5)
+        for q_shape in ((2, 3, 2), (1, 3, 4)):
+            with pytest.raises(ShapeError):
+                ops.attention(Tensor(np.ones(q_shape)), keys, keys)
 
     def test_layer_norm_rejects_bad_gain(self):
         x = Tensor(np.zeros((2, 4)))
