@@ -86,6 +86,17 @@ def _require_checkpoint(config: RunConfig) -> None:
             "(run the train subcommand first)")
 
 
+def _load_splits(config: RunConfig, needed) -> dict:
+    """Load the dataset; every split in needed must hold a sample."""
+    splits = load_dataset(config.paths.dataset_dir)
+    for name in needed:
+        if not splits[name]:
+            raise DataError(
+                f"dataset split {name!r} under {config.paths.dataset_dir} is "
+                "empty (raise dataset.count or that split's ratio)")
+    return splits
+
+
 def _prepare_parent(path) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
 
@@ -116,7 +127,7 @@ def cmd_train(args) -> int:
     config = _load_config(args)
     _require_dataset(config)
     started = time.perf_counter()
-    splits = load_dataset(config.paths.dataset_dir)
+    splits = _load_splits(config, ("train", "val"))
     network = FusionNetwork(config=config.model, vocab=None,
                             seed=config.training.seed)
     curve = train(network, splits["train"], config.training)
@@ -147,7 +158,7 @@ def cmd_eval(args) -> int:
     started = time.perf_counter()
     network = FusionNetwork.from_checkpoint(config.paths.checkpoint,
                                             config=config.model)
-    splits = load_dataset(config.paths.dataset_dir)
+    splits = _load_splits(config, ("train", "val", "test"))
     degradation = fail_operational_eval(network, splits["test"],
                                         config.scenarios)
     probes = single_modality_probe(network, splits["train"], splits["val"])

@@ -4,10 +4,14 @@ A probe is a single linear layer trained on the frozen encoder's
 mean-pooled tokens. High probe accuracy means the branch alone encodes
 the label, which is what lets fusion stay useful when the other branches
 die. A control probe on uniformly re-drawn labels should sit at chance.
+
+Probes that share a seed share their initial weights and batch order, so
+any number of them train as one stacked softmax regression: slice i of
+the stack follows, bit for bit, the steps a lone probe on input i takes.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -16,14 +20,13 @@ from ..autodiff import (
     AdamState,
     ParamStore,
     Rng,
-    Tape,
     Tensor,
     adam_step,
-    backward,
     ops,
 )
 from ..errors import DataError
 from ..model import MODALITIES, FeatureSet, prepare_all
+from ..model.training import EVAL_CHUNK
 from ..scene.commands import COMMANDS
 
 PROBE_EPOCHS = 50
@@ -40,62 +43,92 @@ class ProbeResult:
 
 def pooled_embeddings(network, features: Sequence[FeatureSet],
                       modality: str) -> np.ndarray:
-    """Mean-pooled frozen tokens of one branch over prepared features, (n, d)."""
+    """Mean-pooled frozen tokens of one branch over prepared features, (n, d).
+
+    Encodes at most EVAL_CHUNK samples at a time, as predict does; a
+    sample's tokens do not depend on the rest of its batch.
+    """
     if modality not in MODALITIES:
         raise DataError(f"unknown modality {modality!r}")
-    stacked = np.stack([getattr(f, modality) for f in features], axis=0)
-    seq = network.branch(modality).encode(stacked)
-    return seq.tokens.data.mean(axis=-2)
+    if not features:
+        raise DataError("cannot probe an empty split")
+    branch = network.branch(modality)
+    pooled = []
+    for start in range(0, len(features), EVAL_CHUNK):
+        chunk = features[start:start + EVAL_CHUNK]
+        stacked = np.stack([getattr(f, modality) for f in chunk], axis=0)
+        pooled.append(branch.encode(stacked).tokens.data.mean(axis=-2))
+    return np.concatenate(pooled, axis=0)
 
 
-def _train_probe(train_x: np.ndarray, train_y: np.ndarray,
-                 val_x: np.ndarray, val_y: np.ndarray, seed: int) -> float:
+def _train_probes(train_x: np.ndarray, train_y: np.ndarray,
+                  val_x: np.ndarray, val_y: np.ndarray, seed: int) -> List[float]:
+    """Train M probes as one stack; returns their validation accuracies.
+
+    train_x is (M, n, d) with labels train_y (M, n); val_x is (M, n_val, d)
+    scored against val_y (n_val,). Each step makes, per slice, the numpy
+    calls of ops.linear, ops.softmax and ops.cross_entropy, their backward
+    rules for a unit loss gradient, and adam_step; Adam is elementwise, so
+    every slice updates as if it trained alone.
+    """
     rng = Rng(seed)
-    store = ParamStore()
-    d = train_x.shape[1]
+    m, n, d = train_x.shape
     bound = 1.0 / np.sqrt(float(d))
+    init = rng.derive("probe.weight").uniform(-bound, bound, size=(d, len(COMMANDS)))
+    store = ParamStore()
     weight = store.register("probe.weight", Tensor(
-        rng.derive("probe.weight").uniform(-bound, bound, size=(d, len(COMMANDS))),
-        requires_grad=True))
+        np.stack([init] * m), requires_grad=True))
     bias = store.register("probe.bias", Tensor(
-        np.zeros(len(COMMANDS)), requires_grad=True))
+        np.zeros((m, len(COMMANDS))), requires_grad=True))
 
     state = AdamState.for_store(store)
     config = AdamConfig()
-    n = train_x.shape[0]
     for epoch in range(PROBE_EPOCHS):
         order = rng.derive(f"order/epoch{epoch}").permutation(n)
         for start in range(0, n, PROBE_BATCH):
             batch = order[start:start + PROBE_BATCH]
-            x = Tensor.constant(train_x[batch])
-            labels = train_y[batch]
-            store.zero_grad()
-            with Tape() as tape:
-                logits = ops.linear(x, weight, bias)
-                probs = ops.softmax(logits, axis=-1)
-                loss = ops.cross_entropy(probs, labels)
-            backward(tape, loss)
-            adam_step(store, store.gradients(), state, config)
+            x = np.take(train_x, batch, axis=1)
+            labels = np.take(train_y, batch, axis=1)[..., None]
+            logits = np.matmul(x, weight.data)
+            logits += bias.data[:, None]
+            probs = ops._softmax_rows(logits, -1)
+            picked = np.take_along_axis(probs, labels, axis=-1)
+            floored = np.maximum(picked, ops.CE_PROB_FLOOR)
+            dprobs = np.zeros_like(probs)
+            np.put_along_axis(dprobs, labels, np.where(
+                picked >= ops.CE_PROB_FLOOR, -1.0 / (len(batch) * floored), 0.0),
+                axis=-1)
+            dlogits = ops._softmax_grad(probs, dprobs, -1)
+            adam_step(store, {
+                "probe.weight": np.matmul(np.swapaxes(x, -1, -2), dlogits),
+                "probe.bias": dlogits.sum(axis=1),
+            }, state, config)
 
-    scores = val_x @ weight.data + bias.data
-    return float(np.mean(scores.argmax(axis=-1) == val_y))
+    scores = np.matmul(val_x, weight.data) + bias.data[:, None]
+    return [float(np.mean(s.argmax(axis=-1) == val_y)) for s in scores]
+
+
+def _command_ids(features: Sequence[FeatureSet]) -> np.ndarray:
+    return np.asarray([f.command_id for f in features], dtype=np.int64)
 
 
 def _probe(network, train_features: Sequence[FeatureSet],
-           val_features: Sequence[FeatureSet], modality: str,
-           shuffle_labels: bool, seed: int) -> ProbeResult:
-    train_x = pooled_embeddings(network, train_features, modality)
-    val_x = pooled_embeddings(network, val_features, modality)
-    train_y = np.asarray([f.command_id for f in train_features], dtype=np.int64)
-    val_y = np.asarray([f.command_id for f in val_features], dtype=np.int64)
+           val_features: Sequence[FeatureSet], modalities: Sequence[str],
+           shuffle_labels: bool, seed: int) -> List[ProbeResult]:
+    def embed(features):
+        return np.stack([pooled_embeddings(network, features, m) for m in modalities])
+
+    train_y = _command_ids(train_features)
     if shuffle_labels:
         # Uniform random labels break any label-feature association while
         # keeping the optimization identical; accuracy must drop to chance.
         train_y = Rng(seed).derive("labels").integers(
             0, len(COMMANDS), size=train_y.shape)
-    accuracy = _train_probe(train_x, train_y, val_x, val_y, seed)
-    return ProbeResult(modality=modality, accuracy=accuracy,
-                       shuffled_labels=shuffle_labels)
+    accuracies = _train_probes(
+        embed(train_features), np.stack([train_y] * len(modalities)),
+        embed(val_features), _command_ids(val_features), seed)
+    return [ProbeResult(modality=m, accuracy=a, shuffled_labels=shuffle_labels)
+            for m, a in zip(modalities, accuracies)]
 
 
 def probe_modality(network, train_samples: Sequence, val_samples: Sequence,
@@ -103,18 +136,17 @@ def probe_modality(network, train_samples: Sequence, val_samples: Sequence,
                    seed: int = PROBE_SEED) -> ProbeResult:
     """Train a probe for one modality and score it on the validation split."""
     return _probe(network, prepare_all(train_samples, network),
-                  prepare_all(val_samples, network), modality,
-                  shuffle_labels, seed)
+                  prepare_all(val_samples, network), (modality,),
+                  shuffle_labels, seed)[0]
 
 
 def single_modality_probe(network, train_samples: Sequence,
                           val_samples: Sequence,
                           seed: int = PROBE_SEED) -> Dict[str, ProbeResult]:
-    """Probe each modality; keys follow MODALITIES order.
+    """Probe each modality on the true labels; keys follow MODALITIES order.
 
-    Both splits are prepared once and shared by every modality's probe.
+    Both splits are prepared once, and the three probes train as one stack.
     """
-    train_features = prepare_all(train_samples, network)
-    val_features = prepare_all(val_samples, network)
-    return {m: _probe(network, train_features, val_features, m, False, seed)
-            for m in MODALITIES}
+    results = _probe(network, prepare_all(train_samples, network),
+                     prepare_all(val_samples, network), MODALITIES, False, seed)
+    return dict(zip(MODALITIES, results))

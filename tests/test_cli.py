@@ -370,6 +370,35 @@ class TestExitCodes:
         assert cause in err[0]
         assert not checkpoint.exists()
 
+    @pytest.mark.parametrize("command, ratios, empty", [
+        ("train", "[0.85,0.05,0.1]", "val"),
+        ("eval", "[0.85,0.05,0.1]", "val"),
+        ("eval", "[0.85,0.1,0.05]", "test"),
+    ], ids=["train_no_val", "eval_no_val", "eval_no_test"])
+    def test_empty_split_is_data_error(self, pipeline, tmp_path, capsys,
+                                       command, ratios, empty):
+        work, config, config_path = pipeline
+        data = tmp_path / "data"
+        assert main(["generate", "--config", str(config_path),
+                     "--set", f"paths.dataset_dir={data}",
+                     "--set", "dataset.count=10",
+                     "--set", f"dataset.ratios={ratios}"]) == EXIT_OK
+        assert load_dataset(data, empty) == []
+        checkpoint = tmp_path / "model.ckpt"
+        if command == "eval":
+            shutil.copy(config.paths.checkpoint, checkpoint)
+        report = tmp_path / "eval_report.json"
+        capsys.readouterr()
+        assert main([command, "--config", str(config_path),
+                     "--set", f"paths.dataset_dir={data}",
+                     "--set", f"paths.checkpoint={checkpoint}",
+                     "--set", f"paths.eval_report={report}"]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid-data: ")
+        assert f"split {empty!r}" in err[0] and "empty" in err[0]
+        assert checkpoint.exists() == (command == "eval")
+        assert not report.exists()
+
     def test_report_without_eval(self, tmp_path):
         config = tiny_config(tmp_path)
         path = tmp_path / "run.json"

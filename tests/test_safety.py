@@ -1,16 +1,30 @@
 """Fault injection, degradation harness, independence, probes, ASIL."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import ffusion.model.training as training
-from ffusion.autodiff import Rng, Tensor
+from ffusion.autodiff import (
+    AdamConfig,
+    AdamState,
+    ParamStore,
+    Rng,
+    Tape,
+    Tensor,
+    adam_step,
+    backward,
+    ops,
+)
 from ffusion.errors import ConfigError, DataError, FaultError, GraphError
 from ffusion.model.config import from_plain, to_plain
 from ffusion.model import (
     DEFAULT_VOCAB,
+    EncoderBranch,
     FusionNetwork,
     ModelConfig,
     TrainConfig,
@@ -40,9 +54,13 @@ from ffusion.safety import (
     snr_enrichment_eval,
     verify_independence,
 )
+from ffusion.model.training import EVAL_CHUNK
+from ffusion.safety import probe
 from ffusion.safety.asil import ASIL_RANK
 from ffusion.safety.faults import _VALID
+from ffusion.safety.probe import PROBE_BATCH, PROBE_EPOCHS, pooled_embeddings
 from ffusion.scene import synthesize_sample
+from ffusion.scene.commands import COMMANDS
 
 SMALL = ModelConfig(d=16, blocks=1, heads=2, patch=8, text_len=8)
 
@@ -364,6 +382,14 @@ def probe_split():
     return many[:96], many[96:]
 
 
+@pytest.fixture(scope="module")
+def probe_features(probe_split):
+    """A small network and 130 prepared samples, more than two EVAL_CHUNKs."""
+    net = FusionNetwork(config=SMALL, seed=3)
+    train_s, val_s = probe_split
+    return net, prepare_all((train_s + val_s)[:130], net)
+
+
 class TestProbes:
     def test_text_probe_reads_out_command(self, probe_split):
         train_s, val_s = probe_split
@@ -379,6 +405,102 @@ class TestProbes:
                                 shuffle_labels=True)
         assert result.shuffled_labels
         assert abs(result.accuracy - 0.25) <= 0.15
+
+    @given(m=st.sampled_from([1, 3]), full_batches=st.integers(0, 2),
+           ragged=st.integers(1, PROBE_BATCH - 1), d=st.integers(2, 8),
+           seed=st.integers(0, 2**16))
+    def test_stack_matches_separate_autodiff_probes(self, m, full_batches,
+                                                    ragged, d, seed):
+        n = full_batches * PROBE_BATCH + ragged
+        gen = np.random.default_rng(seed)
+        train_x = gen.normal(size=(m, n, d))
+        train_y = gen.integers(0, len(COMMANDS), size=(m, n))
+        val_x = gen.normal(size=(m, 9, d))
+        val_y = gen.integers(0, len(COMMANDS), size=9)
+        stores = []
+        real_step = probe.adam_step
+
+        def step(store, *args):
+            stores.append(store)
+            real_step(store, *args)
+
+        with mock.patch.object(probe, "adam_step", step):
+            accuracies = probe._train_probes(train_x, train_y, val_x, val_y, seed)
+        assert len(accuracies) == m
+        for i in range(m):
+            weight, bias, accuracy = _autodiff_probe(
+                train_x[i], train_y[i], val_x[i], val_y, seed)
+            assert np.array_equal(stores[-1]["probe.weight"].data[i], weight)
+            assert np.array_equal(stores[-1]["probe.bias"].data[i], bias)
+            assert accuracies[i] == accuracy
+
+    @pytest.mark.parametrize("n", [1, EVAL_CHUNK, EVAL_CHUNK + 1, 130])
+    def test_pooled_embeddings_match_whole_split(self, probe_features, n):
+        net, features = probe_features
+        for modality in ("camera", "depth", "text"):
+            whole = net.branch(modality).encode(
+                np.stack([getattr(f, modality) for f in features[:n]]))
+            assert np.array_equal(
+                pooled_embeddings(net, features[:n], modality),
+                whole.tokens.data.mean(axis=-2))
+
+    def test_pooled_embeddings_reject_empty_split(self, probe_features):
+        with pytest.raises(DataError, match="empty split"):
+            pooled_embeddings(probe_features[0], [], "camera")
+
+    def test_single_modality_probe_steps_once_in_chunks(self, probe_split,
+                                                        monkeypatch):
+        """One Adam step per batch for all three probes; no encode call
+        sees more than EVAL_CHUNK samples."""
+        train_s, val_s = probe_split
+        net = FusionNetwork(config=SMALL, seed=3)
+        steps, encoded = [], []
+        real_step, real_encode = probe.adam_step, EncoderBranch.encode
+
+        def step(*args):
+            steps.append(args)
+            real_step(*args)
+
+        def encode(branch, features):
+            encoded.append(len(features))
+            return real_encode(branch, features)
+
+        monkeypatch.setattr(probe, "adam_step", step)
+        monkeypatch.setattr(EncoderBranch, "encode", encode)
+        results = single_modality_probe(net, train_s, val_s)
+        assert list(results) == ["camera", "depth", "text"]
+        assert len(train_s) > EVAL_CHUNK
+        assert len(steps) == PROBE_EPOCHS * math.ceil(len(train_s) / PROBE_BATCH)
+        assert max(encoded) <= EVAL_CHUNK
+        assert sum(encoded) == 3 * (len(train_s) + len(val_s))
+
+
+def _autodiff_probe(train_x, train_y, val_x, val_y, seed):
+    """One probe through the tape: linear, softmax, cross-entropy, backward,
+    Adam; returns its weight, bias and validation accuracy."""
+    rng = Rng(seed)
+    store = ParamStore()
+    d = train_x.shape[1]
+    bound = 1.0 / np.sqrt(float(d))
+    weight = store.register("probe.weight", Tensor(
+        rng.derive("probe.weight").uniform(-bound, bound, size=(d, len(COMMANDS))),
+        requires_grad=True))
+    bias = store.register("probe.bias", Tensor(
+        np.zeros(len(COMMANDS)), requires_grad=True))
+    state, config = AdamState.for_store(store), AdamConfig()
+    n = train_x.shape[0]
+    for epoch in range(PROBE_EPOCHS):
+        order = rng.derive(f"order/epoch{epoch}").permutation(n)
+        for start in range(0, n, PROBE_BATCH):
+            batch = order[start:start + PROBE_BATCH]
+            store.zero_grad()
+            with Tape() as tape:
+                logits = ops.linear(Tensor.constant(train_x[batch]), weight, bias)
+                loss = ops.cross_entropy(ops.softmax(logits, axis=-1), train_y[batch])
+            backward(tape, loss)
+            adam_step(store, store.gradients(), state, config)
+    scores = val_x @ weight.data + bias.data
+    return weight.data, bias.data, float(np.mean(scores.argmax(axis=-1) == val_y))
 
 
 class TestAsilRanks:
