@@ -346,41 +346,60 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> tuple:
-    """Scaled dot-product attention, as one tape record.
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple:
+    """Multi-head scaled dot-product attention, as one tape record.
 
-    q is (..., H, Tq, hd) and k, v are (..., H, T, hd); Tq may differ from
-    T, as when only some rows are queries. Computes
-    softmax(q @ k^T / sqrt(hd)) @ v with the numpy calls of the transpose,
-    matmul, scale, softmax, matmul chain, in the same order, so results
-    match that chain bit for bit. Returns the output tensor (..., H, Tq, hd)
-    and the attention weights (..., H, Tq, T) as a plain array; like
-    softmax, rejects a row of non-finite logits with MaskError.
+    q is (..., Tq, d) and k, v are (..., T, d); Tq may differ from T, as
+    when only some rows are queries. Each of the heads attends with its own
+    d / heads columns: the op views q, k and v as (..., H, T, hd), computes
+    softmax(q @ k^T / sqrt(hd)) @ v per head and merges the heads back to
+    (..., Tq, d). Forward and backward make the numpy calls of the reshape,
+    transpose, matmul, scale, softmax, matmul, transpose, reshape chain in
+    the same order, so results match that chain bit for bit. Returns the
+    merged output and the attention weights (..., H, Tq, T) as a plain
+    array; like softmax, rejects a row of non-finite logits with MaskError.
     """
     shape = k.data.shape
-    if (q.data.ndim < 2 or v.data.shape != shape
+    if (q.data.ndim < 2 or k.data.ndim != q.data.ndim or v.data.shape != shape
             or q.data.shape[:-2] + q.data.shape[-1:] != shape[:-2] + shape[-1:]):
         raise ShapeError(
             f"attention: q {q.data.shape}, k {shape} and v {v.data.shape} must agree "
             "on every axis but the query rows"
         )
-    qd, kd, vd = q.data, k.data, v.data
-    f = 1.0 / math.sqrt(shape[-1])
+    d = shape[-1]
+    if heads < 1 or d % heads:
+        raise ShapeError(f"attention: width {d} is not divisible by {heads} heads")
+    hd = d // heads
+    lead = len(shape) - 2
+    swap = tuple(range(lead)) + (lead + 1, lead, lead + 2)
+
+    def split(x: Array) -> Array:
+        # (..., T, d) -> (..., H, T, hd), a view when x is contiguous.
+        return np.transpose(x.reshape(x.shape[:-1] + (heads, hd)), swap)
+
+    def merge(x: Array) -> Array:
+        # (..., H, T, hd) -> (..., T, d).
+        x = np.transpose(x, swap)
+        return x.reshape(x.shape[:-2] + (d,))
+
+    qd, kd, vd = split(q.data), split(k.data), split(v.data)
+    f = 1.0 / math.sqrt(hd)
     weights = np.matmul(qd, np.swapaxes(kd, -1, -2))
     weights *= f
     _softmax_rows(weights, -1, out=weights)
-    out = _result((q, k, v), np.matmul(weights, vd))
+    out = _result((q, k, v), merge(np.matmul(weights, vd)))
 
     def backward_fn(g: Array) -> tuple:
-        dv = np.matmul(np.swapaxes(weights, -1, -2), g) if v.requires_grad else None
+        g = split(g)
+        dv = merge(np.matmul(np.swapaxes(weights, -1, -2), g)) if v.requires_grad else None
         if not (q.requires_grad or k.requires_grad):
             return None, None, dv
         dlogits = _softmax_grad(weights, np.matmul(g, np.swapaxes(vd, -1, -2)), -1)
         dlogits *= f
-        dq = np.matmul(dlogits, kd) if q.requires_grad else None
+        dq = merge(np.matmul(dlogits, kd)) if q.requires_grad else None
         dk = None
         if k.requires_grad:
-            dk = np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), dlogits), -1, -2)
+            dk = merge(np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), dlogits), -1, -2))
         return dq, dk, dv
 
     record_op((q, k, v), out, backward_fn)

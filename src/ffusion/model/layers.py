@@ -20,11 +20,8 @@ from ffusion.autodiff import (
     gelu,
     layer_norm,
     linear,
-    reshape,
     slice_,
-    transpose,
 )
-from ffusion.errors import ShapeError
 
 
 def init_param(store: ParamStore, rng: Rng, path: str, shape: tuple,
@@ -84,11 +81,7 @@ class MultiHeadAttention:
     """
 
     def __init__(self, store: ParamStore, rng: Rng, path: str, dim: int, heads: int):
-        if dim % heads != 0:
-            raise ShapeError(f"attention dim {dim} not divisible by {heads} heads")
-        self.dim = dim
         self.heads = heads
-        self.head_dim = dim // heads
         self.query = Linear(store, rng, f"{path}.query", dim, dim)
         # A key bias shifts every logit in a softmax row equally, so it can
         # never influence the weights; omit the inert parameter.
@@ -96,26 +89,11 @@ class MultiHeadAttention:
         self.value = Linear(store, rng, f"{path}.value", dim, dim)
         self.out = Linear(store, rng, f"{path}.out", dim, dim)
 
-    def _split(self, x: Tensor, lead: tuple, seq: int) -> Tensor:
-        split = reshape(x, lead + (seq, self.heads, self.head_dim))
-        ndim = len(lead) + 3
-        axes = tuple(range(len(lead))) + (ndim - 2, ndim - 3, ndim - 1)
-        return transpose(split, axes)
-
-    def __call__(self, x: Tensor, rows: Rows = None) -> Tuple[Tensor, Tensor]:
-        shape = x.shape
-        if len(shape) < 2 or shape[-1] != self.dim:
-            raise ShapeError(f"attention input must be (..., T, {self.dim}), got {shape}")
-        lead, seq = shape[:-2], shape[-2]
+    def __call__(self, x: Tensor, rows: Rows = None) -> Tuple[Tensor, np.ndarray]:
         queries = x if rows is None else take_rows(x, rows)
-        n = queries.shape[-2]
-        q = self._split(self.query(queries), lead, n)
-        k = self._split(self.key(x), lead, seq)
-        v = self._split(self.value(x), lead, seq)
-        mixed, weights = attention(q, k, v)
-        ndim = len(lead) + 3
-        mixed = transpose(mixed, tuple(range(len(lead))) + (ndim - 2, ndim - 3, ndim - 1))
-        return self.out(reshape(mixed, lead + (n, self.dim))), weights
+        mixed, weights = attention(self.query(queries), self.key(x), self.value(x),
+                                   self.heads)
+        return self.out(mixed), weights
 
 
 class TransformerBlock:
@@ -138,7 +116,7 @@ class TransformerBlock:
         self.expand = Linear(store, rng, f"{path}.mlp.expand", dim, hidden)
         self.contract = Linear(store, rng, f"{path}.mlp.contract", hidden, dim)
 
-    def __call__(self, x: Tensor, rows: Rows = None) -> Tuple[Tensor, Tensor]:
+    def __call__(self, x: Tensor, rows: Rows = None) -> Tuple[Tensor, np.ndarray]:
         attended, attn = self.attn(self.norm_attn(x), rows)
         if rows is not None:
             x = take_rows(x, rows)

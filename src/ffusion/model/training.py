@@ -85,17 +85,19 @@ def train(network: FusionNetwork, samples: Sequence[Sample],
     probability p_drop (never more than one, so at least two remain).
     Deterministic given config.seed: the dropout stream consumes the same
     draws whether or not a drop triggers, so runs with different p_drop see
-    identical batch orderings.
+    identical batch orderings. A sample that fails health triage on any
+    modality is invalid training data (DataError) and stops the run before
+    the first step.
     """
     config = config or TrainConfig()
     if not samples:
         raise TrainingError("training requires a non-empty sample list")
     features = prepare_all(samples, network)
-    if any(f.availability != (True, True, True) for f in features):
-        bad = next(f for f in features if f.availability != (True, True, True))
-        raise TrainingError(
-            f"training data must be nominal; sample {bad.sample_id} has a failed modality"
-        )
+    for f in features:
+        failed = [m for m in MODALITIES if not f.health[m].available]
+        if failed:
+            raise DataError(f"training data must pass health triage; sample "
+                            f"{f.sample_id} failed it on {', '.join(failed)}")
     rng = Rng(config.seed)
     drop_rng = rng.derive("modality-dropout")
     adam = AdamConfig(lr=config.learning_rate)

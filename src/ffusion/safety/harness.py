@@ -16,10 +16,8 @@ import numpy as np
 from ..errors import ConfigError, DataError, FaultError, FusionError
 from ..model import (
     AvailabilityMask,
-    FeatureSet,
     Metrics,
     evaluate,
-    predict,
     prepare_all,
     stack_features,
 )
@@ -187,15 +185,6 @@ class EnrichmentRow:
     camera_only_accuracy: float
 
 
-def _masked_accuracy(network, features: Sequence[FeatureSet],
-                     mask: Optional[AvailabilityMask]) -> float:
-    correct = 0
-    for _, batch, result in predict(network, features, mask):
-        preds = result.command_probs.data.argmax(axis=-1)
-        correct += int(np.sum(preds == batch.command_ids))
-    return correct / len(features)
-
-
 def snr_enrichment_eval(network, samples: Sequence[Sample],
                         sigmas: Sequence[float],
                         seed: int = 0) -> List[EnrichmentRow]:
@@ -215,9 +204,11 @@ def snr_enrichment_eval(network, samples: Sequence[Sample],
         faults = (FaultSpec("camera", "gaussian_noise", float(sigma), seed),
                   FaultSpec("lidar", "gaussian_noise", float(sigma), seed))
         noisy = prepare_all([inject_faults(s, faults) for s in samples], network)
+        fused = evaluate(network, samples, features=noisy)[0]
+        alone = evaluate(network, samples, camera_only, features=noisy)[0]
         rows.append(EnrichmentRow(
             sigma=float(sigma),
-            fused_accuracy=_masked_accuracy(network, noisy, None),
-            camera_only_accuracy=_masked_accuracy(network, noisy, camera_only),
+            fused_accuracy=fused.command_accuracy,
+            camera_only_accuracy=alone.command_accuracy,
         ))
     return rows

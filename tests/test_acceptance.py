@@ -228,15 +228,17 @@ def _op_gradcheck_errors():
     errs["linear_batched_weight"] = grad_check(
         lambda t: ops.sum_(ops.mul(ops.linear(fixed_x, t, fixed_b), w)), lin_w)
 
+    # One head: the leading axis is a batch axis of single-head attention.
+    heads = 1
     q, k, v = (Tensor(rand((2, 3, 4)), requires_grad=True) for _ in range(3))
     w = weight((2, 3, 4))
     fixed_q, fixed_k, fixed_v = (Tensor(t.data.copy()) for t in (q, k, v))
     errs["attention_q"] = grad_check(
-        lambda t: ops.sum_(ops.mul(ops.attention(t, fixed_k, fixed_v)[0], w)), q)
+        lambda t: ops.sum_(ops.mul(ops.attention(t, fixed_k, fixed_v, heads)[0], w)), q)
     errs["attention_k"] = grad_check(
-        lambda t: ops.sum_(ops.mul(ops.attention(fixed_q, t, fixed_v)[0], w)), k)
+        lambda t: ops.sum_(ops.mul(ops.attention(fixed_q, t, fixed_v, heads)[0], w)), k)
     errs["attention_v"] = grad_check(
-        lambda t: ops.sum_(ops.mul(ops.attention(fixed_q, fixed_k, t)[0], w)), v)
+        lambda t: ops.sum_(ops.mul(ops.attention(fixed_q, fixed_k, t, heads)[0], w)), v)
 
     # Fewer query rows than keys, as in the last fusion block.
     q = Tensor(rand((2, 2, 4)), requires_grad=True)
@@ -244,11 +246,34 @@ def _op_gradcheck_errors():
     w = weight((2, 2, 4))
     fixed_q, fixed_k, fixed_v = (Tensor(t.data.copy()) for t in (q, k, v))
     errs["attention_rows_q"] = grad_check(
-        lambda t: ops.sum_(ops.mul(ops.attention(t, fixed_k, fixed_v)[0], w)), q)
+        lambda t: ops.sum_(ops.mul(ops.attention(t, fixed_k, fixed_v, heads)[0], w)), q)
     errs["attention_rows_k"] = grad_check(
-        lambda t: ops.sum_(ops.mul(ops.attention(fixed_q, t, fixed_v)[0], w)), k)
+        lambda t: ops.sum_(ops.mul(ops.attention(fixed_q, t, fixed_v, heads)[0], w)), k)
     errs["attention_rows_v"] = grad_check(
-        lambda t: ops.sum_(ops.mul(ops.attention(fixed_q, fixed_k, t)[0], w)), v)
+        lambda t: ops.sum_(ops.mul(ops.attention(fixed_q, fixed_k, t, heads)[0], w)), v)
+
+    # Two heads of width 2, split and merged inside the op.
+    heads = 2
+    q, k, v = (Tensor(rand((2, 3, 4)), requires_grad=True) for _ in range(3))
+    w = weight((2, 3, 4))
+    fixed_q, fixed_k, fixed_v = (Tensor(t.data.copy()) for t in (q, k, v))
+    errs["attention_heads2_q"] = grad_check(
+        lambda t: ops.sum_(ops.mul(ops.attention(t, fixed_k, fixed_v, heads)[0], w)), q)
+    errs["attention_heads2_k"] = grad_check(
+        lambda t: ops.sum_(ops.mul(ops.attention(fixed_q, t, fixed_v, heads)[0], w)), k)
+    errs["attention_heads2_v"] = grad_check(
+        lambda t: ops.sum_(ops.mul(ops.attention(fixed_q, fixed_k, t, heads)[0], w)), v)
+
+    q = Tensor(rand((2, 2, 4)), requires_grad=True)
+    k, v = (Tensor(rand((2, 5, 4)), requires_grad=True) for _ in range(2))
+    w = weight((2, 2, 4))
+    fixed_q, fixed_k, fixed_v = (Tensor(t.data.copy()) for t in (q, k, v))
+    errs["attention_heads2_rows_q"] = grad_check(
+        lambda t: ops.sum_(ops.mul(ops.attention(t, fixed_k, fixed_v, heads)[0], w)), q)
+    errs["attention_heads2_rows_k"] = grad_check(
+        lambda t: ops.sum_(ops.mul(ops.attention(fixed_q, t, fixed_v, heads)[0], w)), k)
+    errs["attention_heads2_rows_v"] = grad_check(
+        lambda t: ops.sum_(ops.mul(ops.attention(fixed_q, fixed_k, t, heads)[0], w)), v)
 
     return errs
 

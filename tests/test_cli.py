@@ -347,6 +347,23 @@ class TestExitCodes:
         assert "non-ASCII" in err[0] and text.name in err[0]
         assert not checkpoint.exists()
 
+    def test_triage_failed_train_split_is_data_error(self, pipeline, tmp_path, capsys):
+        work, config, config_path = pipeline
+        data = tmp_path / "text_blackout"
+        assert main(["inject", "--config", str(config_path),
+                     "--modality", "text", "--kind", "blackout",
+                     "--out", str(data)]) == EXIT_OK
+        first = load_dataset(data, "train")[0].sample_id
+        checkpoint = tmp_path / "model.ckpt"
+        capsys.readouterr()
+        assert main(["train", "--config", str(config_path),
+                     "--set", f"paths.dataset_dir={data}",
+                     "--set", f"paths.checkpoint={checkpoint}"]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid-data: ")
+        assert f"sample {first} failed it on text" in err[0]
+        assert not checkpoint.exists()
+
     @pytest.mark.parametrize("edit, cause", [
         (lambda entry: entry.pop("command"), "command must be a string"),
         (lambda entry: entry["files"].update(text="../../bad_text.txt"),

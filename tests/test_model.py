@@ -468,6 +468,21 @@ class TestNetwork:
         assert seen == {name: [(2, rows[name], SMALL.d * (4 if name == "contract" else 1))]
                         for name in layers}
 
+    @pytest.mark.parametrize("mask, records, attention, reshape", [
+        (AvailabilityMask(), 130, 8, 6),
+        (AvailabilityMask(camera=False), 100, 6, 5),
+    ], ids=["full", "camera_dropped"])
+    def test_training_step_tape_size(self, mask, records, attention, reshape):
+        # One training step at the default model: each attention call is one
+        # record, with the head split and merge inside it.
+        net = FusionNetwork(config=ModelConfig(), seed=0)
+        batch = stack_features(prepare_all(make_samples(2), net))
+        with Tape() as tape:
+            net.loss(net.forward(batch, mask), batch)
+        ops = [rec.backward_fn.__qualname__.split(".")[0] for rec in tape.records]
+        assert (len(ops), ops.count("attention"), ops.count("reshape"),
+                ops.count("transpose")) == (records, attention, reshape, 1)
+
     def test_batched_matches_single(self):
         net = FusionNetwork(config=SMALL, seed=1)
         feats = prepare_all(make_samples(3), net)
@@ -555,7 +570,7 @@ class TestTraining:
             seg_labels=samples[0].seg_labels,
         )
         net = FusionNetwork(config=SMALL, seed=2)
-        with pytest.raises(TrainingError):
+        with pytest.raises(DataError, match=f"sample {broken.sample_id} failed it on camera"):
             train(net, [broken, samples[1]], TrainConfig(epochs=1, batch_size=2))
 
     def test_evaluate_deterministic_and_grouped(self):

@@ -70,7 +70,7 @@ class TestForwardOracles:
         q = Tensor.constant([[float("inf"), 0.0], [1.0, 0.0]])
         k = Tensor.constant([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(MaskError):
-            ops.attention(q, k, Tensor(np.ones((2, 2))))
+            ops.attention(q, k, Tensor(np.ones((2, 2))), 1)
 
     def test_layer_norm_hand_value(self):
         # [1, 3]: mean 2, var 1 -> close to [-1, 1] up to the eps guard
@@ -185,14 +185,18 @@ class TestShapeErrors:
     def test_attention_rejects_mismatch(self):
         with pytest.raises(ShapeError):
             ops.attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))),
-                          Tensor(np.ones((2, 4))))
-        # Query rows may differ from the keys; the head width and the
-        # leading axes may not.
+                          Tensor(np.ones((2, 4))), 2)
+        # Query rows may differ from the keys; the width and the leading
+        # axes may not, and the heads must divide the width.
         keys = Tensor(np.ones((2, 5, 4)))
-        assert ops.attention(Tensor(np.ones((2, 3, 4))), keys, keys)[1].shape == (2, 3, 5)
+        queries = Tensor(np.ones((2, 3, 4)))
+        assert ops.attention(queries, keys, keys, 2)[1].shape == (2, 2, 3, 5)
         for q_shape in ((2, 3, 2), (1, 3, 4)):
             with pytest.raises(ShapeError):
-                ops.attention(Tensor(np.ones(q_shape)), keys, keys)
+                ops.attention(Tensor(np.ones(q_shape)), keys, keys, 2)
+        for heads in (0, 3, 8):
+            with pytest.raises(ShapeError, match="not divisible"):
+                ops.attention(queries, keys, keys, heads)
 
     def test_layer_norm_rejects_bad_gain(self):
         x = Tensor(np.zeros((2, 4)))
@@ -298,22 +302,25 @@ def _run_linear(fused, xs, ws, bs, out_w, x_grad):
     return [y.data, x.grad, w.grad] + ([] if b is None else [b.grad])
 
 
-def _run_attention(fused, qs, ks, vs, out_w):
-    # q, k and v arrive as transposed views, and the output gradient leaves
-    # through a transpose, as in MultiHeadAttention.
-    n = qs.ndim
+def _run_attention(fused, qs, ks, vs, out_w, heads):
+    # The reference splits the heads off with reshape and transpose, runs
+    # the attention chain per head, and merges them back the same way.
+    n = qs.ndim + 1
     swap = tuple(range(n - 3)) + (n - 2, n - 3, n - 1)
+    hd = qs.shape[-1] // heads
     leaves = [_leaf(a) for a in (qs, ks, vs)]
     with Tape() as tape:
-        q, k, v = (ops.transpose(t, swap) for t in leaves)
         if fused:
-            out, weights = ops.attention(q, k, v)
+            out, weights = ops.attention(*leaves, heads)
         else:
+            q, k, v = (ops.transpose(ops.reshape(t, t.shape[:-1] + (heads, hd)), swap)
+                       for t in leaves)
             kt = ops.transpose(k, tuple(range(n - 2)) + (n - 1, n - 2))
-            logits = ops.scale(ops.matmul(q, kt), 1.0 / np.sqrt(qs.shape[-1]))
+            logits = ops.scale(ops.matmul(q, kt), 1.0 / np.sqrt(hd))
             attn = ops.softmax(logits, axis=-1)
-            out, weights = ops.matmul(attn, v), attn.data
-        loss = ops.sum_(ops.mul(ops.transpose(out, swap), Tensor(out_w)))
+            out, weights = ops.transpose(ops.matmul(attn, v), swap), attn.data
+            out = ops.reshape(out, qs.shape)
+        loss = ops.sum_(ops.mul(out, Tensor(out_w)))
     backward(tape, loss)
     return [out.data, weights] + [t.grad for t in leaves]
 
@@ -335,14 +342,19 @@ class TestFusedOps:
         assert all(_same_bits(a, b) for a, b in zip(fused, chain))
 
     @given(lead=st.lists(st.integers(1, 3), max_size=1), seq=st.integers(1, 9),
-           heads=st.integers(1, 3), head_dim=st.integers(1, 8),
-           seed=st.integers(0, 2**16))
-    def test_attention_equals_chain_bitwise(self, lead, seq, heads, head_dim, seed):
+           skipped=st.integers(0, 8), heads=st.integers(1, 3),
+           head_dim=st.integers(1, 8), seed=st.integers(0, 2**16))
+    def test_attention_equals_chain_bitwise(self, lead, seq, skipped, heads, head_dim, seed):
+        # Up to `skipped` rows fewer queries than keys, as in the last
+        # fusion block.
         rng = np.random.default_rng(seed)
-        shape = tuple(lead) + (seq, heads, head_dim)
-        qs, ks, vs, out_w = (rng.normal(size=shape) * 2.0 for _ in range(4))
-        fused = _run_attention(True, qs, ks, vs, out_w)
-        chain = _run_attention(False, qs, ks, vs, out_w)
+        rows = max(1, seq - skipped)
+        keys = tuple(lead) + (seq, heads * head_dim)
+        queries = tuple(lead) + (rows, heads * head_dim)
+        qs, out_w = (rng.normal(size=queries) * 2.0 for _ in range(2))
+        ks, vs = (rng.normal(size=keys) * 2.0 for _ in range(2))
+        fused = _run_attention(True, qs, ks, vs, out_w, heads)
+        chain = _run_attention(False, qs, ks, vs, out_w, heads)
         assert all(_same_bits(a, b) for a, b in zip(fused, chain))
 
     @pytest.mark.parametrize("op", ["gelu", "layer_norm", "softmax", "linear",
@@ -359,7 +371,7 @@ class TestFusedOps:
             "layer_norm": lambda t: ops.layer_norm(t, gain, bias),
             "softmax": lambda t: ops.softmax(t, axis=-1),
             "linear": lambda t: ops.linear(t, weight, bias),
-            "attention": lambda t: ops.attention(t, t, t)[0],
+            "attention": lambda t: ops.attention(t, t, t, 2)[0],
             "matmul": lambda t: ops.matmul(t, weight),
         }[op]
         values = [rng.normal(size=(2, 5, 6)) for _ in range(2)]
@@ -384,7 +396,7 @@ class TestFusedOps:
         rng = np.random.default_rng(4)
         q, k, v = (Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True) for _ in range(3))
         with Tape() as tape:
-            out, weights = ops.attention(q, k, v)
+            out, weights = ops.attention(q, k, v, 3)
             loss = ops.sum_(ops.mul(out, Tensor(rng.normal(size=(2, 4, 3)))))
         before = weights.copy()
         backward(tape, loss)
@@ -400,7 +412,7 @@ class TestFusedOps:
             ops.linear(const, weight, bias)
             ops.matmul(const, weight)
             ops.matmul(param, Tensor.constant(np.eye(4)))
-            ops.attention(const, const, param)
+            ops.attention(const, const, param, 2)
         g = np.ones((2, 3, 4))
         linear_grads, left_grads, right_grads, attention_grads = (
             rec.backward_fn(g) for rec in tape.records)
