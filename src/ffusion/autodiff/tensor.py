@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -74,6 +76,9 @@ class Tensor:
 
 BackwardFn = Callable[[Array], tuple]
 
+# Runs `backward`'s head groups beside the caller; its thread starts on first use.
+_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ffusion-backward")
+
 
 class OpRecord:
     """One recorded operation: inputs, output and its backward rule."""
@@ -125,22 +130,9 @@ def record_op(inputs: Sequence[Tensor], output: Tensor, backward_fn: BackwardFn)
         tape.records.append(OpRecord(tuple(inputs), output, backward_fn))
 
 
-def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into .grad for every leaf on the tape.
-
-    Leaves are the tensors no record produced, such as parameters. The loss
-    must be scalar. Reverse execution order guarantees that a tensor's
-    output gradient is complete before its producing record is visited, so
-    each intermediate gradient is dropped once that record has consumed it;
-    intermediates keep grad None. Gradients from multiple use sites sum.
-    Leaves the loss does not depend on keep grad None; readers treat None as
-    exact zero.
-    """
-    if loss.data.size != 1:
-        raise GradientError(f"loss must be a scalar, got shape {loss.data.shape}")
-    flowing: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    by_id: dict[int, Tensor] = {id(loss): loss}
-    for rec in reversed(tape.records):
+def _propagate(records, flowing: dict) -> None:
+    """Run records' backward rules in reverse, summing gradients into flowing."""
+    for rec in reversed(records):
         out_grad = flowing.pop(id(rec.output), None)
         if out_grad is None:
             continue
@@ -155,9 +147,73 @@ def backward(tape: Tape, loss: Tensor) -> None:
                     f"gradient shape {contrib.shape} does not match "
                     f"tensor shape {tensor.data.shape}"
                 )
-            by_id[id(tensor)] = tensor
             held = flowing.get(id(tensor))
             flowing[id(tensor)] = contrib if held is None else held + contrib
+
+
+def _split_head(records: list) -> tuple:
+    """Split the records before the first one whose differentiable inputs
+    lie in two groups into groups that share no tensor; a record touching
+    only unseen leaves starts a group. Returns (group of each tensor id,
+    each group's records, the tail records)."""
+    group_of: dict[int, int] = {}
+    heads: list = []
+    for index, rec in enumerate(records):
+        tids = [id(t) for t in rec.inputs if t.requires_grad] + [id(rec.output)]
+        seen = {group_of[tid] for tid in tids if tid in group_of}
+        if len(seen) > 1:
+            return group_of, heads, records[index:]
+        group = seen.pop() if seen else len(heads)
+        if group == len(heads):
+            heads.append([])
+        heads[group].append(rec)
+        group_of.update(dict.fromkeys(tids, group))
+    return group_of, heads, []
+
+
+def _drain(queue: deque) -> None:
+    """Propagate (records, flowing) head groups from the queue until it is empty."""
+    while True:
+        try:
+            records, flowing = queue.popleft()
+        except IndexError:
+            return
+        _propagate(records, flowing)
+
+
+def backward(tape: Tape, loss: Tensor) -> None:
+    """Accumulate d(loss)/d(tensor) into .grad for every leaf on the tape.
+
+    Leaves are the tensors no record produced, such as parameters. The loss
+    must be scalar. Reverse execution order guarantees that a tensor's
+    output gradient is complete before its producing record is visited, so
+    each intermediate gradient is dropped once that record has consumed it;
+    intermediates keep grad None. Gradients from multiple use sites sum.
+    Leaves the loss does not depend on keep grad None; readers treat None as
+    exact zero. The tail runs first; the head groups then run largest first
+    on the calling thread and one worker, each from its tensors' tail sums,
+    so every gradient sums its terms in the order of one sequential walk.
+    """
+    if loss.data.size != 1:
+        raise GradientError(f"loss must be a scalar, got shape {loss.data.shape}")
+    flowing: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+    by_id: dict[int, Tensor] = {id(t): t for rec in tape.records for t in rec.inputs}
+    by_id[id(loss)] = loss
+    group_of, heads, tail = _split_head(tape.records)
+    _propagate(tail, flowing)
+    seeds: list = [{} for _ in heads]
+    for tid in [tid for tid in flowing if tid in group_of]:
+        seeds[group_of[tid]][tid] = flowing.pop(tid)
+    queue = deque(sorted((g for g in zip(heads, seeds) if g[1]), key=lambda g: -len(g[0])))
+    future = _WORKER.submit(_drain, queue) if len(queue) > 1 else None
+    try:
+        _drain(queue)
+    finally:
+        queue.clear()  # after a failure, start no further group
+        if future is not None:
+            future.result()
+    for part in seeds:
+        flowing.update(part)
     # Whatever is still flowing belongs to leaves: tensors no record produced.
     for tid, grad in flowing.items():
         tensor = by_id.get(tid)

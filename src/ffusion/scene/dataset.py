@@ -267,6 +267,14 @@ def read_manifest(dataset_dir) -> dict:
         raise DataError(f"unsupported dataset format {manifest.get('format')!r}")
     if not isinstance(manifest.get("samples"), list):
         raise DataError("manifest.json has no samples list")
+    seen = set()
+    for entry in manifest["samples"]:
+        sample_id = entry.get("id") if isinstance(entry, dict) else None
+        if not isinstance(sample_id, str):
+            continue  # load_dataset rejects the entry's schema
+        if sample_id in seen:
+            raise DataError(f"manifest.json lists sample id {sample_id!r} twice")
+        seen.add(sample_id)
     return manifest
 
 

@@ -1,6 +1,8 @@
 """Gradient correctness, optimizer behavior, rng determinism and checkpoints."""
 
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,12 @@ from ffusion.autodiff import (
     ops,
     save_checkpoint,
 )
-from ffusion.errors import CheckpointError, OptimizerError
+from ffusion.autodiff.tensor import record_op
+from ffusion.errors import CheckpointError, GradientError, OptimizerError
+from ffusion.model import (
+    MODALITIES, AvailabilityMask, FusionNetwork, ModelConfig, prepare_all, stack_features)
+from ffusion.safety import independence
+from ffusion.scene import synthesize_sample
 
 TOL = 1e-5
 
@@ -175,8 +182,6 @@ class TestGradCheckAllOps:
 
     def test_grad_check_catches_wrong_gradient(self):
         # Negative control: a deliberately broken backward rule must fail.
-        from ffusion.autodiff.tensor import record_op
-
         def bad_square(t):
             out = Tensor._result(t.data * t.data, t.requires_grad)
             record_op((t,), out, lambda g: (g * t.data,))  # missing factor 2
@@ -372,3 +377,161 @@ class TestCheckpointProperties:
     @given(offset=st.integers(0, len(CHECKPOINT) - 1), value=st.integers(0, 255))
     def test_one_byte_mutation_rejected_or_loaded(self, offset, value):
         _load_or_reject(CHECKPOINT[:offset] + bytes([value]) + CHECKPOINT[offset + 1:])
+
+
+def _sequential_grads(tape, loss) -> dict:
+    """Leaf gradients from one plain reverse walk of the whole tape."""
+    produced = {id(rec.output) for rec in tape.records}
+    flowing = {id(loss): np.ones_like(loss.data)}
+    leaves = {}
+    for rec in reversed(tape.records):
+        out_grad = flowing.pop(id(rec.output), None)
+        if out_grad is None:
+            continue
+        for tensor, contrib in zip(rec.inputs, rec.backward_fn(out_grad)):
+            if contrib is None or not tensor.requires_grad:
+                continue
+            if id(tensor) not in produced:
+                leaves[id(tensor)] = tensor
+            held = flowing.get(id(tensor))
+            flowing[id(tensor)] = contrib if held is None else held + contrib
+    return {tid: flowing[tid] for tid in leaves}
+
+
+def _network_step():
+    net = FusionNetwork(config=ModelConfig(), seed=0)
+    root = Rng(11)
+    samples = [synthesize_sample(f"{i:06d}", root.derive_seed(f"sample/{i:06d}"))
+               for i in range(3)]
+    return net, stack_features(prepare_all(samples, net))
+
+
+def _assert_grads_equal(store, expected: dict) -> None:
+    for path, param in store.items():
+        want = expected.get(id(param))
+        if want is None:
+            assert param.grad is None, path
+        else:
+            assert param.grad is not None and np.array_equal(param.grad, want), path
+
+
+class TestConcurrentBackward:
+    """`backward` runs the tape's independent head groups on two threads;
+    every gradient must equal a sequential reverse walk bit for bit."""
+
+    @pytest.mark.parametrize("dropped", [None, *MODALITIES])
+    def test_network_step_matches_sequential(self, dropped):
+        # A full training step and each one-modality-dropped step.
+        mask = AvailabilityMask(**{m: m != dropped for m in MODALITIES})
+        net, batch = _network_step()
+        with Tape() as tape:
+            loss = net.loss(net.forward(batch, mask), batch)
+        expected = _sequential_grads(tape, loss)
+        backward(tape, loss)
+        _assert_grads_equal(net.store, expected)
+
+    def test_check_functional_steps_match_sequential(self, monkeypatch):
+        net, batch = _network_step()
+        steps = []
+
+        def checked(tape, loss):
+            expected = _sequential_grads(tape, loss)
+            backward(tape, loss)
+            _assert_grads_equal(net.store, expected)
+            steps.append(loss)
+
+        monkeypatch.setattr(independence, "backward", checked)
+        results, _ = independence.check_functional(net, batch)
+        assert all(results.values()) and len(steps) == len(MODALITIES)
+
+    def test_shared_leaf_keeps_sequential_sum_order(self):
+        # Two chains share w, so they form one group; a third chain on u is
+        # its own group, and the tail uses w too. Summing w's terms in any
+        # other order than the sequential one gives different bits.
+        big = 1e16
+        w = Tensor([1.0], requires_grad=True)
+        u = Tensor([2.0], requires_grad=True)
+        with Tape() as tape:
+            a = ops.mul(w, Tensor.constant([big]))
+            b = ops.mul(w, Tensor.constant([-big]))
+            head = ops.add(ops.add(a, b), ops.scale(ops.mul(u, u), 0.5))
+            loss = ops.sum_(ops.add(head, ops.mul(w, Tensor.constant([1.0]))))
+        expected = _sequential_grads(tape, loss)
+        assert expected[id(w)][0] != (big - big) + 1.0
+        backward(tape, loss)
+        assert np.array_equal(w.grad, expected[id(w)])
+        assert np.array_equal(u.grad, expected[id(u)])
+
+    def test_head_group_error_reaches_caller(self):
+        # The big group blocks until the bad group has run, so the two run
+        # on different threads; the bad rule's error must still surface.
+        ran = threading.Event()
+
+        def waits(g):
+            assert ran.wait(10.0), "head groups did not run concurrently"
+            return (g,)
+
+        def bad(g):
+            ran.set()
+            return (np.zeros(3),)
+
+        x = Tensor(np.ones(2), requires_grad=True)
+        y = Tensor(np.ones(2), requires_grad=True)
+        with Tape() as tape:
+            slow = ops.scale(x, 1.0)
+            for _ in range(3):
+                slow = ops.scale(slow, 1.0)
+            out = Tensor._result(slow.data.copy(), True)
+            record_op((slow,), out, waits)
+            broken = Tensor._result(y.data.copy(), True)
+            record_op((y,), broken, bad)
+            loss = ops.sum_(ops.add(out, broken))
+        with pytest.raises(GradientError, match="does not match"):
+            backward(tape, loss)
+
+    def test_repeated_calls_reuse_one_worker(self):
+        before = threading.active_count()
+        threads = []
+
+        def note(g):
+            threads.append(threading.current_thread())
+            assert threading.active_count() <= before + 1
+            return (g,)
+
+        for _ in range(5):
+            leaves = [Tensor(np.ones(2), requires_grad=True) for _ in range(2)]
+            with Tape() as tape:
+                parts = []
+                for leaf in leaves:
+                    part = Tensor._result(leaf.data.copy(), True)
+                    record_op((leaf,), part, note)
+                    parts.append(part)
+                loss = ops.sum_(ops.add(*parts))
+            backward(tape, loss)
+            assert all(np.array_equal(leaf.grad, np.ones(2)) for leaf in leaves)
+        assert len(set(map(id, threads))) <= 2
+        assert threading.active_count() <= before + 1
+
+    def test_concurrent_callers_share_the_worker(self):
+        # Four callers, more threads than cores, hand their head groups to the
+        # one worker while the interpreter switches threads often; a group
+        # lost in the shared queue leaves a leaf without its gradient.
+        calls = []
+        for _ in range(4):
+            leaves = [Tensor(np.full(3, i + 1.0), requires_grad=True) for i in range(12)]
+            with Tape() as tape:
+                loss = ops.sum_(ops.concat([ops.mul(leaf, leaf) for leaf in leaves], axis=0))
+            calls.append((tape, loss, leaves))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=backward, args=call[:2]) for call in calls]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for _, _, leaves in calls:
+            assert all(np.array_equal(leaf.grad, 2.0 * leaf.data) for leaf in leaves)

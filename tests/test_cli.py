@@ -387,6 +387,28 @@ class TestExitCodes:
         assert cause in err[0]
         assert not checkpoint.exists()
 
+    @pytest.mark.parametrize("command", ["inject", "eval"])
+    def test_repeated_sample_id_is_data_error(self, pipeline, tmp_path, capsys, command):
+        # inject keys samples by id: a repeated id would write one sample's
+        # data under another's file names.
+        work, config, config_path = pipeline
+        data = tmp_path / "data"
+        shutil.copytree(config.paths.dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        repeated = manifest["samples"][0]["id"]
+        manifest["samples"][1]["id"] = repeated
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        out, report = tmp_path / "out", tmp_path / "eval_report.json"
+        extra = {"inject": ["--modality", "camera", "--kind", "blackout", "--out", str(out)],
+                 "eval": ["--set", f"paths.eval_report={report}"]}[command]
+        capsys.readouterr()
+        assert main([command, "--config", str(config_path),
+                     "--set", f"paths.dataset_dir={data}", *extra]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid-data: ")
+        assert f"sample id {repeated!r} twice" in err[0]
+        assert not out.exists() and not report.exists()
+
     @pytest.mark.parametrize("command, ratios, empty", [
         ("train", "[0.85,0.05,0.1]", "val"),
         ("eval", "[0.85,0.05,0.1]", "val"),
