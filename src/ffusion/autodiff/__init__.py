@@ -23,13 +23,12 @@ from ffusion.autodiff.ops import (
     sum_,
     transpose,
 )
-from ffusion.autodiff.optim import AdamConfig, AdamState, adam_step
+from ffusion.autodiff.optim import AdamState, adam_step
 from ffusion.autodiff.params import ParamStore
 from ffusion.autodiff.rng import Rng
 from ffusion.autodiff.tensor import Tape, Tensor, backward
 
 __all__ = [
-    "AdamConfig",
     "AdamState",
     "ParamStore",
     "Rng",

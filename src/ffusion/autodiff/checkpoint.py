@@ -42,7 +42,9 @@ def save_checkpoint(source: Union[ParamStore, Mapping[str, np.ndarray]], path) -
         header.append(f"{name} {dims}".rstrip())
     header.append("end")
     blob = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in entries)
-    Path(path).write_bytes("\n".join(header).encode("ascii") + b"\n" + blob)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes("\n".join(header).encode("ascii") + b"\n" + blob)
 
 
 def _header_int(token: str, what: str) -> int:

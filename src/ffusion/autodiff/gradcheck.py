@@ -10,13 +10,15 @@ from ffusion.autodiff.params import ParamStore
 from ffusion.autodiff.tensor import Tape, Tensor, backward
 from ffusion.errors import GradientError
 
+EPS = 1e-6  # central-difference step
+
 
 def relative_error(g_auto: np.ndarray, g_fd: np.ndarray) -> np.ndarray:
     """|g_auto - g_fd| / max(1e-8, |g_auto| + |g_fd|), elementwise."""
     return np.abs(g_auto - g_fd) / np.maximum(1e-8, np.abs(g_auto) + np.abs(g_fd))
 
 
-def grad_check(fn: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-6) -> float:
+def grad_check(fn: Callable[[Tensor], Tensor], x: Tensor) -> float:
     """Max relative error between the tape gradient and central differences.
 
     fn must map x to a scalar tensor and be deterministic. x is perturbed
@@ -36,12 +38,12 @@ def grad_check(fn: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-6) -> 
     fd_flat = g_fd.reshape(-1)
     for i in range(flat.size):
         saved = flat[i]
-        flat[i] = saved + eps
+        flat[i] = saved + EPS
         hi = fn(x).item()
-        flat[i] = saved - eps
+        flat[i] = saved - EPS
         lo = fn(x).item()
         flat[i] = saved
-        fd_flat[i] = (hi - lo) / (2.0 * eps)
+        fd_flat[i] = (hi - lo) / (2.0 * EPS)
     x.grad = None
     return float(relative_error(g_auto, g_fd).max())
 
@@ -50,7 +52,6 @@ def grad_check_components(
     loss_fn: Callable[[], Tensor],
     store: ParamStore,
     picks: Sequence[tuple],
-    eps: float = 1e-6,
 ) -> float:
     """Spot-check chosen parameter components of a full training loss.
 
@@ -70,12 +71,12 @@ def grad_check_components(
         if not (0 <= index < flat.size):
             raise GradientError(f"component {index} outside parameter {path!r}")
         saved = flat[index]
-        flat[index] = saved + eps
+        flat[index] = saved + EPS
         hi = loss_fn().item()
-        flat[index] = saved - eps
+        flat[index] = saved - EPS
         lo = loss_fn().item()
         flat[index] = saved
-        fd = (hi - lo) / (2.0 * eps)
+        fd = (hi - lo) / (2.0 * EPS)
         ga = float(auto[path].reshape(-1)[index])
         err = float(relative_error(np.asarray(ga), np.asarray(fd)))
         worst = max(worst, err)

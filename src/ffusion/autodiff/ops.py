@@ -26,6 +26,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 CE_PROB_FLOOR = 1e-12
+LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
 
 
 def _result(inputs: Sequence[Tensor], arr: Array) -> Tensor:
@@ -406,10 +407,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple:
     return out, weights
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then affine."""
-    if eps <= 0.0:
-        raise ValueError(f"layer_norm: eps must be positive, got {eps}")
     n = x.data.shape[-1] if x.data.ndim else 0
     if n < 1:
         raise ShapeError(f"layer_norm: last axis must be non-empty, got shape {x.data.shape}")
@@ -422,7 +421,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     normed = x.data - x.data.mean(axis=-1, keepdims=True)
     arr = normed * normed
     inv = arr.mean(axis=-1, keepdims=True)
-    inv += eps
+    inv += LAYER_NORM_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     normed *= inv

@@ -12,20 +12,9 @@ from ffusion.autodiff.tensor import Array
 from ffusion.errors import OptimizerError
 
 
-@dataclass
-class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if not (self.lr > 0.0 and np.isfinite(self.lr)):
-            raise OptimizerError(f"lr must be positive and finite, got {self.lr}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise OptimizerError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.eps <= 0.0:
-            raise OptimizerError(f"eps must be positive, got {self.eps}")
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
@@ -49,17 +38,19 @@ def adam_step(
     store: ParamStore,
     grads: Mapping[str, Array],
     state: AdamState,
-    config: AdamConfig,
+    lr: float,
 ) -> None:
     """One in-place Adam update over every parameter, in sorted path order.
 
-    Identical store, gradients, state and config always produce identical
+    Identical store, gradients, state and lr always produce identical
     updates. Non-finite gradients abort with the offending parameter named.
     """
+    if not (lr > 0.0 and np.isfinite(lr)):
+        raise OptimizerError(f"lr must be positive and finite, got {lr}")
     state.step += 1
     t = state.step
-    correction1 = 1.0 - config.beta1 ** t
-    correction2 = 1.0 - config.beta2 ** t
+    correction1 = 1.0 - BETA1 ** t
+    correction2 = 1.0 - BETA2 ** t
     for path, param in store.items():
         if path not in grads:
             raise OptimizerError(f"missing gradient for parameter {path!r}")
@@ -74,18 +65,18 @@ def adam_step(
         m = state.m[path]
         v = state.v[path]
         # param -= lr * m_hat / (sqrt(v_hat) + eps), in two temporaries.
-        step = np.multiply(g, 1.0 - config.beta1)
-        m *= config.beta1
+        step = np.multiply(g, 1.0 - BETA1)
+        m *= BETA1
         m += step
         np.multiply(g, g, out=step)
-        step *= 1.0 - config.beta2
-        v *= config.beta2
+        step *= 1.0 - BETA2
+        v *= BETA2
         v += step
         np.divide(m, correction1, out=step)
-        step *= config.lr
+        step *= lr
         denom = np.divide(v, correction2)
         np.sqrt(denom, out=denom)
-        denom += config.eps
+        denom += EPS
         step /= denom
         param.data -= step
 

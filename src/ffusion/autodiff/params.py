@@ -31,14 +31,8 @@ class ParamStore:
         self._params[path] = tensor
         return tensor
 
-    def __contains__(self, path: str) -> bool:
-        return path in self._params
-
     def __getitem__(self, path: str) -> Tensor:
         return self._params[path]
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def paths(self) -> tuple:
         return tuple(sorted(self._params))

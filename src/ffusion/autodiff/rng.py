@@ -45,7 +45,3 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def generator(self) -> np.random.Generator:
-        """The underlying numpy generator, for bulk draws."""
-        return self._gen

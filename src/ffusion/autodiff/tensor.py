@@ -54,10 +54,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def size(self) -> int:
         return self.data.size
 
@@ -65,9 +61,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -114,9 +107,6 @@ class Tape:
         if popped is not self:
             raise GradientError("tape context stack corrupted")
         return False
-
-    def __len__(self) -> int:
-        return len(self.records)
 
     @classmethod
     def active(cls) -> Optional["Tape"]:

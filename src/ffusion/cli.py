@@ -38,9 +38,15 @@ from .safety import (
     load_arch_graph,
     single_modality_probe,
     snr_enrichment_eval,
-    write_json_report,
-    write_text_report,
+)
+from .safety.report import (
     REPORT_FORMAT,
+    check_summary_input,
+    render_json,
+    render_text_summary,
+    write_json_report,
+    write_report,
+    write_text_report,
 )
 from .scene.dataset import build_dataset, load_dataset, read_manifest, write_sample
 
@@ -97,13 +103,8 @@ def _load_splits(config: RunConfig, needed) -> dict:
     return splits
 
 
-def _prepare_parent(path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-
-
 def _merge_timing(config: RunConfig, key: str, seconds: float) -> None:
     path = Path(config.paths.timings)
-    _prepare_parent(path)
     data = {"format": "ffusion-timings-v1"}
     if path.is_file():
         try:
@@ -111,6 +112,7 @@ def _merge_timing(config: RunConfig, key: str, seconds: float) -> None:
         except DataError:
             pass  # stale sidecar; rewrite it
     data[key] = round(seconds, 3)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
@@ -128,10 +130,8 @@ def cmd_train(args) -> int:
     _require_dataset(config)
     started = time.perf_counter()
     splits = _load_splits(config, ("train", "val"))
-    network = FusionNetwork(config=config.model, vocab=None,
-                            seed=config.training.seed)
+    network = FusionNetwork(config=config.model, seed=config.training.seed)
     curve = train(network, splits["train"], config.training)
-    _prepare_parent(config.paths.checkpoint)
     network.save(config.paths.checkpoint)
 
     val_metrics, _ = evaluate(network, splits["val"], scenario="val")
@@ -142,7 +142,6 @@ def cmd_train(args) -> int:
         "train_loss_curve": curve,
         "val": to_plain(val_metrics),
     }
-    _prepare_parent(config.paths.train_metrics)
     write_json_report(config.paths.train_metrics, payload)
     _merge_timing(config, "train_seconds", time.perf_counter() - started)
     print(f"checkpoint: {config.paths.checkpoint} "
@@ -172,9 +171,7 @@ def cmd_eval(args) -> int:
         "probes": [to_plain(probes[m]) for m in sorted(probes)],
         "enrichment": to_plain(enrichment),
     }
-    _prepare_parent(config.paths.eval_report)
     write_json_report(config.paths.eval_report, payload)
-    _prepare_parent(config.paths.eval_summary)
     write_text_report(config.paths.eval_summary, payload)
     _merge_timing(config, "eval_seconds", time.perf_counter() - started)
     print(f"evaluation: {len(config.scenarios)} scenarios -> "
@@ -184,11 +181,16 @@ def cmd_eval(args) -> int:
 
 def cmd_inject(args) -> int:
     config = _load_config(args)
+    out = Path(args.out)
+    if out.resolve() == Path(config.paths.dataset_dir).resolve():
+        raise ConfigError(
+            f"--out {args.out} is the dataset directory "
+            f"{config.paths.dataset_dir}; inject writes a corrupted copy, "
+            "so it needs another directory")
     _require_dataset(config)
     spec = FaultSpec(modality=args.modality, kind=args.kind,
                      magnitude=args.magnitude, seed=args.fault_seed)
     manifest = read_manifest(config.paths.dataset_dir)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     splits = load_dataset(config.paths.dataset_dir)
     by_id = {s.sample_id: s for items in splits.values() for s in items}
@@ -227,7 +229,6 @@ def cmd_asil_check(args) -> int:
         print(f"{claim.parent} -> {' + '.join(claim.parts)}: "
               f"{verdict.status} ({verdict.reason})")
     if args.json:
-        _prepare_parent(args.json)
         write_json_report(args.json, {
             "format": REPORT_FORMAT,
             "version": __version__,
@@ -242,8 +243,13 @@ def _read_json(path, description: str) -> dict:
     file = Path(path)
     if not file.is_file():
         raise MissingInputError(f"{description} not found: {path}")
+
+    def reject(constant):
+        # The writers never emit these, and render_json cannot write them back.
+        raise DataError(f"{description} {path} holds {constant}, which is not JSON")
+
     try:
-        payload = json.loads(file.read_text(encoding="utf-8"))
+        payload = json.loads(file.read_text(encoding="utf-8"), parse_constant=reject)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{description} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -256,6 +262,8 @@ def cmd_report(args) -> int:
     config = _load_config(args)
     train_payload = _read_json(config.paths.train_metrics, "training metrics")
     eval_payload = _read_json(config.paths.eval_report, "evaluation report")
+    check_summary_input({k: eval_payload.get(k) for k in ("degradation", "probes", "enrichment")},
+                        f"evaluation report {config.paths.eval_report}")
     payload = {
         "format": REPORT_FORMAT,
         "version": __version__,
@@ -278,10 +286,13 @@ def cmd_report(args) -> int:
         timings = _read_json(timings_path, "timings sidecar")
         payload["timings"] = {k: v for k, v in timings.items()
                               if k != "format"}
-    _prepare_parent(config.paths.report)
-    write_json_report(config.paths.report, payload)
-    _prepare_parent(config.paths.report_summary)
-    write_text_report(config.paths.report_summary, payload)
+        check_summary_input({"timings": payload["timings"]},
+                            f"timings sidecar {timings_path}")
+    # Render both before writing either, so a failure leaves neither file.
+    rendered = ((config.paths.report, render_json(payload)),
+                (config.paths.report_summary, render_text_summary(payload)))
+    for path, text in rendered:
+        write_report(path, text)
     print(f"report: {config.paths.report} and {config.paths.report_summary}")
     return EXIT_OK
 

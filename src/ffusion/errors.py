@@ -42,7 +42,7 @@ class SceneError(FfusionError):
 
 
 class DataError(FfusionError):
-    """Malformed dataset files, manifests, vocabularies or samples."""
+    """Malformed dataset files, manifests, texts or samples."""
 
 
 class FusionError(FfusionError):

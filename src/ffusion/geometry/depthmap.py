@@ -47,10 +47,6 @@ class DepthMap:
     def width(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def valid_count(self) -> int:
-        return int(self.valid.sum())
-
     @classmethod
     def empty(cls, height: int, width: int) -> "DepthMap":
         return cls(np.zeros((height, width)), np.zeros((height, width), dtype=bool))

@@ -53,20 +53,12 @@ from ffusion.model.training import (
     prepare_all,
     train,
 )
-from ffusion.model.vocab import (
-    BOS_ID,
-    DEFAULT_VOCAB,
-    EOS_ID,
-    PAD_ID,
-    UNK_ID,
-    Vocab,
-)
+from ffusion.model.vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
 __all__ = [
     "AvailabilityMask",
     "BOS_ID",
     "CommandHead",
-    "DEFAULT_VOCAB",
     "DEGRADED",
     "DEPTH_SCALE",
     "EOS_ID",
@@ -96,7 +88,6 @@ __all__ = [
     "TrainConfig",
     "TransformerBlock",
     "UNK_ID",
-    "Vocab",
     "build_branches",
     "camera_health",
     "depth_health",

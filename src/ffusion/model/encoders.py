@@ -8,7 +8,6 @@ weights. All branches emit width-d latent tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -16,6 +15,7 @@ from ffusion.autodiff import ParamStore, Rng, Tensor, add, embedding_lookup, lin
 from ffusion.errors import ConfigError, ShapeError
 from ffusion.model.config import IMAGE_SIDE, ModelConfig
 from ffusion.model.layers import Linear, TransformerBlock, init_param
+from ffusion.model.vocab import VOCABULARY
 
 MODALITIES = ("camera", "depth", "text")
 
@@ -63,7 +63,7 @@ class EncoderBranch:
     """Embedder plus L transformer blocks for one modality."""
 
     def __init__(self, store: ParamStore, rng: Rng, modality: str,
-                 config: ModelConfig, vocab_size: Optional[int] = None):
+                 config: ModelConfig):
         if modality not in MODALITIES:
             raise ConfigError(f"unknown modality {modality!r}")
         self.modality = modality
@@ -71,12 +71,9 @@ class EncoderBranch:
         self.prefix = f"encoder.{modality}"
         side = IMAGE_SIDE // config.patch
         if modality == "text":
-            if vocab_size is None:
-                raise ConfigError("text branch requires a vocabulary size")
             self.tokens = config.text_len
-            self.table = init_param(
-                store, rng, f"{self.prefix}.embed.table", (vocab_size, config.d), config.d
-            )
+            self.table = init_param(store, rng, f"{self.prefix}.embed.table",
+                                    (len(VOCABULARY), config.d), config.d)
         else:
             channels = CAMERA_CHANNELS if modality == "camera" else DEPTH_CHANNELS
             self.tokens = side * side
@@ -121,11 +118,6 @@ class EncoderBranch:
         return TokenSequence(modality=self.modality, tokens=x)
 
 
-def build_branches(store: ParamStore, rng: Rng, config: ModelConfig,
-                   vocab_size: int) -> dict:
+def build_branches(store: ParamStore, rng: Rng, config: ModelConfig) -> dict:
     """One EncoderBranch per modality, parameter paths pairwise disjoint."""
-    return {
-        "camera": EncoderBranch(store, rng, "camera", config),
-        "depth": EncoderBranch(store, rng, "depth", config),
-        "text": EncoderBranch(store, rng, "text", config, vocab_size=vocab_size),
-    }
+    return {m: EncoderBranch(store, rng, m, config) for m in MODALITIES}

@@ -24,11 +24,10 @@ FAILED = "failed"
 
 @dataclass(frozen=True)
 class ModalityHealth:
-    """Status plus the evidence that produced it."""
+    """Triage status of one modality's input."""
 
     modality: str
     status: str
-    nonfinite_rate: float
 
     def __post_init__(self):
         if self.modality not in MODALITIES:
@@ -44,16 +43,15 @@ class ModalityHealth:
 def _classify(modality: str, values: np.ndarray, empty: bool = False) -> ModalityHealth:
     flat = np.asarray(values, dtype=np.float64).reshape(-1)
     if empty or flat.size == 0:
-        return ModalityHealth(modality, FAILED, 1.0)
+        return ModalityHealth(modality, FAILED)
     finite = np.isfinite(flat)
     rate = float(1.0 - finite.mean())
     clean = flat[finite]
     if rate > NONFINITE_FAIL_RATE:
-        return ModalityHealth(modality, FAILED, rate)
+        return ModalityHealth(modality, FAILED)
     if clean.size and np.all(clean == clean[0]):
-        return ModalityHealth(modality, FAILED, rate)
-    status = DEGRADED if rate > 0.0 else NOMINAL
-    return ModalityHealth(modality, status, rate)
+        return ModalityHealth(modality, FAILED)
+    return ModalityHealth(modality, DEGRADED if rate > 0.0 else NOMINAL)
 
 
 def camera_health(rgb: np.ndarray) -> ModalityHealth:
@@ -70,7 +68,7 @@ def text_health(text: str) -> ModalityHealth:
     """A text channel fails silent (empty) or stuck (one repeated word)."""
     words = text.split() if isinstance(text, str) else []
     if not words:
-        return ModalityHealth("text", FAILED, 0.0)
+        return ModalityHealth("text", FAILED)
     if len(set(words)) == 1 and len(words) > 1:
-        return ModalityHealth("text", FAILED, 0.0)
-    return ModalityHealth("text", NOMINAL, 0.0)
+        return ModalityHealth("text", FAILED)
+    return ModalityHealth("text", NOMINAL)

@@ -26,7 +26,7 @@ from ffusion.model.encoders import (
     patchify,
 )
 from ffusion.model.health import ModalityHealth, camera_health, depth_health, text_health
-from ffusion.model.vocab import Vocab
+from ffusion.model.vocab import encode
 from ffusion.scene.dataset import Sample
 from ffusion.scene.render import DEFAULT_INTRINSICS
 
@@ -51,8 +51,7 @@ class FeatureSet:
         return tuple(self.health[m].available for m in MODALITIES)
 
 
-def prepare_samples(samples: Sequence[Sample], config: ModelConfig,
-                    vocab: Vocab) -> List[FeatureSet]:
+def prepare_samples(samples: Sequence[Sample], config: ModelConfig) -> List[FeatureSet]:
     """Prepare encoder inputs for many samples, in order.
 
     Per sample: camera triage and patches, projection with the registration
@@ -82,7 +81,7 @@ def prepare_samples(samples: Sequence[Sample], config: ModelConfig,
 
         t_health = text_health(sample.text)
         if t_health.available:
-            ids = vocab.encode(sample.text, config.text_len)
+            ids = encode(sample.text, config.text_len)
         else:
             ids = np.zeros(config.text_len, dtype=np.int64)
 
@@ -118,9 +117,9 @@ def _densify_into(pending: Sequence[Tuple[FeatureSet, DepthMap]], patch: int) ->
         feature.depth = patchify(image, patch)
 
 
-def prepare_features(sample: Sample, config: ModelConfig, vocab: Vocab) -> FeatureSet:
+def prepare_features(sample: Sample, config: ModelConfig) -> FeatureSet:
     """prepare_samples for one sample."""
-    return prepare_samples([sample], config, vocab)[0]
+    return prepare_samples([sample], config)[0]
 
 
 @dataclass

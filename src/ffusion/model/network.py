@@ -21,7 +21,6 @@ from ffusion.model.decoders import CommandHead, SegHead
 from ffusion.model.encoders import MODALITIES, EncoderBranch, build_branches
 from ffusion.model.fusion import AvailabilityMask, FusedLatent, FusionCore
 from ffusion.model.inputs import FeatureBatch
-from ffusion.model.vocab import DEFAULT_VOCAB, Vocab
 
 SEG_LOSS_WEIGHT = 0.5
 
@@ -37,14 +36,12 @@ class FusionNetwork:
     """Three independent encoders, a fusion stack over the available
     modalities and two decoders reading only the fused latent."""
 
-    def __init__(self, config: Optional[ModelConfig] = None,
-                 vocab: Optional[Vocab] = None, seed: int = 0):
+    def __init__(self, config: Optional[ModelConfig] = None, seed: int = 0):
         self.config = config or ModelConfig()
-        self.vocab = vocab or DEFAULT_VOCAB
         self.seed = int(seed)
         self.store = ParamStore()
         rng = Rng(self.seed).derive("init")
-        self.branches = build_branches(self.store, rng, self.config, self.vocab.size)
+        self.branches = build_branches(self.store, rng, self.config)
         self.fusion = FusionCore(self.store, rng, self.config)
         self.command_head = CommandHead(self.store, rng, self.config)
         self.seg_head = SegHead(self.store, rng, self.config)
@@ -89,8 +86,7 @@ class FusionNetwork:
 
     @classmethod
     def from_checkpoint(cls, path: Union[str, Path],
-                        config: Optional[ModelConfig] = None,
-                        vocab: Optional[Vocab] = None) -> "FusionNetwork":
-        net = cls(config=config, vocab=vocab)
+                        config: Optional[ModelConfig] = None) -> "FusionNetwork":
+        net = cls(config=config)
         net.load(path)
         return net

@@ -7,7 +7,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ffusion.autodiff import AdamConfig, AdamState, Rng, Tape, adam_step, backward
+from ffusion.autodiff import AdamState, Rng, Tape, adam_step, backward
 from ffusion.errors import ConfigError, DataError, TrainingError
 from ffusion.model.config import require_int, require_real
 from ffusion.model.encoders import MODALITIES
@@ -74,7 +74,7 @@ def _first_nonfinite_path(network: FusionNetwork) -> Optional[str]:
 
 
 def prepare_all(samples: Sequence[Sample], network: FusionNetwork) -> List[FeatureSet]:
-    return prepare_samples(samples, network.config, network.vocab)
+    return prepare_samples(samples, network.config)
 
 
 def train(network: FusionNetwork, samples: Sequence[Sample],
@@ -100,7 +100,6 @@ def train(network: FusionNetwork, samples: Sequence[Sample],
                             f"{f.sample_id} failed it on {', '.join(failed)}")
     rng = Rng(config.seed)
     drop_rng = rng.derive("modality-dropout")
-    adam = AdamConfig(lr=config.learning_rate)
     state = AdamState.for_store(network.store)
     curve: List[float] = []
     n = len(features)
@@ -130,7 +129,8 @@ def train(network: FusionNetwork, samples: Sequence[Sample],
             network.store.zero_grad()
             backward(tape, loss)
             try:
-                adam_step(network.store, network.store.gradients(), state, adam)
+                adam_step(network.store, network.store.gradients(), state,
+                          config.learning_rate)
             except Exception as exc:
                 raise TrainingError(
                     f"optimizer failure in epoch {epoch}, "

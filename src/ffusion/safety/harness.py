@@ -60,17 +60,15 @@ class Scenario:
         return from_plain(cls, raw, where)
 
 
-def default_scenarios(seed: int = 0) -> List[Scenario]:
+def default_scenarios() -> List[Scenario]:
     """Nominal baseline plus the five standard single-sensor campaigns."""
     return [
         Scenario(NOMINAL),
         Scenario("camera_blackout", (FaultSpec("camera", "blackout"),)),
         Scenario("lidar_blackout", (FaultSpec("lidar", "blackout"),)),
         Scenario("text_blackout", (FaultSpec("text", "blackout"),)),
-        Scenario("camera_noise",
-                 (FaultSpec("camera", "gaussian_noise", 0.5, seed),)),
-        Scenario("lidar_dropout",
-                 (FaultSpec("lidar", "partial_dropout", 0.5, seed),)),
+        Scenario("camera_noise", (FaultSpec("camera", "gaussian_noise", 0.5),)),
+        Scenario("lidar_dropout", (FaultSpec("lidar", "partial_dropout", 0.5),)),
     ]
 
 

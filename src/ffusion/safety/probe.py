@@ -16,7 +16,6 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ..autodiff import (
-    AdamConfig,
     AdamState,
     ParamStore,
     Rng,
@@ -32,6 +31,7 @@ from ..scene.commands import COMMANDS
 PROBE_EPOCHS = 50
 PROBE_BATCH = 32
 PROBE_SEED = 7
+PROBE_LR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,6 @@ def _train_probes(train_x: np.ndarray, train_y: np.ndarray,
         np.zeros((m, len(COMMANDS))), requires_grad=True))
 
     state = AdamState.for_store(store)
-    config = AdamConfig()
     for epoch in range(PROBE_EPOCHS):
         order = rng.derive(f"order/epoch{epoch}").permutation(n)
         for start in range(0, n, PROBE_BATCH):
@@ -102,7 +101,7 @@ def _train_probes(train_x: np.ndarray, train_y: np.ndarray,
             adam_step(store, {
                 "probe.weight": np.matmul(np.swapaxes(x, -1, -2), dlogits),
                 "probe.bias": dlogits.sum(axis=1),
-            }, state, config)
+            }, state, PROBE_LR)
 
     scores = np.matmul(val_x, weight.data) + bias.data[:, None]
     return [float(np.mean(s.argmax(axis=-1) == val_y)) for s in scores]
@@ -141,12 +140,12 @@ def probe_modality(network, train_samples: Sequence, val_samples: Sequence,
 
 
 def single_modality_probe(network, train_samples: Sequence,
-                          val_samples: Sequence,
-                          seed: int = PROBE_SEED) -> Dict[str, ProbeResult]:
+                          val_samples: Sequence) -> Dict[str, ProbeResult]:
     """Probe each modality on the true labels; keys follow MODALITIES order.
 
-    Both splits are prepared once, and the three probes train as one stack.
+    Both splits are prepared once, and the three probes train as one stack
+    with PROBE_SEED.
     """
     results = _probe(network, prepare_all(train_samples, network),
-                     prepare_all(val_samples, network), MODALITIES, False, seed)
+                     prepare_all(val_samples, network), MODALITIES, False, PROBE_SEED)
     return dict(zip(MODALITIES, results))

@@ -10,6 +10,8 @@ non-reproducible.
 import json
 from pathlib import Path
 
+from ..errors import DataError
+
 REPORT_FORMAT = "ffusion-report-v1"
 
 
@@ -17,8 +19,15 @@ def render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
+def write_report(path, text: str) -> None:
+    """Write rendered report text, creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
 def write_json_report(path, payload: dict) -> None:
-    Path(path).write_text(render_json(payload), encoding="utf-8")
+    write_report(path, render_json(payload))
 
 
 def _fmt(value) -> str:
@@ -27,18 +36,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.4f}"
     return str(value)
-
-
-def _metrics_lines(metrics: dict, indent: str = "  ") -> list:
-    lines = [
-        f"{indent}command accuracy: {_fmt(metrics['command_accuracy'])}",
-        f"{indent}segmentation accuracy: {_fmt(metrics['seg_accuracy'])}",
-    ]
-    per_class = metrics.get("per_class") or {}
-    if per_class:
-        parts = [f"{name}={_fmt(acc)}" for name, acc in per_class.items()]
-        lines.append(f"{indent}per command: " + ", ".join(parts))
-    return lines
 
 
 def render_text_summary(payload: dict) -> str:
@@ -51,18 +48,22 @@ def render_text_summary(payload: dict) -> str:
     if degradation:
         lines.append("")
         lines.append("nominal baseline")
-        lines.extend(_metrics_lines(degradation["nominal"]))
+        nominal = degradation["nominal"]
+        lines.append(f"  command accuracy: {_fmt(nominal['command_accuracy'])}")
+        lines.append(f"  segmentation accuracy: {_fmt(nominal['seg_accuracy'])}")
+        if nominal.get("per_class"):
+            lines.append("  per command: " + ", ".join(
+                f"{name}={_fmt(acc)}" for name, acc in nominal["per_class"].items()))
         scenarios = degradation.get("scenarios", [])
         if scenarios:
             lines.append("")
             lines.append("scenario           status       cmd-acc  retained  arbitration (cam/depth/text)")
             for item in scenarios:
                 metrics = item.get("metrics")
-                acc = _fmt(None if metrics is None else metrics["command_accuracy"])
+                acc = _fmt(metrics["command_accuracy"] if metrics else None)
                 retained = _fmt(item.get("retained_accuracy"))
                 arb = item.get("arbitration")
-                arb_text = ("n/a" if arb is None
-                            else "/".join(f"{v:.3f}" for v in arb))
+                arb_text = "/".join(f"{v:.3f}" for v in arb) if arb else "n/a"
                 lines.append(
                     f"{item['name']:<18} {item['status']:<12} {acc:>7}"
                     f"  {retained:>8}  {arb_text}")
@@ -122,4 +123,53 @@ def render_text_summary(payload: dict) -> str:
 
 
 def write_text_report(path, payload: dict) -> None:
-    Path(path).write_text(render_text_summary(payload), encoding="utf-8")
+    write_report(path, render_text_summary(payload))
+
+
+_REAL = (int, float)
+_KINDS = {dict: "an object", list: "a list", str: "a string", _REAL: "a number"}
+
+# What render_text_summary reads of a payload. A dict gives an object's keys
+# ("*" stands for each key it holds); a key ending in "?" may be absent or
+# empty, and the renderer then skips it. [shape] is a list of that shape, a
+# type is a value of that type, and None is any value.
+_SUMMARY_SHAPE = {
+    "degradation?": {
+        "nominal": {"command_accuracy": None, "seg_accuracy": None, "per_class?": dict},
+        "scenarios?": [{"name": str, "status": str, "metrics?": {"command_accuracy": None},
+                        "arbitration?": [_REAL]}],
+        "independence?": {"all_pass": None, "structural_pass": None,
+                          "functional_pass": dict, "gradient_leaks": dict},
+    },
+    "probes?": [{"modality": str, "accuracy": None}],
+    "enrichment?": [{"sigma": _REAL, "fused_accuracy": _REAL, "camera_only_accuracy": _REAL}],
+    "timings?": {"*": _REAL},
+}
+
+
+def check_summary_input(sections: dict, source: str) -> None:
+    """Raise DataError where payload sections lack a key or hold a value
+    of another type than render_text_summary reads; the message names
+    source and the key path."""
+    def check(value, shape, path):
+        kind = type(shape) if isinstance(shape, (dict, list)) else shape
+        if kind is None:
+            return
+        if not isinstance(value, kind) or (kind is _REAL and isinstance(value, bool)):
+            raise DataError(f"{source}: {path} must be {_KINDS[kind]}, "
+                            f"got {type(value).__name__}")
+        if isinstance(shape, list):
+            for i, item in enumerate(value):
+                check(item, shape[0], f"{path}[{i}]")
+        elif isinstance(shape, dict):
+            for key, inner in shape.items():
+                name = key.rstrip("?")
+                for field in (value if name == "*" else [name]):
+                    where = f"{path}.{field}" if path else field
+                    if field not in value:
+                        if name == key:
+                            raise DataError(f"{source}: {where} is missing")
+                    elif value[field] or name == key:
+                        check(value[field], inner, where)
+
+    check(sections, _SUMMARY_SHAPE, "")

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -327,17 +326,13 @@ def load_sample(dataset_dir, entry: dict) -> Sample:
     )
 
 
-def load_dataset(dataset_dir, split: Optional[str] = None):
-    """Load samples by split; returns a dict of lists, or one list for a split."""
+def load_dataset(dataset_dir) -> dict:
+    """Load every sample; returns {split: samples in manifest order}."""
     manifest = read_manifest(dataset_dir)
-    if split is not None and split not in SPLITS:
-        raise DataError(f"unknown split {split!r}")
-    wanted = SPLITS if split is None else (split,)
-    out = {name: [] for name in wanted}
+    out = {name: [] for name in SPLITS}
     for entry in manifest["samples"]:
         name = entry.get("split") if isinstance(entry, dict) else None
         if name not in SPLITS:
             raise DataError(f"manifest entry has split {name!r}, expected one of {SPLITS}")
-        if name in out:
-            out[name].append(load_sample(dataset_dir, entry))
-    return out[split] if split is not None else out
+        out[name].append(load_sample(dataset_dir, entry))
+    return out

@@ -16,7 +16,14 @@ import numpy as np
 
 from ffusion.geometry.calibration import Intrinsics
 from ffusion.geometry.depthmap import DepthMap
-from ffusion.scene.spec import CLASS_NAMES, GROUND_COLORS, SKY_COLOR, SceneObject, SceneSpec
+from ffusion.scene.spec import (
+    CLASS_NAMES,
+    GROUND_COLORS,
+    GROUND_HEIGHT,
+    SKY_COLOR,
+    SceneObject,
+    SceneSpec,
+)
 
 HIT_NONE = 0
 HIT_GROUND = 1
@@ -87,7 +94,7 @@ def cast_rays(scene: SceneSpec, dirs: np.ndarray) -> RayHits:
         raise ValueError(f"ray directions must be (n, 3), got {d.shape}")
     n = d.shape[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_ground = scene.ground_height / d[:, 1]
+        t_ground = GROUND_HEIGHT / d[:, 1]
     ground_ok = np.isfinite(t_ground) & (t_ground > _T_MIN)
     best = np.where(ground_ok, t_ground, np.inf)
     kind = np.where(ground_ok, HIT_GROUND, HIT_NONE)

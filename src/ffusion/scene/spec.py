@@ -85,18 +85,15 @@ class SceneSpec:
     """A complete renderable scene description."""
 
     objects: tuple
-    ground_height: float = GROUND_HEIGHT
 
     def __post_init__(self):
         objs = tuple(self.objects)
         if not (1 <= len(objs) <= MAX_OBJECTS):
             raise SceneError(f"scene must hold 1..{MAX_OBJECTS} objects, got {len(objs)}")
-        if not (np.isfinite(self.ground_height) and self.ground_height > 0.0):
-            raise SceneError(f"ground height must be positive, got {self.ground_height}")
         self.objects = objs
 
 
-def _draw_object(rng: Rng, ground_height: float) -> SceneObject:
+def _draw_object(rng: Rng) -> SceneObject:
     u_class = rng.uniform()
     if u_class < _PEDESTRIAN_PROB:
         class_name = "pedestrian"
@@ -112,15 +109,15 @@ def _draw_object(rng: Rng, ground_height: float) -> SceneObject:
     z = float(rng.uniform(*_Z_RANGE))
     jitter = rng.uniform(-0.05, 0.05, 3)
     color = np.clip(np.asarray(PALETTE[class_name]) + jitter, 0.05, 0.95)
-    y = ground_height - size / 2.0  # resting on the ground plane
+    y = GROUND_HEIGHT - size / 2.0  # resting on the ground plane
     return SceneObject(shape, class_name, np.array([x, y, z]), size, color)
 
 
-def _respaced(obj: SceneObject, rng: Rng, ground_height: float) -> SceneObject:
+def _respaced(obj: SceneObject, rng: Rng) -> SceneObject:
     t = float(rng.uniform(-1.0, 1.0))
     x = _LATERAL_SCALE * t * abs(t)
     z = float(rng.uniform(*_Z_RANGE))
-    center = np.array([x, ground_height - obj.size / 2.0, z])
+    center = np.array([x, GROUND_HEIGHT - obj.size / 2.0, z])
     return SceneObject(obj.shape, obj.class_name, center, obj.size, obj.color)
 
 
@@ -134,7 +131,7 @@ def generate_scene(seed: int) -> SceneSpec:
     count = 1 + int(rng.integers(0, MAX_OBJECTS))
     objects: list = []
     for _ in range(count):
-        obj = _draw_object(rng, GROUND_HEIGHT)
+        obj = _draw_object(rng)
         attempts = 0
         while any(
             np.linalg.norm(obj.center - other.center) < MIN_SPACING for other in objects
@@ -142,6 +139,6 @@ def generate_scene(seed: int) -> SceneSpec:
             attempts += 1
             if attempts > 1000:
                 raise SceneError(f"could not place object with spacing {MIN_SPACING}")
-            obj = _respaced(obj, rng, GROUND_HEIGHT)
+            obj = _respaced(obj, rng)
         objects.append(obj)
     return SceneSpec(tuple(objects))

@@ -1,4 +1,4 @@
-"""Input validation helpers for the estimator and CLI surfaces."""
+"""Input validation helpers for the estimator's fit and predict inputs."""
 
 from typing import Optional, Sequence
 
@@ -39,9 +39,9 @@ def ensure_labels(y: Sequence, count: int) -> np.ndarray:
     return ids
 
 
-def ensure_fitted(estimator, attribute: str = "network_") -> None:
-    """Raise unless fit() has populated the trained attributes."""
-    if getattr(estimator, attribute, None) is None:
+def ensure_fitted(estimator) -> None:
+    """Raise unless fit() has set the estimator's trained network."""
+    if getattr(estimator, "network_", None) is None:
         raise DataError(
             f"{type(estimator).__name__} is not fitted; call fit() first")
 

@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ffusion.autodiff import (
-    AdamConfig,
     AdamState,
     ParamStore,
     Rng,
@@ -197,7 +196,7 @@ class TestAdam:
         # p = 0, g = 1: bias correction makes the first step almost exactly -lr.
         store = ParamStore()
         store.register("p", Tensor(np.zeros(1), requires_grad=True))
-        adam_step(store, {"p": np.ones(1)}, AdamState.for_store(store), AdamConfig(lr=1e-3))
+        adam_step(store, {"p": np.ones(1)}, AdamState.for_store(store), 1e-3)
         assert abs(store["p"].data[0] + 1e-3) < 1e-10
 
     def test_two_identical_runs_agree_exactly(self):
@@ -207,7 +206,7 @@ class TestAdam:
             state = AdamState.for_store(store)
             rng = Rng(5)
             for _ in range(10):
-                adam_step(store, {"w": rng.normal((8,))}, state, AdamConfig())
+                adam_step(store, {"w": rng.normal((8,))}, state, 1e-3)
             return store["w"].data.copy()
 
         assert np.array_equal(run(), run())
@@ -217,20 +216,29 @@ class TestAdam:
         store.register("w", Tensor(np.zeros(2), requires_grad=True))
         bad = np.array([1.0, float("nan")])
         with pytest.raises(OptimizerError) as err:
-            adam_step(store, {"w": bad}, AdamState.for_store(store), AdamConfig())
+            adam_step(store, {"w": bad}, AdamState.for_store(store), 1e-3)
         assert "w" in str(err.value)
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_rejects_bad_learning_rate(self, lr):
+        store = ParamStore()
+        store.register("w", Tensor(np.zeros(2), requires_grad=True))
+        state = AdamState.for_store(store)
+        with pytest.raises(OptimizerError, match="lr must be positive and finite"):
+            adam_step(store, {"w": np.ones(2)}, state, lr)
+        assert state.step == 0 and np.all(store["w"].data == 0.0)
 
     def test_rejects_shape_mismatch(self):
         store = ParamStore()
         store.register("w", Tensor(np.zeros(2), requires_grad=True))
         with pytest.raises(OptimizerError):
-            adam_step(store, {"w": np.zeros(3)}, AdamState.for_store(store), AdamConfig())
+            adam_step(store, {"w": np.zeros(3)}, AdamState.for_store(store), 1e-3)
 
     def test_descends_quadratic(self):
         # Minimize sum((x - 3)^2); Adam should approach x = 3.
         store = ParamStore()
         x = store.register("x", Tensor(np.zeros(4), requires_grad=True))
-        state, config = AdamState.for_store(store), AdamConfig(lr=0.05)
+        state = AdamState.for_store(store)
         target = Tensor(np.full(4, -3.0))
         for _ in range(400):
             store.zero_grad()
@@ -238,7 +246,7 @@ class TestAdam:
                 diff = ops.add(x, target)
                 loss = ops.sum_(ops.mul(diff, diff))
             backward(tape, loss)
-            adam_step(store, store.gradients(), state, config)
+            adam_step(store, store.gradients(), state, 0.05)
         assert np.allclose(x.data, 3.0, atol=1e-2)
 
 

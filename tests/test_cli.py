@@ -24,10 +24,11 @@ from ffusion.config import (
     apply_overrides,
     parse_override,
 )
-from ffusion.errors import ConfigError
+from ffusion.errors import ConfigError, DataError
 from ffusion.model import ModelConfig, TrainConfig
 from ffusion.safety import FaultSpec, Scenario
 from ffusion.safety.faults import _VALID
+from ffusion.safety.report import check_summary_input, render_text_summary
 from ffusion.scene.dataset import load_dataset
 
 
@@ -251,7 +252,7 @@ class TestPipeline:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["fault"] == {"modality": "camera", "kind": "blackout",
                                      "magnitude": 0.0, "seed": 0}
-        corrupted = load_dataset(out, "test")
+        corrupted = load_dataset(out)["test"]
         assert all(np.all(s.rgb == 0.0) for s in corrupted)
 
     def test_inject_miscalibration_roundtrips_shift(self, pipeline, tmp_path):
@@ -260,7 +261,7 @@ class TestPipeline:
         assert main(["inject", "--config", str(config_path),
                      "--modality", "lidar", "--kind", "miscalibration_shift",
                      "--magnitude", "2", "--out", str(out)]) == EXIT_OK
-        corrupted = load_dataset(out, "test")
+        corrupted = load_dataset(out)["test"]
         assert all(s.registration_shift == (2, 2) for s in corrupted)
 
     def test_asil_check_writes_json(self, pipeline, tmp_path):
@@ -270,6 +271,40 @@ class TestPipeline:
                      "--json", str(out)]) == EXIT_OK
         payload = json.loads(out.read_text())
         assert payload["asil_verdicts"][0]["parent"] == "system"
+
+
+def key_paths(value, path=()):
+    """Every key path in a JSON value, the value's own empty path first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from key_paths(item, path + (key,))
+
+
+class TestReportInput:
+    @given(data=st.data())
+    def test_checked_sections_always_render(self, pipeline, data):
+        # Delete one key or replace one value anywhere in real report
+        # sections: the check either rejects them or the summary renders.
+        work, config, config_path = pipeline
+        report = json.loads(Path(config.paths.eval_report).read_text(encoding="utf-8"))
+        sections = {key: report[key] for key in ("degradation", "probes", "enrichment")}
+        sections["timings"] = {"train_seconds": 1.5, "eval_seconds": 0.5}
+        path = data.draw(st.sampled_from(list(key_paths(sections))[1:]))
+        parent = sections
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(json_values)
+        try:
+            check_summary_input(sections, "eval_report.json")
+        except DataError as exc:
+            assert str(exc).startswith("eval_report.json: ")
+            return
+        assert render_text_summary(sections).startswith("report format: ")
 
 
 class TestExitCodes:
@@ -353,7 +388,7 @@ class TestExitCodes:
         assert main(["inject", "--config", str(config_path),
                      "--modality", "text", "--kind", "blackout",
                      "--out", str(data)]) == EXIT_OK
-        first = load_dataset(data, "train")[0].sample_id
+        first = load_dataset(data)["train"][0].sample_id
         checkpoint = tmp_path / "model.ckpt"
         capsys.readouterr()
         assert main(["train", "--config", str(config_path),
@@ -422,7 +457,7 @@ class TestExitCodes:
                      "--set", f"paths.dataset_dir={data}",
                      "--set", "dataset.count=10",
                      "--set", f"dataset.ratios={ratios}"]) == EXIT_OK
-        assert load_dataset(data, empty) == []
+        assert load_dataset(data)[empty] == []
         checkpoint = tmp_path / "model.ckpt"
         if command == "eval":
             shutil.copy(config.paths.checkpoint, checkpoint)
@@ -464,6 +499,57 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: invalid-data: ")
         assert cause in err[0]
         assert not report.exists()
+
+    @pytest.mark.parametrize("key, edit, cause", [
+        ("eval_report", lambda _: {"degradation": {"scenarios": []}},
+         "degradation.nominal is missing"),
+        ("eval_report", lambda _: {"probes": [{"modality": "camera"}]},
+         "probes[0].accuracy is missing"),
+        ("eval_report", lambda report: {**report, "enrichment": [
+            {**report["enrichment"][0], "sigma": "x"}]},
+         "enrichment[0].sigma must be a number, got str"),
+        ("eval_report", lambda report: {**report, "degradation": {
+            **report["degradation"], "scenarios": [{"name": ["x"], "status": "ok"}]}},
+         "degradation.scenarios[0].name must be a string, got list"),
+        ("timings", lambda _: {"format": "ffusion-timings-v1", "train_seconds": "x"},
+         "timings.train_seconds must be a number, got str"),
+        ("train_metrics", lambda _: {"val": {"command_accuracy": float("nan")}},
+         "holds NaN, which is not JSON"),
+    ], ids=["no_nominal", "probe_without_accuracy", "string_sigma", "list_scenario_name",
+            "string_timing", "nan_metric"])
+    def test_wrong_shaped_report_input_is_data_error(self, pipeline, tmp_path, capsys,
+                                                     key, edit, cause):
+        # Valid JSON objects that lack a key or hold a wrong type where the
+        # text summary reads them: no traceback, and neither report file.
+        work, config, config_path = pipeline
+        report = json.loads(Path(config.paths.eval_report).read_text(encoding="utf-8"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(report)), encoding="utf-8")
+        outputs = tmp_path / "report.json", tmp_path / "report.txt"
+        capsys.readouterr()
+        assert main(["report", "--config", str(config_path),
+                     "--set", f"paths.{key}={bad}",
+                     "--set", f"paths.report={outputs[0]}",
+                     "--set", f"paths.report_summary={outputs[1]}"]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid-data: ")
+        assert str(bad) in err[0] and cause in err[0]
+        assert not any(path.exists() for path in outputs)
+
+    def test_inject_into_the_dataset_is_config_error(self, pipeline, tmp_path, capsys):
+        work, config, config_path = pipeline
+        data = Path(config.paths.dataset_dir)
+        before = {p: p.read_bytes() for p in data.iterdir()}
+        capsys.readouterr()
+        # The same directory, spelled another way.
+        out = data / ".." / data.name
+        assert main(["inject", "--config", str(config_path),
+                     "--modality", "camera", "--kind", "blackout",
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: ")
+        assert str(out) in err[0] and str(data) in err[0]
+        assert {p: p.read_bytes() for p in data.iterdir()} == before
 
     @pytest.mark.parametrize("content", [b"\xff", b"[1]"], ids=["non_utf8", "list"])
     def test_stale_timings_sidecar_is_rewritten(self, pipeline, tmp_path, content):

@@ -42,7 +42,7 @@ class TestProjection:
         depth = project_point_cloud(cloud, intr)
         assert depth.valid[23, 30]
         assert depth.values[23, 30] == 2.0
-        assert depth.valid_count == 1
+        assert int(depth.valid.sum()) == 1
 
     def test_z_buffer_keeps_nearest(self, intr):
         # Both points enter the same cell; the smaller depth must win.
@@ -53,12 +53,12 @@ class TestProjection:
     def test_near_plane_and_behind_camera_dropped(self, intr):
         cloud = PointCloud(np.array([[0.0, 0.0, 1e-7], [0.0, 0.0, -3.0], [0.0, 0.0, 0.0]]))
         depth = project_point_cloud(cloud, intr)
-        assert depth.valid_count == 0
+        assert not depth.valid.any()
 
     def test_out_of_view_points_dropped(self, intr):
         cloud = PointCloud(np.array([[50.0, 0.0, 2.0], [-50.0, 0.0, 2.0]]))
         depth = project_point_cloud(cloud, intr)
-        assert depth.valid_count == 0
+        assert not depth.valid.any()
 
     def test_round_trip_lands_in_same_cell(self, intr):
         rng = Rng(99)
@@ -254,7 +254,7 @@ class TestRegistration:
         moved = translate_depth(DepthMap(values, valid), dx=2, dy=1)
         assert moved.valid[3, 5]
         assert moved.values[3, 5] == 4.0
-        assert moved.valid_count == 1
+        assert int(moved.valid.sum()) == 1
 
 
 class TestFileFormats:

@@ -14,7 +14,6 @@ from ffusion.errors import (
 )
 from ffusion.model import (
     AvailabilityMask,
-    DEFAULT_VOCAB,
     EncoderBranch,
     FusionCore,
     FusionNetwork,
@@ -23,7 +22,6 @@ from ffusion.model import (
     MultiHeadAttention,
     TokenSequence,
     TrainConfig,
-    Vocab,
     camera_health,
     depth_health,
     evaluate,
@@ -36,10 +34,11 @@ from ffusion.model import (
 )
 from ffusion.model import inputs
 from ffusion.model.config import from_plain, to_plain
-from ffusion.model.vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID
+from ffusion.model.vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID, VOCABULARY, WORD_IDS, encode
 from ffusion.autodiff import ParamStore
 from ffusion.safety import FaultSpec, inject_fault
 from ffusion.scene import synthesize_sample
+from ffusion.scene.commands import SENTENCES
 from ffusion.scene.dataset import Sample
 
 
@@ -56,34 +55,41 @@ SMALL = ModelConfig(d=16, blocks=1, heads=2, patch=8, text_len=8)
 
 class TestVocab:
     def test_encode_sentence(self):
-        ids = DEFAULT_VOCAB.encode("stop ahead pedestrian", 8)
-        stop = DEFAULT_VOCAB.word_to_id("stop")
-        ahead = DEFAULT_VOCAB.word_to_id("ahead")
-        ped = DEFAULT_VOCAB.word_to_id("pedestrian")
+        ids = encode("stop ahead pedestrian", 8)
+        stop, ahead, ped = (WORD_IDS[w] for w in ("stop", "ahead", "pedestrian"))
         assert ids.tolist() == [BOS_ID, stop, ahead, ped, EOS_ID, PAD_ID, PAD_ID, PAD_ID]
 
     def test_unknown_word_maps_to_unk(self):
-        ids = DEFAULT_VOCAB.encode("zebra ahead", 8)
+        ids = encode("zebra ahead", 8)
         assert ids[1] == UNK_ID
-        assert ids[2] == DEFAULT_VOCAB.word_to_id("ahead")
+        assert ids[2] == WORD_IDS["ahead"]
 
     def test_empty_text_errors(self):
         with pytest.raises(DataError):
-            DEFAULT_VOCAB.encode("", 8)
+            encode("", 8)
         with pytest.raises(DataError):
-            DEFAULT_VOCAB.encode("   ", 8)
+            encode("   ", 8)
 
     def test_too_long_errors(self):
         with pytest.raises(DataError):
-            DEFAULT_VOCAB.encode("go go go go go go go", 8)
+            encode("go go go go go go go", 8)
 
     def test_ids_dense_and_bijective(self):
-        assert DEFAULT_VOCAB.size == 20
-        assert sorted(DEFAULT_VOCAB.word_to_id(w) for w in DEFAULT_VOCAB.words) == list(range(20))
+        assert len(VOCABULARY) == len(WORD_IDS) == 20
+        assert sorted(WORD_IDS.values()) == list(range(20))
+        assert all(VOCABULARY[i] == w for w, i in WORD_IDS.items())
 
-    def test_duplicate_words_rejected(self):
-        with pytest.raises(DataError):
-            Vocab(("<pad>", "<unk>", "<bos>", "<eos>", "go", "go"))
+    def test_sentence_ids_pinned(self):
+        # Checkpoints hold a 20-row text embedding table and do not record
+        # the vocabulary: these ids must never change.
+        assert {command: encode(text, 8).tolist() for command, text in SENTENCES.items()} == {
+            "stop": [2, 4, 5, 6, 3, 0, 0, 0],
+            "go": [2, 7, 8, 9, 10, 3, 0, 0],
+            "turn_left": [2, 11, 12, 13, 14, 3, 0, 0],
+            "turn_right": [2, 11, 12, 13, 15, 3, 0, 0],
+        }
+        net = FusionNetwork(config=SMALL, seed=0)
+        assert net.store["encoder.text.embed.table"].shape == (20, SMALL.d)
 
 
 class TestPatchify:
@@ -142,10 +148,10 @@ class TestEncoders:
         rng = Rng(0)
         cam = EncoderBranch(store, rng, "camera", config)
         depth = EncoderBranch(store, rng, "depth", config)
-        text = EncoderBranch(store, rng, "text", config, vocab_size=20)
+        text = EncoderBranch(store, rng, "text", config)
         assert cam.encode(np.zeros((16, 192)) + 0.1).tokens.shape == (16, 64)
         assert depth.encode(np.zeros((16, 128)) + 0.1).tokens.shape == (16, 64)
-        ids = DEFAULT_VOCAB.encode("lane clear go straight", 8)
+        ids = encode("lane clear go straight", 8)
         assert text.encode(ids).tokens.shape == (8, 64)
 
     def test_batched_shapes(self):
@@ -340,7 +346,6 @@ class TestHealth:
         flat[: int(0.01 * flat.size)] = np.nan
         health = camera_health(rgb)
         assert health.status == "degraded"
-        assert 0.0 < health.nonfinite_rate <= 0.05
 
     def test_heavy_nonfinite_failed(self):
         rgb = Rng(0).uniform(size=(32, 32, 3))
@@ -357,7 +362,7 @@ class TestHealth:
 
     def test_nominal_sample_all_nominal(self):
         sample = make_samples(1)[0]
-        features = prepare_features(sample, ModelConfig(), DEFAULT_VOCAB)
+        features = prepare_features(sample, ModelConfig())
         assert all(h.status == "nominal" for h in features.health.values())
         assert features.availability == (True, True, True)
 
@@ -374,7 +379,7 @@ class TestPrepare:
         net = FusionNetwork(config=SMALL, seed=0)
         monkeypatch.setattr(inputs, "DENSIFY_CHUNK", 3)
         batched = prepare_all(samples, net)
-        alone = [prepare_features(s, net.config, net.vocab) for s in samples]
+        alone = [prepare_features(s, net.config) for s in samples]
         assert [f.availability[1] for f in batched].count(False) == 2
         assert len(batched) == len(alone)
         for got, want in zip(batched, alone):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import ffusion.model.training as training
 from ffusion.autodiff import (
-    AdamConfig,
     AdamState,
     ParamStore,
     Rng,
@@ -23,7 +22,6 @@ from ffusion.autodiff import (
 from ffusion.errors import ConfigError, DataError, FaultError, GraphError
 from ffusion.model.config import from_plain, to_plain
 from ffusion.model import (
-    DEFAULT_VOCAB,
     EncoderBranch,
     FusionNetwork,
     ModelConfig,
@@ -58,7 +56,7 @@ from ffusion.model.training import EVAL_CHUNK
 from ffusion.safety import probe
 from ffusion.safety.asil import ASIL_RANK
 from ffusion.safety.faults import _VALID
-from ffusion.safety.probe import PROBE_BATCH, PROBE_EPOCHS, pooled_embeddings
+from ffusion.safety.probe import PROBE_BATCH, PROBE_EPOCHS, PROBE_LR, pooled_embeddings
 from ffusion.scene import synthesize_sample
 from ffusion.scene.commands import COMMANDS
 
@@ -137,7 +135,7 @@ class TestInjection:
         for modality, field in (("camera", "camera"), ("lidar", "depth"),
                                 ("text", "text")):
             hit = inject_fault(samples[0], FaultSpec(modality, "blackout"))
-            features = prepare_features(hit, ModelConfig(), DEFAULT_VOCAB)
+            features = prepare_features(hit, ModelConfig())
             assert features.health[field].status == "failed"
             others = [m for m in ("camera", "depth", "text") if m != field]
             assert all(features.health[m].status == "nominal" for m in others)
@@ -145,7 +143,7 @@ class TestInjection:
     def test_stuck_at_constant_fails_health(self, samples):
         hit = inject_fault(samples[0], FaultSpec("camera", "stuck_at", 0.5))
         assert np.all(hit.rgb == 0.5)
-        features = prepare_features(hit, ModelConfig(), DEFAULT_VOCAB)
+        features = prepare_features(hit, ModelConfig())
         assert features.health["camera"].status == "failed"
 
     def test_zero_sigma_noise_is_identity(self, samples):
@@ -183,8 +181,8 @@ class TestInjection:
         hit = inject_fault(samples[0], FaultSpec("lidar", "miscalibration_shift", 2.0))
         assert hit.registration_shift == (2, 2)
         assert samples[0].registration_shift == (0, 0)
-        straight = prepare_features(samples[0], ModelConfig(), DEFAULT_VOCAB)
-        shifted = prepare_features(hit, ModelConfig(), DEFAULT_VOCAB)
+        straight = prepare_features(samples[0], ModelConfig())
+        shifted = prepare_features(hit, ModelConfig())
         assert not np.array_equal(straight.depth, shifted.depth)
 
 
@@ -487,7 +485,7 @@ def _autodiff_probe(train_x, train_y, val_x, val_y, seed):
         requires_grad=True))
     bias = store.register("probe.bias", Tensor(
         np.zeros(len(COMMANDS)), requires_grad=True))
-    state, config = AdamState.for_store(store), AdamConfig()
+    state = AdamState.for_store(store)
     n = train_x.shape[0]
     for epoch in range(PROBE_EPOCHS):
         order = rng.derive(f"order/epoch{epoch}").permutation(n)
@@ -498,7 +496,7 @@ def _autodiff_probe(train_x, train_y, val_x, val_y, seed):
                 logits = ops.linear(Tensor.constant(train_x[batch]), weight, bias)
                 loss = ops.cross_entropy(ops.softmax(logits, axis=-1), train_y[batch])
             backward(tape, loss)
-            adam_step(store, store.gradients(), state, config)
+            adam_step(store, store.gradients(), state, PROBE_LR)
     scores = val_x @ weight.data + bias.data
     return weight.data, bias.data, float(np.mean(scores.argmax(axis=-1) == val_y))
 

@@ -263,7 +263,7 @@ class TestTapeMechanics:
         with tape:
             ops.mul(x, x)
         after = ops.mul(x, x)
-        assert len(tape) == 1
+        assert len(tape.records) == 1
         assert after.grad is None
 
     def test_constants_produce_no_records(self):
@@ -271,7 +271,7 @@ class TestTapeMechanics:
         b = Tensor([2.0])
         with Tape() as tape:
             ops.mul(a, b)
-        assert len(tape) == 0
+        assert len(tape.records) == 0
 
 
 def _bits(arr):
