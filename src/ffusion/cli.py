@@ -31,6 +31,7 @@ from .errors import (
 from .model import FusionNetwork, evaluate, train
 from .model.config import to_plain
 from .safety import (
+    Campaign,
     FaultSpec,
     check_decomposition,
     fail_operational_eval,
@@ -158,11 +159,10 @@ def cmd_eval(args) -> int:
     network = FusionNetwork.from_checkpoint(config.paths.checkpoint,
                                             config=config.model)
     splits = _load_splits(config, ("train", "val", "test"))
-    degradation = fail_operational_eval(network, splits["test"],
-                                        config.scenarios)
+    test = Campaign(network, splits["test"])
+    degradation = fail_operational_eval(test, config.scenarios)
     probes = single_modality_probe(network, splits["train"], splits["val"])
-    enrichment = snr_enrichment_eval(network, splits["test"], config.sigmas,
-                                     seed=config.dataset.seed)
+    enrichment = snr_enrichment_eval(test, config.sigmas, seed=config.dataset.seed)
     payload = {
         "format": REPORT_FORMAT,
         "version": __version__,

@@ -77,6 +77,8 @@ class RunConfig:
         sigmas = tuple(require_real("sigmas entry", s) for s in self.sigmas)
         if not all(0.0 <= s < float("inf") for s in sigmas):
             raise ConfigError(f"sigmas must be finite and >= 0, got {self.sigmas}")
+        if len(set(sigmas)) != len(sigmas):
+            raise ConfigError(f"sigmas must not repeat a value, got {self.sigmas}")
         object.__setattr__(self, "sigmas", sigmas)
         if not isinstance(self.scenarios, (list, tuple)):
             raise ConfigError(f"scenarios must be a list, got {self.scenarios!r}")

@@ -1,11 +1,12 @@
 """Sample-to-feature preparation: geometry, health checks, tokenization.
 
-The depth path reconstructs a dense map from the point cloud (project,
-apply the sample's registration shift, densify) and feeds value/validity
+One preparer per modality reads only that modality's Sample fields. The
+depth path reconstructs a dense map from the point cloud (project, apply
+the sample's registration shift, densify) and feeds value/validity
 channels, densifying the maps of all samples prepared in one call together;
-the camera path sanitizes non-finite pixels after health triage;
-the text path tokenizes against the fixed vocabulary. Failed modalities get
-zero placeholder features and availability False.
+the camera path sanitizes non-finite pixels after health triage; the text
+path tokenizes against the fixed vocabulary. Failed modalities get zero
+placeholder features and availability False.
 """
 
 from __future__ import annotations
@@ -51,70 +52,104 @@ class FeatureSet:
         return tuple(self.health[m].available for m in MODALITIES)
 
 
-def prepare_samples(samples: Sequence[Sample], config: ModelConfig) -> List[FeatureSet]:
-    """Prepare encoder inputs for many samples, in order.
+Prepared = Tuple[List[np.ndarray], List[ModalityHealth]]  # one modality's inputs, health
 
-    Per sample: camera triage and patches, projection with the registration
-    shift, depth triage, text triage and tokens. The depth maps that pass
-    triage are densified together, DENSIFY_CHUNK maps per densify_stack call
-    as they accumulate (the last call takes the rest), which gives each map
-    the same bits as densifying it alone.
-    """
+
+def _placeholder(config: ModelConfig, channels: int) -> np.ndarray:
+    """Zero patches: the input of a modality that failed triage."""
     patch = config.patch
-    tokens = (IMAGE_SIDE // patch) ** 2
-    features: List[FeatureSet] = []
-    pending = []  # (feature, sparse depth) awaiting densification
+    return np.zeros(((IMAGE_SIDE // patch) ** 2, patch * patch * channels))
+
+
+def prepare_camera(samples: Sequence[Sample], config: ModelConfig) -> Prepared:
+    """Camera triage, then patches of the image with non-finite pixels zeroed."""
+    values, health = [], []
     for sample in samples:
         rgb = np.asarray(sample.rgb, dtype=np.float64)
-        cam_health = camera_health(rgb)
-        if cam_health.available:
-            clean = np.where(np.isfinite(rgb), rgb, 0.0)
-            cam_patches = patchify(clean, patch)
+        status = camera_health(rgb)
+        if status.available:
+            values.append(patchify(np.where(np.isfinite(rgb), rgb, 0.0), config.patch))
         else:
-            cam_patches = np.zeros((tokens, patch * patch * CAMERA_CHANNELS))
+            values.append(_placeholder(config, CAMERA_CHANNELS))
+        health.append(status)
+    return values, health
 
+
+def prepare_depth(samples: Sequence[Sample], config: ModelConfig) -> Prepared:
+    """Projection with the registration shift, depth triage, densified patches.
+
+    The maps that pass triage are densified together, DENSIFY_CHUNK maps per
+    densify_stack call as they accumulate (the last call takes the rest),
+    which gives each map the same bits as densifying it alone.
+    """
+    values, health = [], []
+    pending = []  # (index, sparse depth) awaiting densification
+    for sample in samples:
         sparse = project_point_cloud(sample.cloud, DEFAULT_INTRINSICS)
         dx, dy = (int(v) for v in sample.registration_shift)
         if (dx, dy) != (0, 0):
             sparse = translate_depth(sparse, dx, dy)
-        d_health = depth_health(sparse.values, sparse.valid)
-
-        t_health = text_health(sample.text)
-        if t_health.available:
-            ids = encode(sample.text, config.text_len)
-        else:
-            ids = np.zeros(config.text_len, dtype=np.int64)
-
-        feature = FeatureSet(
-            sample_id=sample.sample_id,
-            camera=cam_patches,
-            # Placeholder; replaced below when depth passes triage.
-            depth=np.zeros((tokens, patch * patch * DEPTH_CHANNELS)),
-            text=ids,
-            health={"camera": cam_health, "depth": d_health, "text": t_health},
-            command_id=sample.command_id,
-            seg_labels=np.asarray(sample.seg_labels, dtype=np.int64),
-        )
-        features.append(feature)
-        if d_health.available:
-            pending.append((feature, sparse))
+        status = depth_health(sparse.values, sparse.valid)
+        # Placeholder; replaced when the map is densified.
+        values.append(_placeholder(config, DEPTH_CHANNELS))
+        health.append(status)
+        if status.available:
+            pending.append((len(values) - 1, sparse))
             if len(pending) == DENSIFY_CHUNK:
-                _densify_into(pending, patch)
+                _densify_into(values, pending, config.patch)
                 pending.clear()
     if pending:
-        _densify_into(pending, patch)
-    return features
+        _densify_into(values, pending, config.patch)
+    return values, health
 
 
-def _densify_into(pending: Sequence[Tuple[FeatureSet, DepthMap]], patch: int) -> None:
+def _densify_into(values: List[np.ndarray], pending: Sequence[Tuple[int, DepthMap]],
+                  patch: int) -> None:
     """Densify the pending sparse maps in one call; store their depth patches."""
-    values, valid = densify_stack(
+    dense, valid = densify_stack(
         np.stack([sparse.values for _, sparse in pending]),
         np.stack([sparse.valid for _, sparse in pending]),
     )
-    channels = np.stack([values / DEPTH_SCALE, valid.astype(np.float64)], axis=-1)
-    for (feature, _), image in zip(pending, channels):
-        feature.depth = patchify(image, patch)
+    channels = np.stack([dense / DEPTH_SCALE, valid.astype(np.float64)], axis=-1)
+    for (index, _), image in zip(pending, channels):
+        values[index] = patchify(image, patch)
+
+
+def prepare_text(samples: Sequence[Sample], config: ModelConfig) -> Prepared:
+    """Text triage, then token ids against the fixed vocabulary."""
+    values, health = [], []
+    for sample in samples:
+        status = text_health(sample.text)
+        if status.available:
+            values.append(encode(sample.text, config.text_len))
+        else:
+            values.append(np.zeros(config.text_len, dtype=np.int64))
+        health.append(status)
+    return values, health
+
+
+PREPARERS = {"camera": prepare_camera, "depth": prepare_depth, "text": prepare_text}
+
+
+def assemble(samples: Sequence[Sample], prepared: Dict[str, Prepared]) -> List[FeatureSet]:
+    """One FeatureSet per sample from each modality's prepared inputs of samples."""
+    return [
+        FeatureSet(
+            sample_id=sample.sample_id,
+            **{m: prepared[m][0][i] for m in MODALITIES},
+            health={m: prepared[m][1][i] for m in MODALITIES},
+            command_id=sample.command_id,
+            seg_labels=np.asarray(sample.seg_labels, dtype=np.int64),
+        )
+        for i, sample in enumerate(samples)
+    ]
+
+
+def prepare_samples(samples: Sequence[Sample], config: ModelConfig) -> List[FeatureSet]:
+    """Prepare encoder inputs for many samples, in order: each modality's
+    preparer runs once over all of them."""
+    samples = list(samples)
+    return assemble(samples, {m: PREPARERS[m](samples, config) for m in MODALITIES})
 
 
 def prepare_features(sample: Sample, config: ModelConfig) -> FeatureSet:

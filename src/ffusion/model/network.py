@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import List, Optional, Sequence, Union
 
 from ffusion.autodiff import (
     ParamStore,
@@ -18,7 +18,7 @@ from ffusion.autodiff import (
 )
 from ffusion.model.config import ModelConfig
 from ffusion.model.decoders import CommandHead, SegHead
-from ffusion.model.encoders import MODALITIES, EncoderBranch, build_branches
+from ffusion.model.encoders import MODALITIES, EncoderBranch, TokenSequence, build_branches
 from ffusion.model.fusion import AvailabilityMask, FusedLatent, FusionCore
 from ffusion.model.inputs import FeatureBatch
 
@@ -49,29 +49,40 @@ class FusionNetwork:
     def branch(self, modality: str) -> EncoderBranch:
         return self.branches[modality]
 
-    def forward(self, batch: FeatureBatch,
-                mask: Optional[AvailabilityMask] = None) -> ForwardResult:
-        """Encode available modalities, fuse, decode both tasks.
-
-        Effective availability is the AND of the batch's health-derived
-        availability and the optional scenario mask. Unavailable branches
-        are not executed and contribute no tokens to fusion.
-        """
-        health_av = batch.availability
+    def availability(self, batch: FeatureBatch,
+                     mask: Optional[AvailabilityMask] = None) -> AvailabilityMask:
+        """The AND of the batch's health-derived availability and the optional
+        scenario mask; FusionError when no modality remains."""
         scenario = mask or AvailabilityMask()
-        effective = AvailabilityMask(
-            camera=health_av[0] and scenario.camera,
-            depth=health_av[1] and scenario.depth,
-            text=health_av[2] and scenario.text,
-        )
-        inputs = {"camera": batch.camera, "depth": batch.depth, "text": batch.text}
-        latents = [self.branches[m].encode(inputs[m]) for m in MODALITIES if effective[m]]
+        return AvailabilityMask(**{
+            m: available and scenario[m]
+            for m, available in zip(MODALITIES, batch.availability)
+        })
+
+    def encode(self, batch: FeatureBatch, modalities: Sequence[str]) -> List[TokenSequence]:
+        """Run the named modalities' encoder branches on the batch, in order."""
+        return [self.branches[m].encode(getattr(batch, m)) for m in modalities]
+
+    def decode(self, latents: Sequence[TokenSequence],
+               effective: AvailabilityMask) -> ForwardResult:
+        """Fuse the given encoder tokens and decode both tasks."""
         fused = self.fusion.fuse(latents, effective)
         return ForwardResult(
             command_probs=self.command_head(fused),
             seg_probs=self.seg_head(fused),
             fused=fused,
         )
+
+    def forward(self, batch: FeatureBatch,
+                mask: Optional[AvailabilityMask] = None) -> ForwardResult:
+        """Encode available modalities, fuse, decode both tasks.
+
+        Unavailable branches (see availability) are not executed and
+        contribute no tokens to fusion.
+        """
+        effective = self.availability(batch, mask)
+        latents = self.encode(batch, [m for m in MODALITIES if effective[m]])
+        return self.decode(latents, effective)
 
     def loss(self, result: ForwardResult, batch: FeatureBatch) -> Tensor:
         command = cross_entropy(result.command_probs, batch.command_ids)

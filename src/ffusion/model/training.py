@@ -7,10 +7,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ffusion.autodiff import AdamState, Rng, Tape, adam_step, backward
+from ffusion.autodiff import AdamState, Rng, Tape, Tensor, adam_step, backward
 from ffusion.errors import ConfigError, DataError, TrainingError
 from ffusion.model.config import require_int, require_real
-from ffusion.model.encoders import MODALITIES
+from ffusion.model.encoders import MODALITIES, TokenSequence
 from ffusion.model.fusion import AvailabilityMask
 from ffusion.model.inputs import (
     FeatureBatch,
@@ -140,30 +140,66 @@ def train(network: FusionNetwork, samples: Sequence[Sample],
     return curve
 
 
+def _chunks(features: Sequence[FeatureSet]) -> Iterator[Tuple[List[int], FeatureBatch]]:
+    """(indices into features, stacked batch) per predict batch."""
+    for _, indices in sorted(group_by_availability(features).items()):
+        for start in range(0, len(indices), EVAL_CHUNK):
+            chunk = indices[start:start + EVAL_CHUNK]
+            yield chunk, stack_features([features[i] for i in chunk])
+
+
+def encode_rows(network: FusionNetwork, features: Sequence[FeatureSet],
+                modalities: Sequence[str]) -> Dict[str, np.ndarray]:
+    """Encoder tokens of every row of features, per named modality: (n, T, d).
+
+    Each branch runs once per predict batch in which its modality is
+    available; rows where it is unavailable stay zero. A sample's tokens do
+    not depend on the rest of its batch, so any later batching may gather
+    its rows.
+    """
+    latents = {m: np.zeros((len(features), network.branch(m).tokens, network.config.d))
+               for m in modalities}
+    for chunk, batch in _chunks(features):
+        present = [m for m, ok in zip(MODALITIES, batch.availability)
+                   if ok and m in latents]
+        for seq in network.encode(batch, present):
+            latents[seq.modality][chunk] = seq.tokens.data
+    return latents
+
+
 def predict(network: FusionNetwork, features: Sequence[FeatureSet],
-            mask: Optional[AvailabilityMask] = None
+            mask: Optional[AvailabilityMask] = None,
+            latents: Optional[Dict[str, np.ndarray]] = None
             ) -> Iterator[Tuple[List[int], FeatureBatch, ForwardResult]]:
     """Forward passes over prepared features; no parameter updates.
 
     Samples are grouped by health-derived availability (groups in sorted
     pattern order) and each group runs in chunks of at most EVAL_CHUNK, so
-    every forward pass sees one pattern. Yields (indices into features,
-    batch, result) per chunk.
+    every batch sees one pattern. Fusion and both heads run per batch on
+    its samples' encoder token rows, gathered from latents: per modality,
+    the tokens of every row of features, as encode_rows returns them. When
+    latents is None, encode_rows computes them for the modalities the mask
+    leaves. Yields (indices into features, batch, result) per batch.
     """
-    for _, indices in sorted(group_by_availability(features).items()):
-        for start in range(0, len(indices), EVAL_CHUNK):
-            chunk = indices[start:start + EVAL_CHUNK]
-            batch = stack_features([features[i] for i in chunk])
-            yield chunk, batch, network.forward(batch, mask)
+    if latents is None:
+        latents = encode_rows(network, features,
+                              [m for m in MODALITIES if mask is None or mask[m]])
+    for chunk, batch in _chunks(features):
+        effective = network.availability(batch, mask)
+        tokens = [TokenSequence(m, Tensor.constant(latents[m][chunk]))
+                  for m in MODALITIES if effective[m]]
+        yield chunk, batch, network.decode(tokens, effective)
 
 
 def evaluate(network: FusionNetwork, samples: Sequence[Sample],
              mask: Optional[AvailabilityMask] = None,
              scenario: str = "nominal",
-             features: Optional[List[FeatureSet]] = None):
+             features: Optional[List[FeatureSet]] = None,
+             latents: Optional[Dict[str, np.ndarray]] = None):
     """Metrics under an availability scenario; no parameter updates.
 
-    Forward passes run through predict(); metric aggregation is
+    Forward passes run through predict(), which takes latents, the encoder
+    tokens of features' rows, if given; metric aggregation is
     order-independent (sums, then one division). Returns (Metrics, mean
     arbitration scores).
     """
@@ -178,7 +214,7 @@ def evaluate(network: FusionNetwork, samples: Sequence[Sample],
     pred_seg = np.zeros_like(truth_seg)
     arb = np.zeros((len(feats), len(MODALITIES)))
     total_loss = 0.0
-    for indices, batch, result in predict(network, feats, mask):
+    for indices, batch, result in predict(network, feats, mask, latents):
         pred_cmd[indices] = result.command_probs.data.argmax(axis=-1)
         pred_seg[indices] = result.seg_probs.data.argmax(axis=-1)
         arb[indices] = result.fused.arbitration.reshape(-1, len(MODALITIES))

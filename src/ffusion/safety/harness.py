@@ -1,7 +1,9 @@
 """Fail-operational evaluation: run fault campaigns, measure degradation.
 
 Each scenario corrupts raw samples with its fault list and evaluates the
-model on whatever survives health triage. Single-modality faults must
+model on whatever survives health triage. A Campaign prepares and encodes
+each distinct per-modality input of one split once, so each scenario and
+noise level runs only fusion and the heads. Single-modality faults must
 never raise: the fusion core re-normalizes over the remaining channels
 and the report records how much accuracy was retained. Only the
 everything-failed scenario ends in the defined fusion error, which is
@@ -15,13 +17,16 @@ import numpy as np
 
 from ..errors import ConfigError, DataError, FaultError, FusionError
 from ..model import (
+    MODALITIES,
     AvailabilityMask,
+    FeatureSet,
     Metrics,
     evaluate,
-    prepare_all,
     stack_features,
 )
 from ..model.config import from_plain, to_plain
+from ..model.inputs import PREPARERS, assemble
+from ..model.training import encode_rows
 from ..scene.dataset import Sample
 from .faults import FaultSpec, inject_faults
 from .independence import IndependenceReport, verify_independence
@@ -46,6 +51,9 @@ class Scenario:
         if not isinstance(self.faults, (list, tuple)):
             raise ConfigError(f"scenario faults must be a list, got {self.faults!r}")
         object.__setattr__(self, "faults", tuple(self.faults))
+        if self.name == NOMINAL and self.faults:
+            raise ConfigError(f"the {NOMINAL} scenario is the fault-free baseline; "
+                              f"it lists {len(self.faults)} fault(s)")
 
     def apply(self, samples: Sequence[Sample]) -> List[Sample]:
         return [inject_faults(s, self.faults) for s in samples]
@@ -117,14 +125,66 @@ def _retained(scenario_accuracy: float,
     return scenario_accuracy / nominal_accuracy
 
 
-def fail_operational_eval(network, samples: Sequence[Sample],
+# Faults name the depth sensor's modality lidar.
+_FAULT_MODALITY = {"camera": "camera", "depth": "lidar", "text": "text"}
+
+
+class Campaign:
+    """One split's per-modality inputs under fault lists, each prepared and
+    encoded once.
+
+    Faults on different modalities touch disjoint Sample fields, so a
+    modality's input under a fault list depends only on that list's faults
+    on the modality, in order: their tuple keys the input. Zero-sigma noise
+    returns the sample itself, so it is left out of the key, and sigma 0
+    reuses the nominal inputs. Each input is encoded in the batches of the
+    first evaluation that uses it; later ones gather its token rows.
+    """
+
+    def __init__(self, network, samples: Sequence[Sample]):
+        if not samples:
+            raise ConfigError("cannot evaluate an empty split")
+        self.network = network
+        self.samples = list(samples)
+        self._prepared = {}  # (modality, key) -> (inputs, health) per sample
+        self._latents = {}  # (modality, key) -> encoder tokens per sample
+
+    @staticmethod
+    def _keys(faults: Sequence[FaultSpec]) -> List[tuple]:
+        return [(m, tuple(f for f in faults if f.modality == _FAULT_MODALITY[m]
+                          and not (f.kind == "gaussian_noise" and f.magnitude == 0.0)))
+                for m in MODALITIES]
+
+    def features(self, faults: Sequence[FaultSpec] = ()) -> List[FeatureSet]:
+        """The split's features under the faults, each modality prepared once."""
+        keys = self._keys(faults)
+        for m, key in keys:
+            if (m, key) not in self._prepared:
+                self._prepared[m, key] = PREPARERS[m](
+                    [inject_faults(s, key) for s in self.samples], self.network.config)
+        return assemble(self.samples, {m: self._prepared[m, key] for m, key in keys})
+
+    def evaluate(self, faults: Sequence[FaultSpec] = (),
+                 mask: Optional[AvailabilityMask] = None, scenario: str = NOMINAL):
+        """training.evaluate of the split under the faults, on encoder tokens
+        computed once per modality input."""
+        features = self.features(faults)
+        used = [(m, key) for m, key in self._keys(faults) if mask is None or mask[m]]
+        fresh = [pair for pair in used if pair not in self._latents]
+        if fresh:
+            encoded = encode_rows(self.network, features, [m for m, _ in fresh])
+            self._latents.update({(m, key): encoded[m] for m, key in fresh})
+        return evaluate(self.network, self.samples, mask, scenario, features=features,
+                        latents={m: self._latents[m, key] for m, key in used})
+
+
+def fail_operational_eval(campaign: Campaign,
                           scenarios: Optional[Sequence[Scenario]] = None,
                           check_independence: bool = True) -> DegradationReport:
     """Evaluate every scenario against the nominal baseline.
 
-    Each scenario's samples are prepared once; the nominal scenario's
-    evaluation is both the baseline and its own row, and its features feed
-    the independence check.
+    The nominal scenario's evaluation is both the baseline and its own row,
+    and its features feed the independence check.
     """
     chosen = list(default_scenarios() if scenarios is None else scenarios)
     names = [s.name for s in chosen]
@@ -132,23 +192,16 @@ def fail_operational_eval(network, samples: Sequence[Sample],
         raise ConfigError("scenario list must include the nominal baseline")
     if len(set(names)) != len(names):
         raise ConfigError("scenario names must be unique")
-    if not samples:
-        raise ConfigError("cannot evaluate an empty split")
 
-    nominal_features = prepare_all(chosen[names.index(NOMINAL)].apply(samples),
-                                   network)
-    nominal = evaluate(network, samples, scenario=NOMINAL,
-                       features=nominal_features)
-
+    nominal = campaign.evaluate()
     report = DegradationReport(nominal=nominal[0])
     for scenario in chosen:
         if scenario.name == NOMINAL:
             metrics, arbitration = nominal
         else:
             try:
-                metrics, arbitration = evaluate(
-                    network, samples, scenario=scenario.name,
-                    features=prepare_all(scenario.apply(samples), network))
+                metrics, arbitration = campaign.evaluate(scenario.faults,
+                                                         scenario=scenario.name)
             except FusionError as exc:
                 report.scenarios.append(ScenarioResult(
                     name=scenario.name, status=FAIL_SILENT, error=str(exc)))
@@ -165,12 +218,12 @@ def fail_operational_eval(network, samples: Sequence[Sample],
     if check_independence:
         # The first (up to) INDEPENDENCE_SAMPLES nominal samples that pass
         # health triage on every modality, so they stack into one batch.
-        picked = [f for f in nominal_features if all(f.availability)]
+        picked = [f for f in campaign.features() if all(f.availability)]
         if not picked:
             raise DataError("independence check needs a sample that passes "
                             "health triage on all three modalities; none does")
         report.independence = verify_independence(
-            network, stack_features(picked[:INDEPENDENCE_SAMPLES]))
+            campaign.network, stack_features(picked[:INDEPENDENCE_SAMPLES]))
     return report
 
 
@@ -183,27 +236,25 @@ class EnrichmentRow:
     camera_only_accuracy: float
 
 
-def snr_enrichment_eval(network, samples: Sequence[Sample],
-                        sigmas: Sequence[float],
+def snr_enrichment_eval(campaign: Campaign, sigmas: Sequence[float],
                         seed: int = 0) -> List[EnrichmentRow]:
     """Accuracy vs noise for fused operation and camera-only operation.
 
     Noise is injected on both continuous sensors (camera and LiDAR);
     text has no additive-noise model and stays clean. The camera-only
     column masks depth and text at fusion time on the same noisy data.
+    Every sigma is checked before any is evaluated.
     """
-    if not samples:
-        raise ConfigError("cannot evaluate an empty split")
-    rows = []
-    camera_only = AvailabilityMask(camera=True, depth=False, text=False)
     for sigma in sigmas:
         if not (np.isfinite(sigma) and sigma >= 0):
             raise ConfigError(f"noise sigma must be >= 0, got {sigma}")
+    rows = []
+    camera_only = AvailabilityMask(camera=True, depth=False, text=False)
+    for sigma in sigmas:
         faults = (FaultSpec("camera", "gaussian_noise", float(sigma), seed),
                   FaultSpec("lidar", "gaussian_noise", float(sigma), seed))
-        noisy = prepare_all([inject_faults(s, faults) for s in samples], network)
-        fused = evaluate(network, samples, features=noisy)[0]
-        alone = evaluate(network, samples, camera_only, features=noisy)[0]
+        fused = campaign.evaluate(faults)[0]
+        alone = campaign.evaluate(faults, camera_only)[0]
         rows.append(EnrichmentRow(
             sigma=float(sigma),
             fused_accuracy=fused.command_accuracy,

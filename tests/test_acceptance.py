@@ -42,6 +42,7 @@ from ffusion.safety import (
     ASIL_LEVELS,
     ASIL_RANK,
     FAIL_SILENT,
+    Campaign,
     FaultSpec,
     Scenario,
     fail_operational_eval,
@@ -420,7 +421,7 @@ def test_criterion_5_fail_operational(dataset, trained_models):
         net.forward(stack_features(features))
 
     report = fail_operational_eval(
-        net, test_split,
+        Campaign(net, test_split),
         scenarios=[Scenario("nominal"), Scenario("triple_blackout", triple)],
         check_independence=False)
     silent = report.result("triple_blackout").status == FAIL_SILENT

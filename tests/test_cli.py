@@ -99,8 +99,9 @@ run_configs = st.builds(
     dataset=st.builds(DatasetConfig, count=st.integers(1, 10**6), seed=st.integers(0, 2**63),
                       ratios=st.tuples(st.floats(0.05, 0.5), st.floats(0.05, 0.4))
                       .map(split_ratios)),
-    scenarios=st.lists(st.builds(Scenario, names, st.lists(faults, max_size=3)), max_size=4),
-    sigmas=st.lists(st.floats(0.0, 10.0), max_size=4),
+    scenarios=st.lists(st.builds(Scenario, names.filter(lambda n: n != "nominal"),
+                                 st.lists(faults, max_size=3)), max_size=4),
+    sigmas=st.lists(st.floats(0.0, 10.0), max_size=4, unique=True),
     paths=st.builds(Paths, dataset_dir=names, checkpoint=names,
                     arch_graph=st.none() | names),
 )
@@ -580,7 +581,7 @@ class TestExitCodes:
         "dataset.seed=-1", "dataset.count=true",
         'training.learning_rate="x"', 'training.p_drop="x"', "training.learning_rate=true",
         'dataset.ratios=[0.8,0.1,"x"]', "dataset.ratios=0.5", 'sigmas=["x"]', "sigmas=0.5",
-        "sigmas=[true]", "sigmas=[Infinity]",
+        "sigmas=[true]", "sigmas=[Infinity]", "sigmas=[0.5,0.5]",
         "dataset=5", "paths=5", "paths.dataset_dir=5", "paths.arch_graph=7",
         "scenarios=5", "scenarios=[5]", 'scenarios=[{"name":5}]',
         'scenarios=[{"name":"nominal","faults":5}]',
@@ -595,6 +596,19 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: config: ")
         assert override.split("=")[0].split(".")[-1] in err[0]
         assert not checkpoint.exists()
+
+    def test_faulted_nominal_is_config_error(self, pipeline, tmp_path, capsys):
+        work, config, config_path = pipeline
+        report = tmp_path / "eval.json"
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config_path), "--set",
+                     'scenarios=[{"name":"n2"},{"name":"nominal","faults":'
+                     '[{"modality":"text","kind":"blackout"}]}]',
+                     "--set", f"paths.eval_report={report}"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: scenarios[1]: ")
+        assert "fault-free baseline" in err[0]
+        assert not report.exists()
 
     def test_negative_fault_seed_is_data_error(self, pipeline, tmp_path, capsys):
         work, config, config_path = pipeline

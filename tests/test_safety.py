@@ -1,13 +1,15 @@
 """Fault injection, degradation harness, independence, probes, ASIL."""
 
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import ffusion.model.inputs as inputs
 import ffusion.model.training as training
 from ffusion.autodiff import (
     AdamState,
@@ -19,13 +21,15 @@ from ffusion.autodiff import (
     backward,
     ops,
 )
-from ffusion.errors import ConfigError, DataError, FaultError, GraphError
+from ffusion.errors import ConfigError, DataError, FaultError, FusionError, GraphError
 from ffusion.model.config import from_plain, to_plain
 from ffusion.model import (
+    AvailabilityMask,
     EncoderBranch,
     FusionNetwork,
     ModelConfig,
     TrainConfig,
+    evaluate,
     prepare_all,
     prepare_features,
     stack_features,
@@ -35,6 +39,7 @@ from ffusion.safety import (
     ASIL_LEVELS,
     FAIL_SILENT,
     ArchGraph,
+    Campaign,
     Claim,
     FaultSpec,
     Scenario,
@@ -42,6 +47,7 @@ from ffusion.safety import (
     default_scenarios,
     fail_operational_eval,
     inject_fault,
+    inject_faults,
     load_arch_graph,
     parse_arch_graph,
     probe_modality,
@@ -232,14 +238,14 @@ class TestHarness:
         assert scenarios[0].faults == ()
 
     def test_nominal_only_retained_exactly_one(self, network, samples):
-        report = fail_operational_eval(network, samples[12:16],
+        report = fail_operational_eval(Campaign(network, samples[12:16]),
                                        [Scenario("nominal")],
                                        check_independence=False)
         assert report.scenarios[0].retained_accuracy == 1.0
         assert report.scenarios[0].status == "ok"
 
     def test_single_modality_faults_never_raise(self, network, samples):
-        report = fail_operational_eval(network, samples[12:])
+        report = fail_operational_eval(Campaign(network, samples[12:]))
         assert len(report.scenarios) == 6
         for result in report.scenarios:
             assert result.status == "ok"
@@ -253,7 +259,7 @@ class TestHarness:
     def test_triple_blackout_fail_silent(self, network, samples):
         triple = Scenario("all_dark", tuple(
             FaultSpec(m, "blackout") for m in ("camera", "lidar", "text")))
-        report = fail_operational_eval(network, samples[12:16],
+        report = fail_operational_eval(Campaign(network, samples[12:16]),
                                        [Scenario("nominal"), triple],
                                        check_independence=False)
         result = report.result("all_dark")
@@ -263,30 +269,34 @@ class TestHarness:
 
     def test_scenario_list_validation(self, network, samples):
         with pytest.raises(ConfigError):
-            fail_operational_eval(network, samples[12:14],
+            fail_operational_eval(Campaign(network, samples[12:14]),
                                   [Scenario("camera_blackout")])
         with pytest.raises(ConfigError):
-            fail_operational_eval(network, samples[12:14],
+            fail_operational_eval(Campaign(network, samples[12:14]),
                                   [Scenario("nominal"), Scenario("nominal")])
         with pytest.raises(ConfigError):
-            fail_operational_eval(network, [], [Scenario("nominal")])
+            fail_operational_eval(Campaign(network, []), [Scenario("nominal")])
 
     def test_report_deterministic(self, network, samples):
-        first = fail_operational_eval(network, samples[12:16])
-        second = fail_operational_eval(network, samples[12:16])
+        first = fail_operational_eval(Campaign(network, samples[12:16]))
+        second = fail_operational_eval(Campaign(network, samples[12:16]))
         assert render_json(first.to_dict()) == render_json(second.to_dict())
 
     def test_independence_skips_samples_failing_triage(self, network, samples):
         split = list(samples[12:16])
         split[1] = inject_fault(split[1], FaultSpec("lidar", "blackout"))
-        report = fail_operational_eval(network, split, [Scenario("nominal")])
+        report = fail_operational_eval(Campaign(network, split), [Scenario("nominal")])
         assert report.independence is not None
         assert report.independence.all_pass
 
     def test_independence_without_nominal_sample_is_data_error(self, network, samples):
         dark = [inject_fault(s, FaultSpec("lidar", "blackout")) for s in samples[12:14]]
         with pytest.raises(DataError, match="passes health triage"):
-            fail_operational_eval(network, dark, [Scenario("nominal")])
+            fail_operational_eval(Campaign(network, dark), [Scenario("nominal")])
+
+    def test_faulted_nominal_rejected(self):
+        with pytest.raises(ConfigError, match="fault-free baseline"):
+            Scenario("nominal", (FaultSpec("camera", "gaussian_noise", 0.0),))
 
     def test_scenario_dict_roundtrip(self):
         scenario = Scenario("noise", (FaultSpec("camera", "gaussian_noise", 0.5, 2),))
@@ -295,14 +305,14 @@ class TestHarness:
 
 class TestEnrichment:
     def test_zero_sigma_matches_nominal(self, network, samples):
-        rows = snr_enrichment_eval(network, samples[12:16], [0.0])
-        nominal = fail_operational_eval(network, samples[12:16],
+        rows = snr_enrichment_eval(Campaign(network, samples[12:16]), [0.0])
+        nominal = fail_operational_eval(Campaign(network, samples[12:16]),
                                         [Scenario("nominal")],
                                         check_independence=False)
         assert rows[0].fused_accuracy == nominal.nominal.command_accuracy
 
     def test_one_row_per_sigma(self, network, samples):
-        rows = snr_enrichment_eval(network, samples[12:15], [0.0, 0.25, 0.5])
+        rows = snr_enrichment_eval(Campaign(network, samples[12:15]), [0.0, 0.25, 0.5])
         assert [r.sigma for r in rows] == [0.0, 0.25, 0.5]
         for row in rows:
             assert 0.0 <= row.fused_accuracy <= 1.0
@@ -310,11 +320,18 @@ class TestEnrichment:
 
     def test_negative_sigma_rejected(self, network, samples):
         with pytest.raises(ConfigError):
-            snr_enrichment_eval(network, samples[12:14], [-0.1])
+            snr_enrichment_eval(Campaign(network, samples[12:14]), [-0.1])
+
+    def test_every_sigma_checked_before_any_runs(self, network, samples):
+        campaign = Campaign(network, samples[12:14])
+        with mock.patch.object(Campaign, "evaluate") as run, pytest.raises(ConfigError):
+            snr_enrichment_eval(campaign, [0.25, -0.1])
+        run.assert_not_called()
 
 
 class TestPrepareOnce:
-    """Each campaign function prepares each (split, fault set) exactly once."""
+    """A campaign prepares and encodes each distinct per-modality input once;
+    each probe split is prepared once."""
 
     @pytest.fixture
     def prepared(self, monkeypatch):
@@ -330,21 +347,139 @@ class TestPrepareOnce:
         monkeypatch.setattr(training, "prepare_samples", counting)
         return calls
 
-    def test_fail_operational_eval(self, network, samples, prepared):
-        split = samples[12:16]
-        scenarios = default_scenarios()
-        fail_operational_eval(network, split, scenarios)
-        assert len(prepared) == len(scenarios) * len(split)
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """Counts of per-modality preparer calls, densify_stack calls and
+        encoder batches."""
+        counts = Counter()
+        for modality, preparer in list(inputs.PREPARERS.items()):
+            def preparing(samples, config, modality=modality, preparer=preparer):
+                counts[f"prepare {modality}"] += 1
+                return preparer(samples, config)
+            monkeypatch.setitem(inputs.PREPARERS, modality, preparing)
+        densify = inputs.densify_stack
+
+        def densifying(*args):
+            counts["densify"] += 1
+            return densify(*args)
+
+        monkeypatch.setattr(inputs, "densify_stack", densifying)
+        encode = EncoderBranch.encode
+
+        def encoding(branch, features):
+            counts[f"encode {branch.modality}"] += 1
+            return encode(branch, features)
+
+        monkeypatch.setattr(EncoderBranch, "encode", encoding)
+        return counts
+
+    def test_fail_operational_eval(self, network, samples, work):
+        # One chunk in which every sample passes triage under every default
+        # scenario. Preparing each scenario alone took 6 preparer calls per
+        # modality and 15 encoder batches.
+        fail_operational_eval(Campaign(network, samples[12:16]), default_scenarios(),
+                              check_independence=False)
+        # Camera and depth: nominal, blackout, and camera_noise's noise or
+        # lidar_dropout's dropout; text: nominal and blackout. Blacked-out
+        # inputs fail triage, so nothing densifies or encodes them.
+        assert work == {
+            "prepare camera": 3, "prepare depth": 3, "prepare text": 2,
+            "densify": 2, "encode camera": 2, "encode depth": 2, "encode text": 1,
+        }
+
+    def test_snr_enrichment_eval(self, network, samples, work):
+        # eval's campaign: the default scenarios, then the default sigmas,
+        # with a fault seed other than camera_noise's 0, as eval's dataset
+        # seed is. Preparing each scenario and sigma alone took 27 encoder
+        # batches.
+        campaign = Campaign(network, samples[12:16])
+        fail_operational_eval(campaign, default_scenarios(), check_independence=False)
+        rows = snr_enrichment_eval(campaign, [0.0, 0.25, 0.5], seed=1)
+        assert [row.sigma for row in rows] == [0.0, 0.25, 0.5]
+        # Sigma 0 is the nominal input; sigmas 0.25 and 0.5 add one camera
+        # and one depth input each, and text stays nominal.
+        assert work == {
+            "prepare camera": 5, "prepare depth": 5, "prepare text": 2,
+            "densify": 4, "encode camera": 4, "encode depth": 4, "encode text": 1,
+        }
 
     def test_single_modality_probe(self, network, samples, prepared):
         train_s, val_s = samples[:6], samples[6:9]
         single_modality_probe(network, train_s, val_s)
         assert len(prepared) == len(train_s) + len(val_s)
 
-    def test_snr_enrichment_eval(self, network, samples, prepared):
-        split, sigmas = samples[12:15], [0.0, 0.25, 0.5]
-        snr_enrichment_eval(network, split, sigmas)
-        assert len(prepared) == len(sigmas) * len(split)
+
+CAMPAIGN_FAULTS = (
+    FaultSpec("camera", "blackout"),
+    FaultSpec("camera", "gaussian_noise", 0.25, 0),
+    FaultSpec("camera", "gaussian_noise", 0.0, 2),
+    FaultSpec("camera", "stuck_at", 0.5),
+    FaultSpec("lidar", "blackout"),
+    FaultSpec("lidar", "gaussian_noise", 0.5, 1),
+    FaultSpec("lidar", "partial_dropout", 0.5, 1),
+    FaultSpec("lidar", "miscalibration_shift", 2.0),
+    FaultSpec("text", "blackout"),
+)
+ALL_DARK = Scenario("all_dark", tuple(FaultSpec(m, "blackout")
+                                      for m in ("camera", "lidar", "text")))
+NOISE_THEN_DARK = (FaultSpec("camera", "gaussian_noise", 0.25, 0),
+                   FaultSpec("camera", "blackout"))
+
+
+@st.composite
+def campaign_cases(draw):
+    """(scenarios, modality on which one sample fails nominal triage or None,
+    sigmas, enrichment fault seed)."""
+    fault_lists = draw(st.lists(st.lists(st.sampled_from(CAMPAIGN_FAULTS), max_size=3),
+                                max_size=4))
+    scenarios = [Scenario("nominal")] + [
+        Scenario(f"s{i}", tuple(faults)) for i, faults in enumerate(fault_lists)]
+    if draw(st.booleans()):
+        scenarios.append(ALL_DARK)
+    return (draw(st.permutations(scenarios)),
+            draw(st.sampled_from([None, "camera", "lidar", "text"])),
+            draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5]), max_size=3, unique=True)),
+            draw(st.integers(0, 1)))
+
+
+class TestCampaign:
+    @given(case=campaign_cases())
+    @example(case=([Scenario("nominal"), Scenario("noise_then_dark", NOISE_THEN_DARK),
+                    Scenario("dark_then_noise", NOISE_THEN_DARK[::-1]), ALL_DARK],
+                   "lidar", [0.0, 0.25], 0))
+    def test_matches_preparing_every_scenario_alone(self, network, samples, case):
+        """Shared per-modality inputs give exactly what preparing and
+        encoding each scenario and noise level alone gives."""
+        scenarios, broken, sigmas, seed = case
+        split = list(samples[12:16])
+        if broken is not None:
+            split[1] = inject_fault(split[1], FaultSpec(broken, "blackout"))
+        campaign = Campaign(network, split)
+        report = fail_operational_eval(campaign, scenarios, check_independence=False)
+        rows = snr_enrichment_eval(campaign, sigmas, seed)
+
+        for scenario, result in zip(scenarios, report.scenarios):
+            assert result.name == scenario.name
+            try:
+                metrics, arbitration = evaluate(
+                    network, split, scenario=scenario.name,
+                    features=prepare_all(scenario.apply(split), network))
+            except FusionError:
+                assert result.status == FAIL_SILENT and result.metrics is None
+                continue
+            assert result.status == "ok"
+            assert result.metrics == metrics
+            assert result.arbitration == [float(v) for v in arbitration]
+        camera_only = AvailabilityMask(camera=True, depth=False, text=False)
+        for sigma, row in zip(sigmas, rows):
+            faults = (FaultSpec("camera", "gaussian_noise", sigma, seed),
+                      FaultSpec("lidar", "gaussian_noise", sigma, seed))
+            noisy = prepare_all([inject_faults(s, faults) for s in split], network)
+            assert row.fused_accuracy == evaluate(
+                network, split, features=noisy)[0].command_accuracy
+            assert row.camera_only_accuracy == evaluate(
+                network, split, camera_only, features=noisy)[0].command_accuracy
+        assert len(rows) == len(sigmas)
 
 
 class TestIndependence:
@@ -665,7 +800,7 @@ class TestArchGraph:
 
 class TestReportRendering:
     def test_json_bytes_stable(self, network, samples):
-        report = fail_operational_eval(network, samples[12:15],
+        report = fail_operational_eval(Campaign(network, samples[12:15]),
                                        [Scenario("nominal")],
                                        check_independence=False)
         payload = {"format": "ffusion-report-v1",
@@ -674,14 +809,15 @@ class TestReportRendering:
             {"format": "ffusion-report-v1", "degradation": report.to_dict()})
 
     def test_text_summary_sections(self, network, samples):
-        report = fail_operational_eval(network, samples[12:15])
+        report = fail_operational_eval(Campaign(network, samples[12:15]))
         graph = parse_arch_graph(graph_text())
         payload = {
             "format": "ffusion-report-v1",
             "degradation": report.to_dict(),
             "probes": [{"modality": "text", "accuracy": 1.0,
                         "shuffled_labels": False}],
-            "enrichment": to_plain(snr_enrichment_eval(network, samples[12:14], [0.0])),
+            "enrichment": to_plain(snr_enrichment_eval(
+                Campaign(network, samples[12:14]), [0.0])),
             "asil_verdicts": [v.to_dict() for v in check_decomposition(graph)],
             "timings": {"train": 1.5},
         }
@@ -695,7 +831,7 @@ class TestReportRendering:
         assert "timings" in text
 
     def test_nominal_only_report(self, network, samples):
-        report = fail_operational_eval(network, samples[12:14],
+        report = fail_operational_eval(Campaign(network, samples[12:14]),
                                        [Scenario("nominal")],
                                        check_independence=False)
         payload = {"degradation": report.to_dict()}
