@@ -14,6 +14,7 @@ from .errors import ConfigError
 from .model import ModelConfig, TrainConfig
 from .model.config import from_plain, require_int, require_real, to_plain
 from .safety import Scenario, default_scenarios
+from .safety.harness import check_scenario_names
 
 CONFIG_FORMAT = "ffusion-config-v1"
 
@@ -83,6 +84,10 @@ class RunConfig:
         if not isinstance(self.scenarios, (list, tuple)):
             raise ConfigError(f"scenarios must be a list, got {self.scenarios!r}")
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
+        try:
+            check_scenario_names(self.scenarios)
+        except ConfigError as exc:
+            raise ConfigError(f"scenarios: {exc}") from None
 
     def to_dict(self) -> dict:
         return {"format": CONFIG_FORMAT, **to_plain(self)}

@@ -13,6 +13,7 @@ from ffusion.geometry.depthmap import DepthMap
 DEFAULT_RADIUS = 6
 DEFAULT_NEIGHBORS = 8
 DISTANCE_REG = 1e-6
+DROP_EVERY = 16  # offsets between drops of the cells that reached k
 
 
 @lru_cache(maxsize=None)
@@ -51,6 +52,10 @@ def densify_stack(
     exactly its value). Offsets are visited in (distance, row, col) order,
     each applied to every map at once, so every map's result is bit for bit
     what it would be alone. Returns new (values, valid) arrays.
+
+    Only candidate holes are visited: those with a valid cell in their
+    (2r+1)^2 square. Every DROP_EVERY offsets the cells that reached k stop
+    being visited.
     """
     if radius < 1:
         raise ValueError(f"radius must be at least 1, got {radius}")
@@ -61,45 +66,71 @@ def densify_stack(
     if values.ndim != 3 or valid.shape != values.shape:
         raise ShapeError(f"densify expects (N, H, W) values and validity, "
                          f"got {values.shape} and {valid.shape}")
-    _, height, width = values.shape
-    # Sources padded by the radius: each offset reads one full-size window,
-    # and the invalid border never contributes.
+    # Sources padded by the radius: an offset is one fixed shift of a flat
+    # padded index, and the invalid border never contributes.
     pad = ((0, 0), (radius, radius), (radius, radius))
-    src_values, src_valid = np.pad(values, pad), np.pad(valid, pad)
-    hole = ~valid
-    count = np.zeros(values.shape, dtype=np.int64)
-    weight_sum = np.zeros(values.shape)
-    weighted_value = np.zeros(values.shape)
-    low = np.full(values.shape, np.inf)
-    high = np.full(values.shape, -np.inf)
-    accept = np.empty(values.shape, dtype=bool)
-    term = np.empty(values.shape)
+    src_valid = np.pad(valid, pad)
+    cells, targets = _candidates(valid, src_valid, radius)
+    src_valid = src_valid.ravel()
+    src_values = np.pad(values, pad).ravel()
+    padded_width = values.shape[2] + 2 * radius
+    count = np.zeros(len(cells), dtype=np.uint8 if k <= 255 else np.int64)
+    weight_sum = np.zeros(len(cells))
+    weighted_value = np.zeros(len(cells))
+    low = np.full(len(cells), np.inf)
+    high = np.full(len(cells), -np.inf)
+    finished = []  # per dropped batch: targets, weight_sum, weighted_value, low, high
 
-    for dist, dr, dc in _neighbor_offsets(radius):
-        window = (slice(None), slice(radius + dr, radius + dr + height),
-                  slice(radius + dc, radius + dc + width))
-        src_vals = src_values[window]
-        np.less(count, k, out=accept)
-        accept &= hole
-        accept &= src_valid[window]
-        if not accept.any():
+    for step, (dist, dr, dc) in enumerate(_neighbor_offsets(radius)):
+        if step and step % DROP_EVERY == 0:
+            keep = count < k
+            if not keep.all():
+                done = ~keep
+                finished.append([a[done] for a in (targets, weight_sum, weighted_value, low, high)])
+                cells, targets, count = cells[keep], targets[keep], count[keep]
+                weight_sum, weighted_value = weight_sum[keep], weighted_value[keep]
+                low, high = low[keep], high[keep]
+        if not len(cells):
+            break
+        source = cells + (dr * padded_width + dc)
+        accept = src_valid.take(source)
+        accept &= count < k
+        hit = np.flatnonzero(accept)
+        if not len(hit):
             continue
         w = 1.0 / (dist + DISTANCE_REG)
-        count += accept
-        np.add(weight_sum, w, out=weight_sum, where=accept)
-        np.multiply(src_vals, w, out=term)
-        np.add(weighted_value, term, out=weighted_value, where=accept)
-        np.minimum(low, src_vals, out=low, where=accept)
-        np.maximum(high, src_vals, out=high, where=accept)
+        src_vals = src_values.take(source.take(hit))
+        count[hit] += 1
+        weight_sum[hit] += w
+        weighted_value[hit] += src_vals * w
+        low[hit] = np.minimum(low.take(hit), src_vals)
+        high[hit] = np.maximum(high.take(hit), src_vals)
 
     filled = count > 0
+    finished.append([a[filled] for a in (targets, weight_sum, weighted_value, low, high)])
+    targets, weight_sum, weighted_value, low, high = (np.concatenate(a) for a in zip(*finished))
     out_values = values.copy()
     out_valid = valid.copy()
-    if filled.any():
-        est = weighted_value[filled] / weight_sum[filled]
-        out_values[filled] = np.clip(est, low[filled], high[filled])
-        out_valid[filled] = True
+    out_values.ravel()[targets] = np.clip(weighted_value / weight_sum, low, high)
+    out_valid.ravel()[targets] = True
     return out_values, out_valid
+
+
+def _candidates(valid: np.ndarray, src_valid: np.ndarray,
+                radius: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Holes with a valid cell in their (2r+1)^2 square, from 2-D prefix sums
+    of the padded validity src_valid. Returns their flat indices into the
+    padded stack and into the stack, both in (map, row, col) order."""
+    side = 2 * radius + 1
+    n, height, width = valid.shape
+    sums = np.zeros((n, height + side, width + side), dtype=np.int32)
+    np.cumsum(np.cumsum(src_valid, axis=1, dtype=np.int32), axis=2, out=sums[:, 1:, 1:])
+    in_square = (sums[:, side:, side:] - sums[:, :-side, side:]
+                 - sums[:, side:, :-side] + sums[:, :-side, :-side])
+    candidate = ~valid & (in_square > 0)
+    embedded = np.zeros(src_valid.shape, dtype=bool)
+    embedded[:, radius:radius + height, radius:radius + width] = candidate
+    return np.flatnonzero(embedded), np.flatnonzero(candidate)
 
 
 def densify_depth(

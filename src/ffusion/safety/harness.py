@@ -138,7 +138,8 @@ class Campaign:
     on the modality, in order: their tuple keys the input. Zero-sigma noise
     returns the sample itself, so it is left out of the key, and sigma 0
     reuses the nominal inputs. Each input is encoded in the batches of the
-    first evaluation that uses it; later ones gather its token rows.
+    first evaluation that uses it; later ones gather its token rows. An
+    evaluation of the same inputs, mask and scenario name runs once.
     """
 
     def __init__(self, network, samples: Sequence[Sample]):
@@ -148,6 +149,7 @@ class Campaign:
         self.samples = list(samples)
         self._prepared = {}  # (modality, key) -> (inputs, health) per sample
         self._latents = {}  # (modality, key) -> encoder tokens per sample
+        self._results = {}  # (keys, mask, scenario) -> evaluate's result
 
     @staticmethod
     def _keys(faults: Sequence[FaultSpec]) -> List[tuple]:
@@ -168,14 +170,29 @@ class Campaign:
                  mask: Optional[AvailabilityMask] = None, scenario: str = NOMINAL):
         """training.evaluate of the split under the faults, on encoder tokens
         computed once per modality input."""
-        features = self.features(faults)
-        used = [(m, key) for m, key in self._keys(faults) if mask is None or mask[m]]
-        fresh = [pair for pair in used if pair not in self._latents]
-        if fresh:
-            encoded = encode_rows(self.network, features, [m for m, _ in fresh])
-            self._latents.update({(m, key): encoded[m] for m, key in fresh})
-        return evaluate(self.network, self.samples, mask, scenario, features=features,
-                        latents={m: self._latents[m, key] for m, key in used})
+        keys = self._keys(faults)
+        memo = (tuple(keys), mask, scenario)
+        if memo not in self._results:
+            features = self.features(faults)
+            used = [(m, key) for m, key in keys if mask is None or mask[m]]
+            fresh = [pair for pair in used if pair not in self._latents]
+            if fresh:
+                encoded = encode_rows(self.network, features, [m for m, _ in fresh])
+                self._latents.update({(m, key): encoded[m] for m, key in fresh})
+            self._results[memo] = evaluate(
+                self.network, self.samples, mask, scenario, features=features,
+                latents={m: self._latents[m, key] for m, key in used})
+        return self._results[memo]
+
+
+def check_scenario_names(scenarios: Sequence[Scenario]) -> None:
+    """A scenario list names the nominal baseline, and no name twice."""
+    names = [s.name for s in scenarios]
+    if NOMINAL not in names:
+        raise ConfigError(f"scenario list must include the {NOMINAL} baseline")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"scenario names must be unique; {', '.join(repeated)} repeats")
 
 
 def fail_operational_eval(campaign: Campaign,
@@ -183,29 +200,20 @@ def fail_operational_eval(campaign: Campaign,
                           check_independence: bool = True) -> DegradationReport:
     """Evaluate every scenario against the nominal baseline.
 
-    The nominal scenario's evaluation is both the baseline and its own row,
-    and its features feed the independence check.
+    The nominal scenario's evaluation (one, through the campaign's memo) is
+    both the baseline and its own row, and its features feed the
+    independence check.
     """
     chosen = list(default_scenarios() if scenarios is None else scenarios)
-    names = [s.name for s in chosen]
-    if NOMINAL not in names:
-        raise ConfigError("scenario list must include the nominal baseline")
-    if len(set(names)) != len(names):
-        raise ConfigError("scenario names must be unique")
-
-    nominal = campaign.evaluate()
-    report = DegradationReport(nominal=nominal[0])
+    check_scenario_names(chosen)
+    report = DegradationReport(nominal=campaign.evaluate()[0])
     for scenario in chosen:
-        if scenario.name == NOMINAL:
-            metrics, arbitration = nominal
-        else:
-            try:
-                metrics, arbitration = campaign.evaluate(scenario.faults,
-                                                         scenario=scenario.name)
-            except FusionError as exc:
-                report.scenarios.append(ScenarioResult(
-                    name=scenario.name, status=FAIL_SILENT, error=str(exc)))
-                continue
+        try:
+            metrics, arbitration = campaign.evaluate(scenario.faults, scenario=scenario.name)
+        except FusionError as exc:
+            report.scenarios.append(ScenarioResult(
+                name=scenario.name, status=FAIL_SILENT, error=str(exc)))
+            continue
         report.scenarios.append(ScenarioResult(
             name=scenario.name,
             status=STATUS_OK,

@@ -3,6 +3,7 @@
 import json
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -100,7 +101,9 @@ run_configs = st.builds(
                       ratios=st.tuples(st.floats(0.05, 0.5), st.floats(0.05, 0.4))
                       .map(split_ratios)),
     scenarios=st.lists(st.builds(Scenario, names.filter(lambda n: n != "nominal"),
-                                 st.lists(faults, max_size=3)), max_size=4),
+                                 st.lists(faults, max_size=3)),
+                       max_size=4, unique_by=lambda s: s.name)
+    .flatmap(lambda rest: st.permutations([Scenario("nominal"), *rest])),
     sigmas=st.lists(st.floats(0.0, 10.0), max_size=4, unique=True),
     paths=st.builds(Paths, dataset_dir=names, checkpoint=names,
                     arch_graph=st.none() | names),
@@ -609,6 +612,29 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: config: scenarios[1]: ")
         assert "fault-free baseline" in err[0]
         assert not report.exists()
+
+    @pytest.mark.parametrize("command, output", [("train", "checkpoint"),
+                                                 ("eval", "eval_report")])
+    @pytest.mark.parametrize("scenarios, reason", [
+        ('[{"name":"nominal"},{"name":"nominal"}]', "nominal repeats"),
+        ('[{"name":"nominal"},{"name":"a"},{"name":"a"}]', "a repeats"),
+        ('[{"name":"camera_only"}]', "must include the nominal baseline"),
+    ])
+    def test_bad_scenario_list_is_config_error(self, pipeline, tmp_path, capsys,
+                                               command, output, scenarios, reason):
+        # Rejected at config load: before train writes a checkpoint, and
+        # before eval loads the checkpoint or any split.
+        work, config, config_path = pipeline
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with mock.patch("ffusion.cli.load_dataset") as loading:
+            assert main([command, "--config", str(config_path),
+                         "--set", f"scenarios={scenarios}",
+                         "--set", f"paths.{output}={out}"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: scenarios: ")
+        assert reason in err[0]
+        assert not loading.called and not out.exists()
 
     def test_negative_fault_seed_is_data_error(self, pipeline, tmp_path, capsys):
         work, config, config_path = pipeline

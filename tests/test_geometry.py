@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ffusion.autodiff import Rng
@@ -20,7 +20,17 @@ from ffusion.geometry import (
     write_depth,
     write_point_cloud,
 )
-from ffusion.geometry.densify import DISTANCE_REG, _neighbor_offsets
+from ffusion.config import RunConfig
+from ffusion.geometry.densify import (
+    DEFAULT_NEIGHBORS,
+    DEFAULT_RADIUS,
+    DISTANCE_REG,
+    _neighbor_offsets,
+)
+from ffusion.model.inputs import DENSIFY_CHUNK
+from ffusion.safety import FaultSpec, default_scenarios, inject_faults
+from ffusion.scene import synthesize_sample
+from ffusion.scene.render import DEFAULT_INTRINSICS
 
 
 @pytest.fixture
@@ -223,6 +233,35 @@ def sparse_stacks(draw):
     return values, valid
 
 
+def scan_stack(seed, densities, shifts):
+    """(values, valid) stack of 32x32 maps shaped like projected scans: valid
+    only on every other row, at the given densities, each map then moved by
+    its registration shift."""
+    rng = np.random.default_rng(seed)
+    valid = rng.uniform(size=(len(densities), 32, 32)) < np.asarray(densities)[:, None, None]
+    valid[:, 1::2] = False
+    values = np.where(valid, rng.uniform(0.5, 20.0, size=valid.shape), 0.0)
+    maps = [translate_depth(DepthMap(v, m), dx, dy)
+            for v, m, (dx, dy) in zip(values, valid, shifts)]
+    return np.stack([m.values for m in maps]), np.stack([m.valid for m in maps])
+
+
+@st.composite
+def scan_stacks(draw):
+    """scan_stack draws of up to more maps than one DENSIFY_CHUNK."""
+    n = draw(st.integers(1, DENSIFY_CHUNK + 3))
+    densities = draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.6, 0.95]),
+                              min_size=n, max_size=n))
+    shifts = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                           min_size=n, max_size=n))
+    return scan_stack(draw(st.integers(0, 2**32 - 1)), densities, shifts)
+
+
+# A full chunk plus three, at every density, half of the maps shifted.
+CHUNK_AND_MORE = scan_stack(7, [0.0, 0.05, 0.3, 0.6, 0.95] * 7,
+                            [(0, 0), (3, -2), (-4, 1), (0, 0), (2, 4)] * 7)
+
+
 class TestDensifyStack:
     @given(stack=sparse_stacks(), radius=st.integers(1, 6), k=st.integers(1, 9))
     def test_stack_matches_each_map_alone(self, stack, radius, k):
@@ -235,6 +274,45 @@ class TestDensifyStack:
             assert np.array_equal(out_values[i].view(np.int64), ref_values.view(np.int64))
             assert np.array_equal(out_valid[i], alone.valid)
             assert np.array_equal(out_valid[i], ref_valid)
+
+    @given(stack=scan_stacks(), radius=st.integers(1, 8),
+           k=st.integers(1, 12) | st.sampled_from([255, 256, 300]))
+    @example(stack=CHUNK_AND_MORE, radius=DEFAULT_RADIUS, k=DEFAULT_NEIGHBORS)
+    @example(stack=CHUNK_AND_MORE, radius=8, k=300)
+    @example(stack=CHUNK_AND_MORE, radius=8, k=255)
+    @example(stack=CHUNK_AND_MORE, radius=1, k=1)
+    def test_real_size_matches_each_map_alone(self, stack, radius, k):
+        # k of 255 and more is above the offsets in range of radius 8 (196),
+        # so no cell ever reaches it.
+        values, valid = stack
+        out_values, out_valid = densify_stack(values, valid, radius, k)
+        for i in range(len(values)):
+            ref_values, ref_valid = _loop_densify(values[i], valid[i], radius, k)
+            assert out_values[i].tobytes() == ref_values.tobytes()
+            assert np.array_equal(out_valid[i], ref_valid)
+
+    def test_projected_maps_under_lidar_faults(self):
+        # The maps eval densifies: synthesized scans under every default
+        # LiDAR fault and noise level, in one stack per fault list.
+        lidar = [s.faults for s in default_scenarios()
+                 if s.faults and all(f.modality == "lidar" for f in s.faults)]
+        lidar += [(FaultSpec("lidar", "gaussian_noise", sigma, 1),)
+                  for sigma in RunConfig().sigmas]
+        samples = [synthesize_sample(f"m{i}", 4200 + i) for i in range(6)]
+        for faults in [(), (FaultSpec("lidar", "miscalibration_shift", 2.0),), *lidar]:
+            maps = []
+            for sample in samples:
+                sample = inject_faults(sample, faults)
+                sparse = project_point_cloud(sample.cloud, DEFAULT_INTRINSICS)
+                maps.append(translate_depth(sparse, *sample.registration_shift))
+            values = np.stack([m.values for m in maps])
+            valid = np.stack([m.valid for m in maps])
+            out_values, out_valid = densify_stack(values, valid)
+            for i in range(len(maps)):
+                ref_values, ref_valid = _loop_densify(values[i], valid[i],
+                                                      DEFAULT_RADIUS, DEFAULT_NEIGHBORS)
+                assert out_values[i].tobytes() == ref_values.tobytes(), faults
+                assert np.array_equal(out_valid[i], ref_valid), faults
 
     def test_inputs_untouched(self):
         rng = np.random.default_rng(5)

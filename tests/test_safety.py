@@ -349,8 +349,8 @@ class TestPrepareOnce:
 
     @pytest.fixture
     def work(self, monkeypatch):
-        """Counts of per-modality preparer calls, densify_stack calls and
-        encoder batches."""
+        """Counts of per-modality preparer calls, densify_stack calls, encoder
+        batches and fusion-and-heads batches."""
         counts = Counter()
         for modality, preparer in list(inputs.PREPARERS.items()):
             def preparing(samples, config, modality=modality, preparer=preparer):
@@ -371,6 +371,13 @@ class TestPrepareOnce:
             return encode(branch, features)
 
         monkeypatch.setattr(EncoderBranch, "encode", encoding)
+        decode = FusionNetwork.decode
+
+        def decoding(network, latents, effective):
+            counts["decode"] += 1
+            return decode(network, latents, effective)
+
+        monkeypatch.setattr(FusionNetwork, "decode", decoding)
         return counts
 
     def test_fail_operational_eval(self, network, samples, work):
@@ -381,10 +388,12 @@ class TestPrepareOnce:
                               check_independence=False)
         # Camera and depth: nominal, blackout, and camera_noise's noise or
         # lidar_dropout's dropout; text: nominal and blackout. Blacked-out
-        # inputs fail triage, so nothing densifies or encodes them.
+        # inputs fail triage, so nothing densifies or encodes them. Each
+        # scenario decodes once; the nominal row is the baseline's evaluation.
         assert work == {
             "prepare camera": 3, "prepare depth": 3, "prepare text": 2,
             "densify": 2, "encode camera": 2, "encode depth": 2, "encode text": 1,
+            "decode": 6,
         }
 
     def test_snr_enrichment_eval(self, network, samples, work):
@@ -397,10 +406,12 @@ class TestPrepareOnce:
         rows = snr_enrichment_eval(campaign, [0.0, 0.25, 0.5], seed=1)
         assert [row.sigma for row in rows] == [0.0, 0.25, 0.5]
         # Sigma 0 is the nominal input; sigmas 0.25 and 0.5 add one camera
-        # and one depth input each, and text stays nominal.
+        # and one depth input each, and text stays nominal. Sigma 0's fused
+        # row is the nominal evaluation, so only its camera-only row decodes.
         assert work == {
             "prepare camera": 5, "prepare depth": 5, "prepare text": 2,
             "densify": 4, "encode camera": 4, "encode depth": 4, "encode text": 1,
+            "decode": 11,
         }
 
     def test_single_modality_probe(self, network, samples, prepared):
