@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Dict, List, Optional
 
 from . import __version__
 from .config import RunConfig, apply_overrides
@@ -28,11 +29,14 @@ from .errors import (
     FfusionError,
     GraphError,
 )
-from .model import FusionNetwork, evaluate, train
-from .model.config import to_plain
+from .model import FusionNetwork, Metrics, evaluate, train
+from .model.config import from_plain, to_plain
 from .safety import (
     Campaign,
+    DegradationReport,
+    EnrichmentRow,
     FaultSpec,
+    ProbeResult,
     check_decomposition,
     fail_operational_eval,
     inject_fault,
@@ -42,7 +46,6 @@ from .safety import (
 )
 from .safety.report import (
     REPORT_FORMAT,
-    check_summary_input,
     render_json,
     render_text_summary,
     write_json_report,
@@ -141,7 +144,7 @@ def cmd_train(args) -> int:
         "version": __version__,
         "config": config.to_dict(),
         "train_loss_curve": curve,
-        "val": to_plain(val_metrics),
+        "val": val_metrics,
     }
     write_json_report(config.paths.train_metrics, payload)
     _merge_timing(config, "train_seconds", time.perf_counter() - started)
@@ -167,9 +170,9 @@ def cmd_eval(args) -> int:
         "format": REPORT_FORMAT,
         "version": __version__,
         "config": config.to_dict(),
-        "degradation": degradation.to_dict(),
-        "probes": [to_plain(probes[m]) for m in sorted(probes)],
-        "enrichment": to_plain(enrichment),
+        "degradation": degradation,
+        "probes": [probes[m] for m in sorted(probes)],
+        "enrichment": enrichment,
     }
     write_json_report(config.paths.eval_report, payload)
     write_text_report(config.paths.eval_summary, payload)
@@ -225,14 +228,13 @@ def cmd_asil_check(args) -> int:
     graph = load_arch_graph(graph_path)
     verdicts = check_decomposition(graph)
     for verdict in verdicts:
-        claim = verdict.claim
-        print(f"{claim.parent} -> {' + '.join(claim.parts)}: "
+        print(f"{verdict.parent} -> {' + '.join(verdict.parts)}: "
               f"{verdict.status} ({verdict.reason})")
     if args.json:
         write_json_report(args.json, {
             "format": REPORT_FORMAT,
             "version": __version__,
-            "asil_verdicts": [v.to_dict() for v in verdicts],
+            "asil_verdicts": verdicts,
         })
     invalid = sum(1 for v in verdicts if v.status != "VALID")
     print(f"{len(verdicts)} claims, {invalid} invalid")
@@ -258,36 +260,42 @@ def _read_json(path, description: str) -> dict:
     return payload
 
 
+def _read_report(path, description: str, **sections) -> dict:
+    """The named sections of a report file, each read as its declared type;
+    an absent or null section reads as None."""
+    payload = _read_json(path, description)
+    source = f"{description} {path}"
+    tag = payload.get("format", REPORT_FORMAT)
+    if tag != REPORT_FORMAT:
+        raise DataError(f"{source}: unsupported report format {tag!r}")
+    return {key: from_plain(Optional[kind], payload.get(key), f"{source}: {key}", DataError)
+            for key, kind in sections.items()}
+
+
 def cmd_report(args) -> int:
     config = _load_config(args)
-    train_payload = _read_json(config.paths.train_metrics, "training metrics")
-    eval_payload = _read_json(config.paths.eval_report, "evaluation report")
-    check_summary_input({k: eval_payload.get(k) for k in ("degradation", "probes", "enrichment")},
-                        f"evaluation report {config.paths.eval_report}")
     payload = {
         "format": REPORT_FORMAT,
         "version": __version__,
         "config": config.to_dict(),
-        "train_loss_curve": train_payload.get("train_loss_curve"),
-        "val": train_payload.get("val"),
-        "degradation": eval_payload.get("degradation"),
-        "probes": eval_payload.get("probes"),
-        "enrichment": eval_payload.get("enrichment"),
+        **_read_report(config.paths.train_metrics, "training metrics",
+                       train_loss_curve=List[float], val=Metrics),
+        **_read_report(config.paths.eval_report, "evaluation report",
+                       degradation=DegradationReport, probes=List[ProbeResult],
+                       enrichment=List[EnrichmentRow]),
     }
     if config.paths.arch_graph is not None:
         if not Path(config.paths.arch_graph).is_file():
             raise MissingInputError(
                 f"architecture graph not found: {config.paths.arch_graph}")
-        graph = load_arch_graph(config.paths.arch_graph)
-        payload["asil_verdicts"] = [
-            v.to_dict() for v in check_decomposition(graph)]
+        payload["asil_verdicts"] = check_decomposition(
+            load_arch_graph(config.paths.arch_graph))
     timings_path = Path(config.paths.timings)
     if timings_path.is_file():
         timings = _read_json(timings_path, "timings sidecar")
-        payload["timings"] = {k: v for k, v in timings.items()
-                              if k != "format"}
-        check_summary_input({"timings": payload["timings"]},
-                            f"timings sidecar {timings_path}")
+        timings.pop("format", None)
+        payload["timings"] = from_plain(Dict[str, float], timings,
+                                        f"timings sidecar {timings_path}: timings", DataError)
     # Render both before writing either, so a failure leaves neither file.
     rendered = ((config.paths.report, render_json(payload)),
                 (config.paths.report_summary, render_text_summary(payload)))

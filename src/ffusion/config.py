@@ -6,7 +6,7 @@ instead of silently ignoring typos.
 """
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -25,12 +25,12 @@ class DatasetConfig:
 
     count: int = 640
     seed: int = 12345
-    ratios: Tuple[float, float, float] = (0.8, 0.1, 0.1)
+    ratios: Tuple[float, ...] = (0.8, 0.1, 0.1)
 
     def __post_init__(self):
         require_int("dataset count", self.count, 1)
         require_int("dataset seed", self.seed, 0)
-        if not isinstance(self.ratios, (list, tuple)) or len(self.ratios) != 3:
+        if len(self.ratios) != 3:
             raise ConfigError(f"split ratios must be a list of three numbers, got {self.ratios!r}")
         ratios = tuple(require_real("ratios entry", r) for r in self.ratios)
         if not (all(r > 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
@@ -53,12 +53,6 @@ class Paths:
     timings: str = "out/timings.json"
     arch_graph: Optional[str] = None
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (isinstance(value, str) or (value is None and f.name == "arch_graph")):
-                raise ConfigError(f"{f.name} must be a string, got {value!r}")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -73,16 +67,12 @@ class RunConfig:
     paths: Paths = field(default_factory=Paths)
 
     def __post_init__(self):
-        if not isinstance(self.sigmas, (list, tuple)):
-            raise ConfigError(f"sigmas must be a list of numbers, got {self.sigmas!r}")
         sigmas = tuple(require_real("sigmas entry", s) for s in self.sigmas)
         if not all(0.0 <= s < float("inf") for s in sigmas):
             raise ConfigError(f"sigmas must be finite and >= 0, got {self.sigmas}")
         if len(set(sigmas)) != len(sigmas):
             raise ConfigError(f"sigmas must not repeat a value, got {self.sigmas}")
         object.__setattr__(self, "sigmas", sigmas)
-        if not isinstance(self.scenarios, (list, tuple)):
-            raise ConfigError(f"scenarios must be a list, got {self.scenarios!r}")
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         try:
             check_scenario_names(self.scenarios)
@@ -98,13 +88,6 @@ class RunConfig:
         tag = raw.pop("format", CONFIG_FORMAT)
         if tag != CONFIG_FORMAT:
             raise ConfigError(f"unsupported config format {tag!r}")
-        for name, section in (("model", ModelConfig), ("training", TrainConfig),
-                              ("dataset", DatasetConfig), ("paths", Paths)):
-            if name in raw:
-                raw[name] = from_plain(section, raw[name], name)
-        if isinstance(raw.get("scenarios"), list):
-            raw["scenarios"] = [Scenario.from_dict(s, f"scenarios[{i}]")
-                                for i, s in enumerate(raw["scenarios"])]
         return from_plain(cls, raw, "")
 
     def serialize(self) -> str:

@@ -98,17 +98,12 @@ class ArchGraph:
 
 @dataclass(frozen=True)
 class Verdict:
-    claim: Claim
+    """The outcome for one claim, parent -> parts."""
+
+    parent: str
+    parts: Tuple[str, ...]
     status: str
     reason: str
-
-    def to_dict(self) -> dict:
-        return {
-            "parent": self.claim.parent,
-            "parts": list(self.claim.parts),
-            "status": self.status,
-            "reason": self.reason,
-        }
 
 
 def rank_sum_valid(parent_level: str, part_levels: Tuple[str, str]) -> bool:
@@ -126,16 +121,16 @@ def check_decomposition(graph: ArchGraph) -> List[Verdict]:
         if not rank_sum_valid(parent_level, part_levels):
             shortfall = (asil_rank(parent_level)
                          - sum(asil_rank(v) for v in part_levels))
-            verdicts.append(Verdict(claim, INVALID, (
+            verdicts.append(Verdict(claim.parent, claim.parts, INVALID, (
                 f"rank shortfall: {part_levels[0]}+{part_levels[1]} covers "
                 f"{sum(asil_rank(v) for v in part_levels)} of "
                 f"{parent_level}={asil_rank(parent_level)} (short by {shortfall})")))
         elif not graph.declared_independent(*claim.parts):
-            verdicts.append(Verdict(claim, INVALID, (
+            verdicts.append(Verdict(claim.parent, claim.parts, INVALID, (
                 f"missing independence: {claim.parts[0]} and {claim.parts[1]} "
                 "are not declared free of common cause")))
         else:
-            verdicts.append(Verdict(claim, VALID, (
+            verdicts.append(Verdict(claim.parent, claim.parts, VALID, (
                 f"{part_levels[0]}+{part_levels[1]} covers {parent_level} "
                 "and the parts are declared independent")))
     return verdicts

@@ -46,6 +46,10 @@ class FaultSpec:
     magnitude: float = 0.0
     seed: int = 0
 
+    # from_plain reads a fault spec with this error class, so a malformed one
+    # is invalid data (exit 5), inside a config too.
+    read_error = FaultError
+
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
             raise FaultError(f"unknown fault kind {self.kind!r}")

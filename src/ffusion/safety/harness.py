@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ConfigError, DataError, FaultError, FusionError
+from ..errors import ConfigError, DataError, FusionError
 from ..model import (
     MODALITIES,
     AvailabilityMask,
@@ -24,7 +24,6 @@ from ..model import (
     evaluate,
     stack_features,
 )
-from ..model.config import from_plain, to_plain
 from ..model.inputs import PREPARERS, assemble
 from ..model.training import encode_rows
 from ..scene.dataset import Sample
@@ -48,8 +47,6 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name.strip():
             raise ConfigError(f"scenario name must be a non-empty string, got {self.name!r}")
-        if not isinstance(self.faults, (list, tuple)):
-            raise ConfigError(f"scenario faults must be a list, got {self.faults!r}")
         object.__setattr__(self, "faults", tuple(self.faults))
         if self.name == NOMINAL and self.faults:
             raise ConfigError(f"the {NOMINAL} scenario is the fault-free baseline; "
@@ -57,15 +54,6 @@ class Scenario:
 
     def apply(self, samples: Sequence[Sample]) -> List[Sample]:
         return [inject_faults(s, self.faults) for s in samples]
-
-    @classmethod
-    def from_dict(cls, raw, where: str) -> "Scenario":
-        """Read one config scenario; where is its path, e.g. scenarios[0]."""
-        if isinstance(raw, dict) and isinstance(raw.get("faults"), list):
-            faults = [from_plain(FaultSpec, f, f"{where}.faults[{i}]", FaultError)
-                      for i, f in enumerate(raw["faults"])]
-            raw = {**raw, "faults": faults}
-        return from_plain(cls, raw, where)
 
 
 def default_scenarios() -> List[Scenario]:
@@ -106,14 +94,6 @@ class DegradationReport:
             if item.name == name:
                 return item
         raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "nominal": to_plain(self.nominal),
-            "scenarios": to_plain(self.scenarios),
-            "independence": None if self.independence is None
-            else self.independence.to_dict(),
-        }
 
 
 def _retained(scenario_accuracy: float,

@@ -14,30 +14,29 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..autodiff import Tape, backward
+from ..errors import DataError
 from ..model import AvailabilityMask, FeatureBatch, MODALITIES
 
 
 @dataclass
 class IndependenceReport:
-    """Pass/fail per check, with enough detail to locate a violation."""
+    """Pass/fail per check, with enough detail to locate a violation.
+
+    all_pass is derived from the two checks; a stored all_pass that
+    disagrees with them is invalid data.
+    """
 
     structural_pass: bool
     shared_parameters: List[str]
     functional_pass: Dict[str, bool]
     gradient_leaks: Dict[str, Optional[str]] = field(default_factory=dict)
+    all_pass: Optional[bool] = None
 
-    @property
-    def all_pass(self) -> bool:
-        return self.structural_pass and all(self.functional_pass.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "structural_pass": self.structural_pass,
-            "shared_parameters": self.shared_parameters,
-            "functional_pass": dict(sorted(self.functional_pass.items())),
-            "gradient_leaks": {k: v for k, v in sorted(self.gradient_leaks.items())},
-            "all_pass": self.all_pass,
-        }
+    def __post_init__(self):
+        derived = self.structural_pass and all(self.functional_pass.values())
+        if self.all_pass not in (None, derived):
+            raise DataError("all_pass disagrees with structural_pass and functional_pass")
+        self.all_pass = derived
 
 
 def branch_paths(store, modality: str) -> List[str]:

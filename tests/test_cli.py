@@ -1,5 +1,7 @@
 """Config round-trips, subcommand orchestration, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import shutil
 from pathlib import Path
@@ -7,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffusion.autodiff import load_checkpoint, save_checkpoint
@@ -26,10 +28,19 @@ from ffusion.config import (
     parse_override,
 )
 from ffusion.errors import ConfigError, DataError
-from ffusion.model import ModelConfig, TrainConfig
-from ffusion.safety import FaultSpec, Scenario
+from ffusion.model import Metrics, ModelConfig, TrainConfig
+from ffusion.model.config import from_plain, to_plain
+from ffusion.safety import (
+    DegradationReport,
+    EnrichmentRow,
+    FaultSpec,
+    IndependenceReport,
+    ProbeResult,
+    Scenario,
+    ScenarioResult,
+    Verdict,
+)
 from ffusion.safety.faults import _VALID
-from ffusion.safety.report import check_summary_input, render_text_summary
 from ffusion.scene.dataset import load_dataset
 
 
@@ -277,6 +288,18 @@ class TestPipeline:
         assert payload["asil_verdicts"][0]["parent"] == "system"
 
 
+def edit_nominal(report: dict, **values) -> dict:
+    degradation = report["degradation"]
+    return {**report, "degradation": {
+        **degradation, "nominal": {**degradation["nominal"], **values}}}
+
+
+def edit_independence(report: dict, **values) -> dict:
+    degradation = report["degradation"]
+    return {**report, "degradation": {
+        **degradation, "independence": {**degradation["independence"], **values}}}
+
+
 def key_paths(value, path=()):
     """Every key path in a JSON value, the value's own empty path first."""
     yield path
@@ -286,29 +309,114 @@ def key_paths(value, path=()):
         yield from key_paths(item, path + (key,))
 
 
+def json_kind(value) -> str:
+    """A JSON value's kind; an int and a float are both numbers."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "number"
+    return type(value).__name__
+
+
+# The report objects keyed by name rather than by the fields of a record.
+NAME_KEYED = {"per_class", "functional_pass", "gradient_leaks", "timings"}
+
+
 class TestReportInput:
+    @settings(max_examples=100)
     @given(data=st.data())
     def test_checked_sections_always_render(self, pipeline, data):
-        # Delete one key or replace one value anywhere in real report
-        # sections: the check either rejects them or the summary renders.
+        # Delete a key, replace a value or add a key anywhere in real report
+        # sections. report then either writes both files, or exits 5 with one
+        # line naming the file at fault and writes neither. A value of another
+        # JSON kind than the one it replaces (null aside), and a key that is
+        # not a field of the record it is added to, must be rejected.
         work, config, config_path = pipeline
         report = json.loads(Path(config.paths.eval_report).read_text(encoding="utf-8"))
-        sections = {key: report[key] for key in ("degradation", "probes", "enrichment")}
+        sections = {key: report.pop(key) for key in ("degradation", "probes", "enrichment")}
         sections["timings"] = {"train_seconds": 1.5, "eval_seconds": 0.5}
         path = data.draw(st.sampled_from(list(key_paths(sections))[1:]))
         parent = sections
         for key in path[:-1]:
             parent = parent[key]
-        if isinstance(parent, dict) and data.draw(st.booleans()):
+        old = parent[path[-1]]
+        edit = data.draw(st.sampled_from(
+            ["replace"] + ["delete"] * isinstance(parent, dict) + ["add"] * isinstance(old, dict)))
+        must_fail = False
+        if edit == "delete":
             del parent[path[-1]]
+        elif edit == "replace":
+            # true and false also stand in for numbers, which JSON must not allow.
+            parent[path[-1]] = new = data.draw(st.booleans() | json_values)
+            must_fail = None not in (old, new) and json_kind(old) != json_kind(new)
         else:
-            parent[path[-1]] = data.draw(json_values)
-        try:
-            check_summary_input(sections, "eval_report.json")
-        except DataError as exc:
-            assert str(exc).startswith("eval_report.json: ")
+            old["extra"] = next(iter(old.values()), None)
+            must_fail = path[-1] not in NAME_KEYED
+
+        run = work / "report_input"
+        run.mkdir(exist_ok=True)
+        eval_path, timings_path = run / "eval_report.json", run / "timings.json"
+        outputs = run / "report.json", run / "report.txt"
+        for file in (timings_path, *outputs):
+            file.unlink(missing_ok=True)
+        if "timings" in sections:
+            timings = sections.pop("timings")
+            if isinstance(timings, dict):
+                timings = {"format": "ffusion-timings-v1", **timings}
+            timings_path.write_text(json.dumps(timings), encoding="utf-8")
+        eval_path.write_text(json.dumps({**report, **sections}), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["report", "--config", str(config_path),
+                         "--set", f"paths.eval_report={eval_path}",
+                         "--set", f"paths.timings={timings_path}",
+                         "--set", f"paths.report={outputs[0]}",
+                         "--set", f"paths.report_summary={outputs[1]}"])
+        if code == EXIT_OK:
+            assert not must_fail, f"{edit} at {path} was accepted"
+            assert outputs[1].read_text(encoding="utf-8").startswith("report format: ")
             return
-        assert render_text_summary(sections).startswith("report format: ")
+        assert code == EXIT_DATA
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: invalid-data: ")
+        at_fault = timings_path if path[0] == "timings" else eval_path
+        assert str(at_fault) in lines[0] or (
+            path == ("timings",) and "timings sidecar must hold a JSON object" in lines[0])
+        assert not any(file.exists() for file in outputs)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+accuracies = st.floats(0.0, 1.0)
+metrics = st.builds(Metrics, scenario=st.text(), command_accuracy=accuracies,
+                    per_class=st.dictionaries(st.text(), st.none() | accuracies, max_size=4),
+                    seg_accuracy=accuracies, loss_curve=st.lists(finite, max_size=3))
+scenario_results = st.builds(
+    ScenarioResult, name=st.text(), status=st.text(), metrics=st.none() | metrics,
+    arbitration=st.none() | st.lists(finite, max_size=3),
+    retained_accuracy=st.none() | finite, error=st.none() | st.text())
+independence_reports = st.builds(
+    IndependenceReport, structural_pass=st.booleans(),
+    shared_parameters=st.lists(st.text(), max_size=3),
+    functional_pass=st.dictionaries(st.text(), st.booleans(), max_size=3),
+    gradient_leaks=st.dictionaries(st.text(), st.none() | st.text(), max_size=3))
+records = st.one_of(
+    metrics, scenario_results, independence_reports,
+    st.builds(DegradationReport, nominal=metrics, scenarios=st.lists(scenario_results, max_size=3),
+              independence=st.none() | independence_reports),
+    st.builds(ProbeResult, st.text(), accuracies, st.booleans()),
+    st.builds(EnrichmentRow, finite, accuracies, accuracies),
+    st.builds(Verdict, st.text(), st.tuples(st.text(), st.text()), st.text(), st.text()),
+    run_configs)
+
+
+class TestReader:
+    @settings(max_examples=100)
+    @given(record=records)
+    def test_plain_roundtrip(self, record):
+        # Reading a record's JSON gives the record back, and writing that
+        # spells the JSON as it was.
+        plain = json.loads(json.dumps(to_plain(record)))
+        read = from_plain(type(record), plain, "", DataError)
+        assert read == record
+        assert to_plain(read) == plain
 
 
 class TestExitCodes:
@@ -519,12 +627,43 @@ class TestExitCodes:
          "timings.train_seconds must be a number, got str"),
         ("train_metrics", lambda _: {"val": {"command_accuracy": float("nan")}},
          "holds NaN, which is not JSON"),
+        ("train_metrics", lambda _: {"val": "x"}, "val must be an object, got str"),
+        ("train_metrics", lambda _: {"train_loss_curve": [0.5, "x"]},
+         "train_loss_curve[1] must be a number, got str"),
+        ("train_metrics", lambda _: {"val": {"scenario": "val", "command_accuracy": 1.5,
+                                             "per_class": {}, "seg_accuracy": 0.5}},
+         "val: command_accuracy outside [0, 1]: 1.5"),
+        ("eval_report", lambda report: edit_nominal(report, command_accuracy=7.5),
+         "degradation.nominal: command_accuracy outside [0, 1]: 7.5"),
+        ("eval_report", lambda report: edit_nominal(report, command_accuracy="x"),
+         "degradation.nominal.command_accuracy must be a number, got str"),
+        ("eval_report", lambda report: edit_nominal(report, per_class={"stop": "x"}),
+         "degradation.nominal.per_class.stop must be a number, got str"),
+        ("eval_report", lambda report: {**report, "enrichment": [
+            {**report["enrichment"][0], "sigma": True}]},
+         "enrichment[0].sigma must be a number, got bool"),
+        ("eval_report", lambda report: edit_independence(report, all_pass="no"),
+         "degradation.independence.all_pass must be true or false, got str"),
+        ("eval_report", lambda report: edit_independence(report, all_pass=False),
+         "degradation.independence: all_pass disagrees with"),
+        ("eval_report", lambda report: {**report, "degradation": {
+            **report["degradation"], "scenarios": [
+                {**report["degradation"]["scenarios"][0], "extra": 1}]}},
+         "degradation.scenarios[0].extra is not a known key"),
+        ("eval_report", lambda report: {**report, "format": "ffusion-report-v2"},
+         "unsupported report format 'ffusion-report-v2'"),
+        ("train_metrics", lambda _: {"format": "ffusion-config-v1"},
+         "unsupported report format 'ffusion-config-v1'"),
     ], ids=["no_nominal", "probe_without_accuracy", "string_sigma", "list_scenario_name",
-            "string_timing", "nan_metric"])
+            "string_timing", "nan_metric", "string_val", "string_loss", "val_accuracy_range",
+            "accuracy_range", "string_accuracy", "string_per_class", "bool_sigma",
+            "string_all_pass", "contrary_all_pass", "unknown_scenario_key",
+            "eval_format", "train_format"])
     def test_wrong_shaped_report_input_is_data_error(self, pipeline, tmp_path, capsys,
                                                      key, edit, cause):
-        # Valid JSON objects that lack a key or hold a wrong type where the
-        # text summary reads them: no traceback, and neither report file.
+        # Valid JSON objects that lack a key, hold an unknown key, a wrong
+        # type or a value out of range, or carry another format tag: no
+        # traceback, and neither report file.
         work, config, config_path = pipeline
         report = json.loads(Path(config.paths.eval_report).read_text(encoding="utf-8"))
         bad = tmp_path / "bad.json"

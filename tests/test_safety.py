@@ -42,6 +42,7 @@ from ffusion.safety import (
     Campaign,
     Claim,
     FaultSpec,
+    ProbeResult,
     Scenario,
     check_decomposition,
     default_scenarios,
@@ -280,7 +281,7 @@ class TestHarness:
     def test_report_deterministic(self, network, samples):
         first = fail_operational_eval(Campaign(network, samples[12:16]))
         second = fail_operational_eval(Campaign(network, samples[12:16]))
-        assert render_json(first.to_dict()) == render_json(second.to_dict())
+        assert render_json(to_plain(first)) == render_json(to_plain(second))
 
     def test_independence_skips_samples_failing_triage(self, network, samples):
         split = list(samples[12:16])
@@ -300,7 +301,7 @@ class TestHarness:
 
     def test_scenario_dict_roundtrip(self):
         scenario = Scenario("noise", (FaultSpec("camera", "gaussian_noise", 0.5, 2),))
-        assert Scenario.from_dict(to_plain(scenario), "scenario") == scenario
+        assert from_plain(Scenario, to_plain(scenario), "scenario") == scenario
 
 
 class TestEnrichment:
@@ -815,21 +816,19 @@ class TestReportRendering:
                                        [Scenario("nominal")],
                                        check_independence=False)
         payload = {"format": "ffusion-report-v1",
-                   "degradation": report.to_dict()}
+                   "degradation": to_plain(report)}
         assert render_json(payload) == render_json(
-            {"format": "ffusion-report-v1", "degradation": report.to_dict()})
+            {"format": "ffusion-report-v1", "degradation": to_plain(report)})
 
     def test_text_summary_sections(self, network, samples):
         report = fail_operational_eval(Campaign(network, samples[12:15]))
         graph = parse_arch_graph(graph_text())
         payload = {
             "format": "ffusion-report-v1",
-            "degradation": report.to_dict(),
-            "probes": [{"modality": "text", "accuracy": 1.0,
-                        "shuffled_labels": False}],
-            "enrichment": to_plain(snr_enrichment_eval(
-                Campaign(network, samples[12:14]), [0.0])),
-            "asil_verdicts": [v.to_dict() for v in check_decomposition(graph)],
+            "degradation": report,
+            "probes": [ProbeResult(modality="text", accuracy=1.0, shuffled_labels=False)],
+            "enrichment": snr_enrichment_eval(Campaign(network, samples[12:14]), [0.0]),
+            "asil_verdicts": check_decomposition(graph),
             "timings": {"train": 1.5},
         }
         text = render_text_summary(payload)
@@ -845,6 +844,6 @@ class TestReportRendering:
         report = fail_operational_eval(Campaign(network, samples[12:14]),
                                        [Scenario("nominal")],
                                        check_independence=False)
-        payload = {"degradation": report.to_dict()}
+        payload = {"degradation": report}
         text = render_text_summary(payload)
         assert "nominal baseline" in text
