@@ -288,16 +288,10 @@ class TestPipeline:
         assert payload["asil_verdicts"][0]["parent"] == "system"
 
 
-def edit_nominal(report: dict, **values) -> dict:
+def edit_degradation(report: dict, part: str, **values) -> dict:
+    """report with values set in its degradation.<part> object."""
     degradation = report["degradation"]
-    return {**report, "degradation": {
-        **degradation, "nominal": {**degradation["nominal"], **values}}}
-
-
-def edit_independence(report: dict, **values) -> dict:
-    degradation = report["degradation"]
-    return {**report, "degradation": {
-        **degradation, "independence": {**degradation["independence"], **values}}}
+    return {**report, "degradation": {**degradation, part: {**degradation[part], **values}}}
 
 
 def key_paths(value, path=()):
@@ -633,18 +627,18 @@ class TestExitCodes:
         ("train_metrics", lambda _: {"val": {"scenario": "val", "command_accuracy": 1.5,
                                              "per_class": {}, "seg_accuracy": 0.5}},
          "val: command_accuracy outside [0, 1]: 1.5"),
-        ("eval_report", lambda report: edit_nominal(report, command_accuracy=7.5),
+        ("eval_report", lambda report: edit_degradation(report, "nominal", command_accuracy=7.5),
          "degradation.nominal: command_accuracy outside [0, 1]: 7.5"),
-        ("eval_report", lambda report: edit_nominal(report, command_accuracy="x"),
+        ("eval_report", lambda report: edit_degradation(report, "nominal", command_accuracy="x"),
          "degradation.nominal.command_accuracy must be a number, got str"),
-        ("eval_report", lambda report: edit_nominal(report, per_class={"stop": "x"}),
+        ("eval_report", lambda report: edit_degradation(report, "nominal", per_class={"stop": "x"}),
          "degradation.nominal.per_class.stop must be a number, got str"),
         ("eval_report", lambda report: {**report, "enrichment": [
             {**report["enrichment"][0], "sigma": True}]},
          "enrichment[0].sigma must be a number, got bool"),
-        ("eval_report", lambda report: edit_independence(report, all_pass="no"),
+        ("eval_report", lambda report: edit_degradation(report, "independence", all_pass="no"),
          "degradation.independence.all_pass must be true or false, got str"),
-        ("eval_report", lambda report: edit_independence(report, all_pass=False),
+        ("eval_report", lambda report: edit_degradation(report, "independence", all_pass=False),
          "degradation.independence: all_pass disagrees with"),
         ("eval_report", lambda report: {**report, "degradation": {
             **report["degradation"], "scenarios": [
