@@ -17,7 +17,6 @@ import math
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import erf
 
 from ffusion.autodiff.tensor import Array, Tensor, record_op
 from ffusion.errors import MaskError, ShapeError
@@ -81,6 +80,7 @@ def scale(x: Tensor, factor: float) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with the Gaussian CDF."""
+    from scipy.special import erf  # here, so commands that run no model never load SciPy
     cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
     out = _result((x,), x.data * cdf)
     xd = x.data

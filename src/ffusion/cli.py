@@ -60,6 +60,8 @@ EXIT_MISSING = 4
 EXIT_DATA = 5
 EXIT_OTHER = 1
 
+TIMINGS_FORMAT = "ffusion-timings-v1"
+
 
 class MissingInputError(FfusionError):
     """An input file or directory named by the config does not exist."""
@@ -109,13 +111,13 @@ def _load_splits(config: RunConfig, needed) -> dict:
 
 def _merge_timing(config: RunConfig, key: str, seconds: float) -> None:
     path = Path(config.paths.timings)
-    data = {"format": "ffusion-timings-v1"}
+    data = {}
     if path.is_file():
         try:
-            data.update(_read_json(path, "timings sidecar"))
+            data = _read_json(path, "timings sidecar", TIMINGS_FORMAT)
         except DataError:
-            pass  # stale sidecar; rewrite it
-    data[key] = round(seconds, 3)
+            pass  # stale sidecar, or another format's; rewrite it
+    data = {"format": TIMINGS_FORMAT, **data, key: round(seconds, 3)}
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
@@ -241,7 +243,9 @@ def cmd_asil_check(args) -> int:
     return EXIT_OK
 
 
-def _read_json(path, description: str) -> dict:
+def _read_json(path, description: str, fmt: str) -> dict:
+    """The JSON object in path less its format tag, which must be fmt when
+    present."""
     file = Path(path)
     if not file.is_file():
         raise MissingInputError(f"{description} not found: {path}")
@@ -253,22 +257,22 @@ def _read_json(path, description: str) -> dict:
     try:
         payload = json.loads(file.read_text(encoding="utf-8"), parse_constant=reject)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{description} is not valid UTF-8 JSON: {exc}") from exc
+        raise DataError(f"{description} {path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(
-            f"{description} must hold a JSON object, got {type(payload).__name__}")
+            f"{description} {path} must hold a JSON object, got {type(payload).__name__}")
+    tag = payload.pop("format", fmt)
+    if tag != fmt:
+        raise DataError(f"{description} {path}: unsupported format {tag!r}")
     return payload
 
 
 def _read_report(path, description: str, **sections) -> dict:
     """The named sections of a report file, each read as its declared type;
     an absent or null section reads as None."""
-    payload = _read_json(path, description)
-    source = f"{description} {path}"
-    tag = payload.get("format", REPORT_FORMAT)
-    if tag != REPORT_FORMAT:
-        raise DataError(f"{source}: unsupported report format {tag!r}")
-    return {key: from_plain(Optional[kind], payload.get(key), f"{source}: {key}", DataError)
+    payload = _read_json(path, description, REPORT_FORMAT)
+    return {key: from_plain(Optional[kind], payload.get(key), f"{description} {path}: {key}",
+                            DataError)
             for key, kind in sections.items()}
 
 
@@ -292,8 +296,7 @@ def cmd_report(args) -> int:
             load_arch_graph(config.paths.arch_graph))
     timings_path = Path(config.paths.timings)
     if timings_path.is_file():
-        timings = _read_json(timings_path, "timings sidecar")
-        timings.pop("format", None)
+        timings = _read_json(timings_path, "timings sidecar", TIMINGS_FORMAT)
         payload["timings"] = from_plain(Dict[str, float], timings,
                                         f"timings sidecar {timings_path}: timings", DataError)
     # Render both before writing either, so a failure leaves neither file.

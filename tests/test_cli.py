@@ -372,8 +372,7 @@ class TestReportInput:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: invalid-data: ")
         at_fault = timings_path if path[0] == "timings" else eval_path
-        assert str(at_fault) in lines[0] or (
-            path == ("timings",) and "timings sidecar must hold a JSON object" in lines[0])
+        assert str(at_fault) in lines[0]
         assert not any(file.exists() for file in outputs)
 
 
@@ -586,10 +585,10 @@ class TestExitCodes:
         assert main(["report", "--config", str(path)]) == EXIT_MISSING
 
     @pytest.mark.parametrize("key, content, cause", [
-        ("train_metrics", b'{"val": "\xff"}', "training metrics is not valid UTF-8 JSON"),
-        ("train_metrics", b"[1]", "training metrics must hold a JSON object"),
-        ("eval_report", b"[1]", "evaluation report must hold a JSON object"),
-        ("timings", b"\xff", "timings sidecar is not valid UTF-8 JSON"),
+        ("train_metrics", b'{"val": "\xff"}', "training metrics {} is not valid UTF-8 JSON"),
+        ("train_metrics", b"[1]", "training metrics {} must hold a JSON object"),
+        ("eval_report", b"[1]", "evaluation report {} must hold a JSON object"),
+        ("timings", b"\xff", "timings sidecar {} is not valid UTF-8 JSON"),
     ], ids=["non_utf8_metrics", "list_metrics", "list_eval_report", "non_utf8_timings"])
     def test_bad_report_input_is_data_error(self, pipeline, tmp_path, capsys,
                                             key, content, cause):
@@ -603,7 +602,7 @@ class TestExitCodes:
                      "--set", f"paths.report={report}"]) == EXIT_DATA
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: invalid-data: ")
-        assert cause in err[0]
+        assert cause.format(bad) in err[0]
         assert not report.exists()
 
     @pytest.mark.parametrize("key, edit, cause", [
@@ -619,6 +618,8 @@ class TestExitCodes:
          "degradation.scenarios[0].name must be a string, got list"),
         ("timings", lambda _: {"format": "ffusion-timings-v1", "train_seconds": "x"},
          "timings.train_seconds must be a number, got str"),
+        ("timings", lambda _: {"format": "ffusion-timings-v2", "train_seconds": 1.5},
+         "unsupported format 'ffusion-timings-v2'"),
         ("train_metrics", lambda _: {"val": {"command_accuracy": float("nan")}},
          "holds NaN, which is not JSON"),
         ("train_metrics", lambda _: {"val": "x"}, "val must be an object, got str"),
@@ -645,14 +646,14 @@ class TestExitCodes:
                 {**report["degradation"]["scenarios"][0], "extra": 1}]}},
          "degradation.scenarios[0].extra is not a known key"),
         ("eval_report", lambda report: {**report, "format": "ffusion-report-v2"},
-         "unsupported report format 'ffusion-report-v2'"),
+         "unsupported format 'ffusion-report-v2'"),
         ("train_metrics", lambda _: {"format": "ffusion-config-v1"},
-         "unsupported report format 'ffusion-config-v1'"),
+         "unsupported format 'ffusion-config-v1'"),
     ], ids=["no_nominal", "probe_without_accuracy", "string_sigma", "list_scenario_name",
             "string_timing", "nan_metric", "string_val", "string_loss", "val_accuracy_range",
             "accuracy_range", "string_accuracy", "string_per_class", "bool_sigma",
             "string_all_pass", "contrary_all_pass", "unknown_scenario_key",
-            "eval_format", "train_format"])
+            "eval_format", "train_format", "timings_format"])
     def test_wrong_shaped_report_input_is_data_error(self, pipeline, tmp_path, capsys,
                                                      key, edit, cause):
         # Valid JSON objects that lack a key, hold an unknown key, a wrong
@@ -688,7 +689,9 @@ class TestExitCodes:
         assert str(out) in err[0] and str(data) in err[0]
         assert {p: p.read_bytes() for p in data.iterdir()} == before
 
-    @pytest.mark.parametrize("content", [b"\xff", b"[1]"], ids=["non_utf8", "list"])
+    @pytest.mark.parametrize("content", [
+        b"\xff", b"[1]", b'{"format": "ffusion-timings-v2", "train_seconds": 1.5}',
+    ], ids=["non_utf8", "list", "foreign_format"])
     def test_stale_timings_sidecar_is_rewritten(self, pipeline, tmp_path, content):
         work, config, config_path = pipeline
         timings = tmp_path / "timings.json"
@@ -699,6 +702,20 @@ class TestExitCodes:
                      "--set", f"paths.timings={timings}"]) == EXIT_OK
         data = json.loads(timings.read_text(encoding="utf-8"))
         assert sorted(data) == ["eval_seconds", "format"]
+        assert data["format"] == "ffusion-timings-v1"
+
+    def test_untagged_timings_sidecar_is_merged(self, pipeline, tmp_path):
+        # A sidecar without a format tag reads as the current format.
+        work, config, config_path = pipeline
+        timings = tmp_path / "timings.json"
+        timings.write_text('{"train_seconds": 1.5}', encoding="utf-8")
+        report = tmp_path / "report.json"
+        assert main(["report", "--config", str(config_path),
+                     "--set", f"paths.timings={timings}",
+                     "--set", f"paths.report={report}",
+                     "--set", f"paths.report_summary={tmp_path / 'report.txt'}"]) == EXIT_OK
+        assert json.loads(report.read_text(encoding="utf-8"))["timings"] == {
+            "train_seconds": 1.5}
 
     def test_missing_graph_file(self, tmp_path):
         assert main(["asil-check", "--graph",

@@ -1,10 +1,22 @@
 """Export lists: every name a package lists in __all__ exists on it, and
-every name the benchmark tracer wraps exists too."""
+every name the benchmark tracer wraps exists too. Imports: a command that
+runs no model never loads SciPy."""
 
 import importlib
+import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.special import erf
+
+import ffusion
+from ffusion.autodiff import Tensor, ops
+from test_cli import pipeline  # noqa: F401 (the module-scoped tiny pipeline)
 
 
 @pytest.mark.parametrize("package", [
@@ -59,3 +71,45 @@ def test_benchmark_tracer_spans_one_training_epoch(monkeypatch):
     assert counts["tape_records_step.full"] == 130
     assert counts["tape_records"] == 2 * 130
     assert all(span.end is not None for span in tracer.spans)
+
+
+# Runs one command in a fresh interpreter, then prints the SciPy modules it loaded.
+PROBE = """
+import json, sys
+from ffusion.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+sys.exit(code)
+"""
+
+
+def test_commands_that_run_no_model_never_load_scipy(pipeline, tmp_path):
+    """Only GELU needs SciPy (its erf), so generate, inject, asil-check,
+    report and an exit before the first forward pass start without it."""
+    work, config, config_path = pipeline
+    graph = work / "arch.txt"
+    commands = [
+        (["generate", "--set", f"paths.dataset_dir={tmp_path / 'data'}"], 0),
+        (["inject", "--modality", "camera", "--kind", "blackout",
+          "--out", str(tmp_path / "blackout")], 0),
+        (["asil-check", "--graph", str(graph)], 0),
+        (["report", "--set", f"paths.arch_graph={graph}",
+          "--set", f"paths.report={tmp_path / 'report.json'}",
+          "--set", f"paths.report_summary={tmp_path / 'report.txt'}"], 0),
+        (["eval", "--set", f"paths.checkpoint={tmp_path / 'absent.ckpt'}"], 4),
+    ]
+    src = str(Path(ffusion.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for (command, *flags), code in commands:
+        run = subprocess.run([sys.executable, "-c", PROBE, command, "--config",
+                              str(config_path), *flags],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == code, f"{command}: {run.stderr}"
+        assert json.loads(run.stdout.splitlines()[-1]) == [], f"{command} loaded SciPy"
+
+
+def test_gelu_is_the_scipy_erf_formula_bit_for_bit():
+    x = np.random.default_rng(5).standard_normal((32, 41, 16)) * 3.0
+    expected = x * (0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
+    assert ops.gelu(Tensor(x)).data.tobytes() == expected.tobytes()
