@@ -29,7 +29,7 @@ from .errors import (
     FfusionError,
     GraphError,
 )
-from .model import FusionNetwork, Metrics, evaluate, train
+from .model import FusionNetwork, Metrics, train
 from .model.config import from_plain, to_plain
 from .safety import (
     Campaign,
@@ -77,9 +77,10 @@ def _load_config(args) -> RunConfig:
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
+            raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
         if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object")
+            raise ConfigError(
+                f"config {path} root must be a JSON object, got {type(data).__name__}")
     apply_overrides(data, args.set or [])
     return RunConfig.from_dict(data)
 
@@ -140,7 +141,7 @@ def cmd_train(args) -> int:
     curve = train(network, splits["train"], config.training)
     network.save(config.paths.checkpoint)
 
-    val_metrics, _ = evaluate(network, splits["val"], scenario="val")
+    val_metrics, _ = Campaign(network, splits["val"]).evaluate(scenario="val")
     payload = {
         "format": REPORT_FORMAT,
         "version": __version__,

@@ -18,10 +18,9 @@ from .model import (
     FusionNetwork,
     ModelConfig,
     TrainConfig,
-    predict,
-    prepare_all,
     train,
 )
+from .safety import Campaign
 from .scene.commands import COMMANDS
 from .scene.dataset import Sample
 from .validation import (
@@ -98,9 +97,8 @@ class MultimodalFusionClassifier:
         if mask is not None and not isinstance(mask, AvailabilityMask):
             mask = availability_from_names(mask)
         samples = ensure_samples(X)
-        features = prepare_all(samples, self.network_)
         probs = np.empty((len(samples), len(COMMANDS)))
-        for indices, _, result in predict(self.network_, features, mask):
+        for indices, _, result in Campaign(self.network_, samples).predict(mask=mask):
             probs[indices] = result.command_probs.data
         return probs
 

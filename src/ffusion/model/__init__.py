@@ -35,6 +35,7 @@ from ffusion.model.inputs import (
     FeatureSet,
     group_by_availability,
     prepare_features,
+    prepare_samples,
     stack_features,
 )
 from ffusion.model.layers import (
@@ -48,9 +49,7 @@ from ffusion.model.network import ForwardResult, FusionNetwork, SEG_LOSS_WEIGHT
 from ffusion.model.training import (
     Metrics,
     TrainConfig,
-    evaluate,
     predict,
-    prepare_all,
     train,
 )
 from ffusion.model.vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID
@@ -91,13 +90,12 @@ __all__ = [
     "build_branches",
     "camera_health",
     "depth_health",
-    "evaluate",
     "group_by_availability",
     "init_param",
     "patchify",
     "predict",
-    "prepare_all",
     "prepare_features",
+    "prepare_samples",
     "stack_features",
     "text_health",
     "train",

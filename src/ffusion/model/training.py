@@ -1,4 +1,5 @@
-"""Training with batch-level modality dropout, and scenario evaluation."""
+"""Training with batch-level modality dropout, and batched inference on
+precomputed encoder tokens."""
 
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from ffusion.model.inputs import (
     stack_features,
 )
 from ffusion.model.network import ForwardResult, FusionNetwork
-from ffusion.scene.commands import COMMANDS
 from ffusion.scene.dataset import Sample
 
 EVAL_CHUNK = 64
@@ -73,10 +73,6 @@ def _first_nonfinite_path(network: FusionNetwork) -> Optional[str]:
     return None
 
 
-def prepare_all(samples: Sequence[Sample], network: FusionNetwork) -> List[FeatureSet]:
-    return prepare_samples(samples, network.config)
-
-
 def train(network: FusionNetwork, samples: Sequence[Sample],
           config: Optional[TrainConfig] = None) -> List[float]:
     """Optimize the network in place; returns the per-batch loss curve.
@@ -92,7 +88,7 @@ def train(network: FusionNetwork, samples: Sequence[Sample],
     config = config or TrainConfig()
     if not samples:
         raise TrainingError("training requires a non-empty sample list")
-    features = prepare_all(samples, network)
+    features = prepare_samples(samples, network.config)
     for f in features:
         failed = [m for m in MODALITIES if not f.health[m].available]
         if failed:
@@ -168,67 +164,19 @@ def encode_rows(network: FusionNetwork, features: Sequence[FeatureSet],
 
 
 def predict(network: FusionNetwork, features: Sequence[FeatureSet],
-            mask: Optional[AvailabilityMask] = None,
-            latents: Optional[Dict[str, np.ndarray]] = None
+            latents: Dict[str, np.ndarray], mask: Optional[AvailabilityMask] = None
             ) -> Iterator[Tuple[List[int], FeatureBatch, ForwardResult]]:
     """Forward passes over prepared features; no parameter updates.
 
     Samples are grouped by health-derived availability (groups in sorted
     pattern order) and each group runs in chunks of at most EVAL_CHUNK, so
     every batch sees one pattern. Fusion and both heads run per batch on
-    its samples' encoder token rows, gathered from latents: per modality,
-    the tokens of every row of features, as encode_rows returns them. When
-    latents is None, encode_rows computes them for the modalities the mask
-    leaves. Yields (indices into features, batch, result) per batch.
+    its samples' encoder token rows, gathered from latents: per modality
+    the mask leaves, the tokens of every row of features, as encode_rows
+    returns them. Yields (indices into features, batch, result) per batch.
     """
-    if latents is None:
-        latents = encode_rows(network, features,
-                              [m for m in MODALITIES if mask is None or mask[m]])
     for chunk, batch in _chunks(features):
         effective = network.availability(batch, mask)
         tokens = [TokenSequence(m, Tensor.constant(latents[m][chunk]))
                   for m in MODALITIES if effective[m]]
         yield chunk, batch, network.decode(tokens, effective)
-
-
-def evaluate(network: FusionNetwork, samples: Sequence[Sample],
-             mask: Optional[AvailabilityMask] = None,
-             scenario: str = "nominal",
-             features: Optional[List[FeatureSet]] = None,
-             latents: Optional[Dict[str, np.ndarray]] = None):
-    """Metrics under an availability scenario; no parameter updates.
-
-    Forward passes run through predict(), which takes latents, the encoder
-    tokens of features' rows, if given; metric aggregation is
-    order-independent (sums, then one division). Returns (Metrics, mean
-    arbitration scores).
-    """
-    if not samples:
-        raise TrainingError("evaluation requires a non-empty sample list")
-    if features is not None and len(features) != len(samples):
-        raise DataError(f"got {len(features)} feature sets for {len(samples)} samples")
-    feats = features if features is not None else prepare_all(samples, network)
-    truth_cmd = np.asarray([f.command_id for f in feats], dtype=np.int64)
-    truth_seg = np.stack([f.seg_labels for f in feats])
-    pred_cmd = np.zeros(len(feats), dtype=np.int64)
-    pred_seg = np.zeros_like(truth_seg)
-    arb = np.zeros((len(feats), len(MODALITIES)))
-    total_loss = 0.0
-    for indices, batch, result in predict(network, feats, mask, latents):
-        pred_cmd[indices] = result.command_probs.data.argmax(axis=-1)
-        pred_seg[indices] = result.seg_probs.data.argmax(axis=-1)
-        arb[indices] = result.fused.arbitration.reshape(-1, len(MODALITIES))
-        total_loss += float(network.loss(result, batch).item()) * batch.size
-    correct = pred_cmd == truth_cmd
-    per_class: Dict[str, Optional[float]] = {}
-    for cid, name in enumerate(COMMANDS):
-        hits = truth_cmd == cid
-        per_class[name] = float(correct[hits].mean()) if hits.any() else None
-    metrics = Metrics(
-        scenario=scenario,
-        command_accuracy=float(correct.mean()),
-        per_class=per_class,
-        seg_accuracy=float((pred_seg == truth_seg).mean()),
-        loss_curve=[total_loss / len(feats)],
-    )
-    return metrics, arb.mean(axis=0)

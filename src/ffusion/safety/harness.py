@@ -21,11 +21,12 @@ from ..model import (
     AvailabilityMask,
     FeatureSet,
     Metrics,
-    evaluate,
+    predict,
     stack_features,
 )
 from ..model.inputs import PREPARERS, assemble
 from ..model.training import encode_rows
+from ..scene.commands import COMMANDS
 from ..scene.dataset import Sample
 from .faults import FaultSpec, inject_faults
 from .independence import IndependenceReport, verify_independence
@@ -118,7 +119,7 @@ class Campaign:
     on the modality, in order: their tuple keys the input. Zero-sigma noise
     returns the sample itself, so it is left out of the key, and sigma 0
     reuses the nominal inputs. Each input is encoded in the batches of the
-    first evaluation that uses it; later ones gather its token rows. An
+    first prediction that uses it; later ones gather its token rows. An
     evaluation of the same inputs, mask and scenario name runs once.
     """
 
@@ -129,7 +130,7 @@ class Campaign:
         self.samples = list(samples)
         self._prepared = {}  # (modality, key) -> (inputs, health) per sample
         self._latents = {}  # (modality, key) -> encoder tokens per sample
-        self._results = {}  # (keys, mask, scenario) -> evaluate's result
+        self._results = {}  # (keys, mask, scenario) -> (metrics, arbitration)
 
     @staticmethod
     def _keys(faults: Sequence[FaultSpec]) -> List[tuple]:
@@ -146,22 +147,52 @@ class Campaign:
                     [inject_faults(s, key) for s in self.samples], self.network.config)
         return assemble(self.samples, {m: self._prepared[m, key] for m, key in keys})
 
-    def evaluate(self, faults: Sequence[FaultSpec] = (),
-                 mask: Optional[AvailabilityMask] = None, scenario: str = NOMINAL):
-        """training.evaluate of the split under the faults, on encoder tokens
+    def predict(self, faults: Sequence[FaultSpec] = (),
+                mask: Optional[AvailabilityMask] = None):
+        """training.predict over the split under the faults, on encoder tokens
         computed once per modality input."""
         keys = self._keys(faults)
-        memo = (tuple(keys), mask, scenario)
+        features = self.features(faults)
+        used = [(m, key) for m, key in keys if mask is None or mask[m]]
+        fresh = [pair for pair in used if pair not in self._latents]
+        if fresh:
+            encoded = encode_rows(self.network, features, [m for m, _ in fresh])
+            self._latents.update({(m, key): encoded[m] for m, key in fresh})
+        return predict(self.network, features,
+                       {m: self._latents[m, key] for m, key in used}, mask)
+
+    def evaluate(self, faults: Sequence[FaultSpec] = (),
+                 mask: Optional[AvailabilityMask] = None, scenario: str = NOMINAL):
+        """Metrics under the faults and mask, and the mean arbitration scores;
+        no parameter updates. Aggregation is order-independent (sums, then
+        one division)."""
+        memo = (tuple(self._keys(faults)), mask, scenario)
         if memo not in self._results:
-            features = self.features(faults)
-            used = [(m, key) for m, key in keys if mask is None or mask[m]]
-            fresh = [pair for pair in used if pair not in self._latents]
-            if fresh:
-                encoded = encode_rows(self.network, features, [m for m, _ in fresh])
-                self._latents.update({(m, key): encoded[m] for m, key in fresh})
-            self._results[memo] = evaluate(
-                self.network, self.samples, mask, scenario, features=features,
-                latents={m: self._latents[m, key] for m, key in used})
+            truth_cmd = np.asarray([s.command_id for s in self.samples], dtype=np.int64)
+            truth_seg = np.stack([np.asarray(s.seg_labels, dtype=np.int64)
+                                  for s in self.samples])
+            pred_cmd = np.zeros_like(truth_cmd)
+            pred_seg = np.zeros_like(truth_seg)
+            arb = np.zeros((len(self.samples), len(MODALITIES)))
+            total_loss = 0.0
+            for indices, batch, result in self.predict(faults, mask):
+                pred_cmd[indices] = result.command_probs.data.argmax(axis=-1)
+                pred_seg[indices] = result.seg_probs.data.argmax(axis=-1)
+                arb[indices] = result.fused.arbitration.reshape(-1, len(MODALITIES))
+                total_loss += float(self.network.loss(result, batch).item()) * batch.size
+            correct = pred_cmd == truth_cmd
+            per_class = {}
+            for cid, name in enumerate(COMMANDS):
+                hits = truth_cmd == cid
+                per_class[name] = float(correct[hits].mean()) if hits.any() else None
+            metrics = Metrics(
+                scenario=scenario,
+                command_accuracy=float(correct.mean()),
+                per_class=per_class,
+                seg_accuracy=float((pred_seg == truth_seg).mean()),
+                loss_curve=[total_loss / len(self.samples)],
+            )
+            self._results[memo] = metrics, arb.mean(axis=0)
         return self._results[memo]
 
 
@@ -182,10 +213,15 @@ def fail_operational_eval(campaign: Campaign,
 
     The nominal scenario's evaluation (one, through the campaign's memo) is
     both the baseline and its own row, and its features feed the
-    independence check.
+    independence check. A sample that fails health triage on every modality
+    leaves no baseline: a DataError naming it.
     """
     chosen = list(default_scenarios() if scenarios is None else scenarios)
     check_scenario_names(chosen)
+    for f in campaign.features():
+        if not any(f.availability):
+            raise DataError(f"sample {f.sample_id} fails health triage on every "
+                            f"modality, so the {NOMINAL} baseline cannot run")
     report = DegradationReport(nominal=campaign.evaluate()[0])
     for scenario in chosen:
         try:
@@ -217,11 +253,20 @@ def fail_operational_eval(campaign: Campaign,
 
 @dataclass(frozen=True)
 class EnrichmentRow:
-    """Accuracy at one noise level: full fusion vs the camera alone."""
+    """Accuracy at one noise level: full fusion vs the camera alone. A
+    column in which some sample has no modality left reads None."""
 
     sigma: float
-    fused_accuracy: float
-    camera_only_accuracy: float
+    fused_accuracy: Optional[float]
+    camera_only_accuracy: Optional[float]
+
+
+def _accuracy(campaign: Campaign, faults: Sequence[FaultSpec],
+              mask: Optional[AvailabilityMask] = None) -> Optional[float]:
+    try:
+        return campaign.evaluate(faults, mask)[0].command_accuracy
+    except FusionError:
+        return None
 
 
 def snr_enrichment_eval(campaign: Campaign, sigmas: Sequence[float],
@@ -231,7 +276,9 @@ def snr_enrichment_eval(campaign: Campaign, sigmas: Sequence[float],
     Noise is injected on both continuous sensors (camera and LiDAR);
     text has no additive-noise model and stays clean. The camera-only
     column masks depth and text at fusion time on the same noisy data.
-    Every sigma is checked before any is evaluated.
+    Every sigma is checked before any is evaluated. A column in which some
+    sample has no modality left reads None, as a scenario that fails
+    silently reads FAIL_SILENT.
     """
     for sigma in sigmas:
         if not (np.isfinite(sigma) and sigma >= 0):
@@ -241,11 +288,9 @@ def snr_enrichment_eval(campaign: Campaign, sigmas: Sequence[float],
     for sigma in sigmas:
         faults = (FaultSpec("camera", "gaussian_noise", float(sigma), seed),
                   FaultSpec("lidar", "gaussian_noise", float(sigma), seed))
-        fused = campaign.evaluate(faults)[0]
-        alone = campaign.evaluate(faults, camera_only)[0]
         rows.append(EnrichmentRow(
             sigma=float(sigma),
-            fused_accuracy=fused.command_accuracy,
-            camera_only_accuracy=alone.command_accuracy,
+            fused_accuracy=_accuracy(campaign, faults),
+            camera_only_accuracy=_accuracy(campaign, faults, camera_only),
         ))
     return rows

@@ -24,8 +24,8 @@ from ..autodiff import (
     ops,
 )
 from ..errors import DataError
-from ..model import MODALITIES, FeatureSet, prepare_all
-from ..model.training import EVAL_CHUNK
+from ..model import MODALITIES, FeatureSet, prepare_samples
+from ..model.training import encode_rows
 from ..scene.commands import COMMANDS
 
 PROBE_EPOCHS = 50
@@ -45,20 +45,14 @@ def pooled_embeddings(network, features: Sequence[FeatureSet],
                       modality: str) -> np.ndarray:
     """Mean-pooled frozen tokens of one branch over prepared features, (n, d).
 
-    Encodes at most EVAL_CHUNK samples at a time, as predict does; a
-    sample's tokens do not depend on the rest of its batch.
+    The tokens are encode_rows's, so a row whose modality failed health
+    triage pools to zeros.
     """
     if modality not in MODALITIES:
         raise DataError(f"unknown modality {modality!r}")
     if not features:
         raise DataError("cannot probe an empty split")
-    branch = network.branch(modality)
-    pooled = []
-    for start in range(0, len(features), EVAL_CHUNK):
-        chunk = features[start:start + EVAL_CHUNK]
-        stacked = np.stack([getattr(f, modality) for f in chunk], axis=0)
-        pooled.append(branch.encode(stacked).tokens.data.mean(axis=-2))
-    return np.concatenate(pooled, axis=0)
+    return encode_rows(network, features, [modality])[modality].mean(axis=-2)
 
 
 def _train_probes(train_x: np.ndarray, train_y: np.ndarray,
@@ -134,8 +128,8 @@ def probe_modality(network, train_samples: Sequence, val_samples: Sequence,
                    modality: str, shuffle_labels: bool = False,
                    seed: int = PROBE_SEED) -> ProbeResult:
     """Train a probe for one modality and score it on the validation split."""
-    return _probe(network, prepare_all(train_samples, network),
-                  prepare_all(val_samples, network), (modality,),
+    return _probe(network, prepare_samples(train_samples, network.config),
+                  prepare_samples(val_samples, network.config), (modality,),
                   shuffle_labels, seed)[0]
 
 
@@ -146,6 +140,7 @@ def single_modality_probe(network, train_samples: Sequence,
     Both splits are prepared once, and the three probes train as one stack
     with PROBE_SEED.
     """
-    results = _probe(network, prepare_all(train_samples, network),
-                     prepare_all(val_samples, network), MODALITIES, False, PROBE_SEED)
+    results = _probe(network, prepare_samples(train_samples, network.config),
+                     prepare_samples(val_samples, network.config), MODALITIES, False,
+                     PROBE_SEED)
     return dict(zip(MODALITIES, results))

@@ -100,9 +100,8 @@ def render_text_summary(payload: dict) -> str:
         lines.append("noise enrichment (accuracy)")
         lines.append("  sigma    fused  camera-only")
         for row in enrichment:
-            lines.append(
-                f"  {row.sigma:<7.3f}  {row.fused_accuracy:.4f}"
-                f"  {row.camera_only_accuracy:.4f}")
+            lines.append(f"  {row.sigma:<7.3f}  {_fmt(row.fused_accuracy)}"
+                         f"  {_fmt(row.camera_only_accuracy)}")
 
     verdicts = payload.get("asil_verdicts")
     if verdicts:

@@ -1,4 +1,10 @@
-"""Suite-wide settings: property tests run a fixed, derandomized example set."""
+"""Suite-wide settings: property tests run a fixed, derandomized example set.
+
+A derandomized run seeds each property test from the test's own source, so
+editing a test re-draws its examples. A failure that appears this way is a
+real case the old draw missed: pin it with `@example` and fix the code,
+never edit the test until the draw stops finding it.
+"""
 
 from hypothesis import settings
 

@@ -32,9 +32,8 @@ from ffusion.model import (
     FusionNetwork,
     ModelConfig,
     TrainConfig,
-    evaluate,
     group_by_availability,
-    prepare_all,
+    prepare_samples,
     stack_features,
     train,
 )
@@ -286,7 +285,7 @@ def test_criterion_1_gradient_correctness(dataset):
 
     train_split, _, _ = dataset
     net = FusionNetwork(seed=3)
-    batch = stack_features(prepare_all(train_split[:2], net))
+    batch = stack_features(prepare_samples(train_split[:2], net.config))
 
     def loss_fn():
         return net.loss(net.forward(batch), batch)
@@ -333,7 +332,7 @@ def test_criterion_3_mask_equivalence(dataset):
     picked = [pool[i] for i in order[:50]]
 
     net = FusionNetwork(seed=0)
-    features = prepare_all(picked, net)
+    features = prepare_samples(picked, net.config)
     assert all(f.availability == (True, True, True) for f in features)
     batch = stack_features(features)
     inputs = {"camera": batch.camera, "depth": batch.depth, "text": batch.text}
@@ -361,7 +360,7 @@ def test_criterion_3_mask_equivalence(dataset):
 def test_criterion_4_gradient_isolation(dataset):
     train_split, _, _ = dataset
     net = FusionNetwork(seed=0)
-    batch = stack_features(prepare_all(train_split[:2], net))
+    batch = stack_features(prepare_samples(train_split[:2], net.config))
 
     clean = True
     detail = []
@@ -405,7 +404,7 @@ def test_criterion_5_fail_operational(dataset, trained_models):
     bad_outputs = 0
     for spec in SINGLE_FAULTS:
         faulted = [inject_fault(s, spec) for s in test_split]
-        features = prepare_all(faulted, net)
+        features = prepare_samples(faulted, net.config)
         for indices in group_by_availability(features).values():
             batch = stack_features([features[i] for i in indices])
             result = net.forward(batch)
@@ -415,7 +414,7 @@ def test_criterion_5_fail_operational(dataset, trained_models):
 
     triple = tuple(FaultSpec(m, "blackout") for m in ("camera", "lidar", "text"))
     dead = [inject_faults(s, triple) for s in test_split]
-    features = prepare_all(dead, net)
+    features = prepare_samples(dead, net.config)
     assert {f.availability for f in features} == {(False, False, False)}
     with pytest.raises(FusionError):
         net.forward(stack_features(features))
@@ -469,9 +468,9 @@ def test_criterion_7_learning_sanity(dataset, trained_models):
     dropout, plain, train_elapsed = trained_models
 
     dark = [inject_fault(s, FaultSpec("camera", "blackout")) for s in test_split]
-    nominal, _ = evaluate(dropout, test_split)
-    dropout_dark, _ = evaluate(dropout, dark)
-    plain_dark, _ = evaluate(plain, dark)
+    nominal, _ = Campaign(dropout, test_split).evaluate()
+    dropout_dark, _ = Campaign(dropout, dark).evaluate()
+    plain_dark, _ = Campaign(plain, dark).evaluate()
 
     assert nominal.command_accuracy > 0.0
     retained = dropout_dark.command_accuracy / nominal.command_accuracy

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffusion.autodiff import load_checkpoint, save_checkpoint
+import ffusion.model.training as training
+from ffusion.autodiff import Tape, load_checkpoint, save_checkpoint
 from ffusion.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -28,7 +29,7 @@ from ffusion.config import (
     parse_override,
 )
 from ffusion.errors import ConfigError, DataError
-from ffusion.model import Metrics, ModelConfig, TrainConfig
+from ffusion.model import MODALITIES, EncoderBranch, Metrics, ModelConfig, TrainConfig
 from ffusion.model.config import from_plain, to_plain
 from ffusion.safety import (
     DegradationReport,
@@ -39,9 +40,10 @@ from ffusion.safety import (
     Scenario,
     ScenarioResult,
     Verdict,
+    inject_faults,
 )
 from ffusion.safety.faults import _VALID
-from ffusion.scene.dataset import load_dataset
+from ffusion.scene.dataset import load_dataset, write_sample
 
 
 def tiny_config(work: Path) -> RunConfig:
@@ -195,6 +197,17 @@ class TestRunConfig:
         assert parse_override(f"{key}={json.dumps(value)}") == (key.strip(), value)
 
 
+def fault_first_test_sample(config: RunConfig, data: Path, faults) -> str:
+    """Copy the dataset to data with the faults written into its first test
+    sample's files; returns that sample's id."""
+    shutil.copytree(config.paths.dataset_dir, data)
+    sample = load_dataset(data)["test"][0]
+    manifest = json.loads((data / "manifest.json").read_text())
+    entry = next(e for e in manifest["samples"] if e["id"] == sample.sample_id)
+    write_sample(inject_faults(sample, faults), data, entry["files"])
+    return sample.sample_id
+
+
 class TestPipeline:
     def test_artifacts_exist(self, pipeline):
         work, config, _ = pipeline
@@ -257,6 +270,52 @@ class TestPipeline:
         first_data["config"]["paths"] = None
         again_data["config"]["paths"] = None
         assert first_data == again_data
+
+    def test_train_val_metrics_encode_each_modality_once_per_chunk(
+            self, pipeline, tmp_path, monkeypatch):
+        """train's val metrics run the one inference loop: outside the
+        training tape, each modality is encoded once per predict batch."""
+        work, config, config_path = pipeline
+        monkeypatch.setattr(training, "EVAL_CHUNK", 3)
+        untaped = []
+        encode = EncoderBranch.encode
+
+        def encoding(branch, features):
+            if Tape.active() is None:
+                untaped.append((branch.modality, len(features)))
+            return encode(branch, features)
+
+        monkeypatch.setattr(EncoderBranch, "encode", encoding)
+        assert main(["train", "--config", str(config_path),
+                     "--set", f"paths.checkpoint={tmp_path / 'model.ckpt'}",
+                     "--set", f"paths.train_metrics={tmp_path / 'metrics.json'}",
+                     "--set", f"paths.timings={tmp_path / 't.json'}"]) == EXIT_OK
+        n = len(load_dataset(config.paths.dataset_dir)["val"])
+        chunks = [min(3, n - start) for start in range(0, n, 3)]
+        assert len(chunks) > 1
+        assert sorted(untaped) == sorted((m, size) for m in MODALITIES for size in chunks)
+
+    def test_black_test_image_leaves_camera_only_enrichment_na(self, pipeline, tmp_path):
+        """One test image fails camera triage: at sigma 0 that sample has no
+        modality left under the camera-only mask, so the column reads n/a;
+        every scenario still runs."""
+        work, config, config_path = pipeline
+        data = tmp_path / "data"
+        fault_first_test_sample(config, data, (FaultSpec("camera", "blackout"),))
+        report, summary = tmp_path / "r.json", tmp_path / "r.txt"
+        assert main(["eval", "--config", str(config_path),
+                     "--set", f"paths.dataset_dir={data}",
+                     "--set", f"paths.eval_report={report}",
+                     "--set", f"paths.eval_summary={summary}",
+                     "--set", f"paths.timings={tmp_path / 't.json'}"]) == EXIT_OK
+        payload = json.loads(report.read_text())
+        assert {s["status"] for s in payload["degradation"]["scenarios"]} == {"ok"}
+        row = payload["enrichment"][0]
+        assert row["sigma"] == 0.0 and row["camera_only_accuracy"] is None
+        assert 0.0 <= row["fused_accuracy"] <= 1.0
+        line = next(text for text in summary.read_text().splitlines()
+                    if text.startswith("  0.000 "))
+        assert line.endswith("  n/a") and line.split()[1] != "n/a"
 
     def test_inject_blackout_dataset(self, pipeline, tmp_path):
         work, config, config_path = pipeline
@@ -425,6 +484,19 @@ class TestExitCodes:
         bad.write_bytes(b'{"paths": {"dataset_dir": "\xff"}}')
         assert main(["generate", "--config", str(bad)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("content, cause", [
+        (b'{"paths": \xff}', "is not valid UTF-8 JSON"),
+        (b"[1]", "root must be a JSON object, got list"),
+    ], ids=["not_utf8_json", "not_an_object"])
+    def test_malformed_config_names_the_file(self, tmp_path, capsys, content, cause):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        capsys.readouterr()
+        assert main(["generate", "--config", str(bad)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: config: config {bad} ")
+        assert cause in err[0]
+
     def test_eval_without_dataset(self, tmp_path):
         config = tiny_config(tmp_path)
         path = tmp_path / "run.json"
@@ -439,6 +511,23 @@ class TestExitCodes:
         assert main(["eval", "--config", str(config_path),
                      "--set", f"paths.checkpoint={missing}",
                      "--set", f"paths.eval_report={report}"]) == EXIT_MISSING
+        assert not report.exists()
+
+    def test_test_sample_dead_on_every_modality_is_data_error(self, pipeline, tmp_path,
+                                                              capsys):
+        """The nominal baseline needs every test sample to keep a modality."""
+        work, config, config_path = pipeline
+        data = tmp_path / "data"
+        dead = fault_first_test_sample(config, data, tuple(
+            FaultSpec(m, "blackout") for m in ("camera", "lidar", "text")))
+        report = tmp_path / "r.json"
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config_path),
+                     "--set", f"paths.dataset_dir={data}",
+                     "--set", f"paths.eval_report={report}"]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid-data: ")
+        assert f"sample {dead} fails health triage on every modality" in err[0]
         assert not report.exists()
 
     def test_non_finite_checkpoint_is_data_error(self, pipeline, tmp_path, capsys):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+import ffusion.model.training as training
 from ffusion import MultimodalFusionClassifier
 from ffusion.autodiff import Rng
 from ffusion.errors import ConfigError, DataError
-from ffusion.model import AvailabilityMask
+from ffusion.model import MODALITIES, AvailabilityMask, EncoderBranch
 from ffusion.scene import synthesize_sample
 
 
@@ -77,6 +78,24 @@ class TestFitPredict:
         assert np.array_equal(by_mask, by_names)
         with pytest.raises(DataError):
             fitted.predict_proba(samples[:4], {"radar"})
+
+    def test_predict_proba_encodes_each_modality_once_per_chunk(self, fitted, samples,
+                                                                monkeypatch):
+        """predict_proba runs the one inference loop: each modality the mask
+        leaves is encoded once per predict batch."""
+        monkeypatch.setattr(training, "EVAL_CHUNK", 10)
+        encoded = []
+        encode = EncoderBranch.encode
+
+        def encoding(branch, features):
+            encoded.append((branch.modality, len(features)))
+            return encode(branch, features)
+
+        monkeypatch.setattr(EncoderBranch, "encode", encoding)
+        for kept in (MODALITIES, ("depth", "text")):
+            encoded.clear()
+            fitted.predict_proba(samples, kept)
+            assert sorted(encoded) == sorted((m, size) for m in kept for size in (10, 10, 4))
 
     def test_fit_deterministic(self, samples):
         runs = []

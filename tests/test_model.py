@@ -24,10 +24,9 @@ from ffusion.model import (
     TrainConfig,
     camera_health,
     depth_health,
-    evaluate,
     patchify,
-    prepare_all,
     prepare_features,
+    prepare_samples,
     stack_features,
     text_health,
     train,
@@ -36,7 +35,7 @@ from ffusion.model import inputs
 from ffusion.model.config import from_plain, to_plain
 from ffusion.model.vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID, VOCABULARY, WORD_IDS, encode
 from ffusion.autodiff import ParamStore
-from ffusion.safety import FaultSpec, inject_fault
+from ffusion.safety import Campaign, FaultSpec, inject_fault
 from ffusion.scene import synthesize_sample
 from ffusion.scene.commands import SENTENCES
 from ffusion.scene.dataset import Sample
@@ -301,7 +300,7 @@ class TestFusion:
     def test_gradient_isolation_through_fusion(self):
         net = FusionNetwork(config=SMALL, seed=0)
         samples = make_samples(2)
-        batch = stack_features(prepare_all(samples, net))
+        batch = stack_features(prepare_samples(samples, net.config))
         net.store.zero_grad()
         with Tape() as tape:
             result = net.forward(batch, AvailabilityMask(depth=False))
@@ -322,7 +321,7 @@ class TestSegHead:
         net = FusionNetwork(config=SMALL, seed=0)
         bias = net.store["head.segmentation.bias"]
         bias.data[:] = Rng(4).normal(bias.shape)
-        batch = stack_features(prepare_all(make_samples(2), net))
+        batch = stack_features(prepare_samples(make_samples(2), net.config))
         result = net.forward(batch, AvailabilityMask(camera=False))
         logits = bias.data.reshape(2, 2, 4)
         expected = np.exp(logits - logits.max(axis=-1, keepdims=True))
@@ -378,7 +377,7 @@ class TestPrepare:
         samples[7] = inject_fault(samples[7], FaultSpec("camera", "blackout"))
         net = FusionNetwork(config=SMALL, seed=0)
         monkeypatch.setattr(inputs, "DENSIFY_CHUNK", 3)
-        batched = prepare_all(samples, net)
+        batched = prepare_samples(samples, net.config)
         alone = [prepare_features(s, net.config) for s in samples]
         assert [f.availability[1] for f in batched].count(False) == 2
         assert len(batched) == len(alone)
@@ -393,13 +392,13 @@ class TestPrepare:
                 {m: (h.status, h.available) for m, h in want.health.items()}
 
     def test_empty_list(self):
-        assert prepare_all([], FusionNetwork(config=SMALL, seed=0)) == []
+        assert prepare_samples([], SMALL) == []
 
 
 class TestDecoders:
     def test_distributions_sum_to_one(self):
         net = FusionNetwork(config=SMALL, seed=0)
-        batch = stack_features(prepare_all(make_samples(3), net))
+        batch = stack_features(prepare_samples(make_samples(3), net.config))
         result = net.forward(batch)
         assert np.abs(result.command_probs.data.sum(-1) - 1.0).max() < 1e-9
         assert np.abs(result.seg_probs.data.sum(-1) - 1.0).max() < 1e-9
@@ -408,14 +407,14 @@ class TestDecoders:
         net = FusionNetwork(config=SMALL, seed=0)
         net.store["head.command.weight"].data[:] = 0.0
         net.store["head.command.bias"].data[:] = 0.0
-        batch = stack_features(prepare_all(make_samples(2), net))
+        batch = stack_features(prepare_samples(make_samples(2), net.config))
         result = net.forward(batch)
         assert np.array_equal(result.command_probs.data,
                               np.full_like(result.command_probs.data, 0.25))
 
     def test_camera_masked_still_valid_distribution(self):
         net = FusionNetwork(config=SMALL, seed=0)
-        batch = stack_features(prepare_all(make_samples(2), net))
+        batch = stack_features(prepare_samples(make_samples(2), net.config))
         result = net.forward(batch, AvailabilityMask(camera=False))
         assert np.all(np.isfinite(result.command_probs.data))
         assert np.abs(result.seg_probs.data.sum(-1) - 1.0).max() < 1e-9
@@ -458,7 +457,7 @@ class TestNetwork:
         # and value maps see every token; the query, out-projection and MLP
         # maps see the rows the heads read.
         net = FusionNetwork(config=SMALL, seed=0)
-        batch = stack_features(prepare_all(make_samples(2), net))
+        batch = stack_features(prepare_samples(make_samples(2), net.config))
         with Tape() as tape:
             loss = net.loss(net.forward(batch, mask), batch)
         backward(tape, loss)
@@ -481,7 +480,7 @@ class TestNetwork:
         # One training step at the default model: each attention call is one
         # record, with the head split and merge inside it.
         net = FusionNetwork(config=ModelConfig(), seed=0)
-        batch = stack_features(prepare_all(make_samples(2), net))
+        batch = stack_features(prepare_samples(make_samples(2), net.config))
         with Tape() as tape:
             net.loss(net.forward(batch, mask), batch)
         ops = [rec.backward_fn.__qualname__.split(".")[0] for rec in tape.records]
@@ -490,7 +489,7 @@ class TestNetwork:
 
     def test_batched_matches_single(self):
         net = FusionNetwork(config=SMALL, seed=1)
-        feats = prepare_all(make_samples(3), net)
+        feats = prepare_samples(make_samples(3), net.config)
         batch = stack_features(feats)
         together = net.forward(batch).command_probs.data
         for i, f in enumerate(feats):
@@ -499,7 +498,7 @@ class TestNetwork:
 
     def test_save_load_roundtrip(self, tmp_path):
         net = FusionNetwork(config=SMALL, seed=1)
-        batch = stack_features(prepare_all(make_samples(2), net))
+        batch = stack_features(prepare_samples(make_samples(2), net.config))
         before = net.forward(batch).command_probs.data
         path = tmp_path / "model.ckpt"
         net.save(path)
@@ -528,13 +527,6 @@ class TestTraining:
             TrainConfig(learning_rate=-1.0)
         with pytest.raises(ConfigError):
             from_plain(TrainConfig, {"epoch": 3}, "training")
-
-    def test_evaluate_rejects_mismatched_features(self):
-        samples = make_samples(3)
-        net = FusionNetwork(config=SMALL, seed=0)
-        features = prepare_all(samples[:2], net)
-        with pytest.raises(DataError):
-            evaluate(net, samples, features=features)
 
     def test_train_config_roundtrip(self):
         config = TrainConfig(epochs=3, batch_size=8, learning_rate=2e-3, p_drop=0.1, seed=4)
@@ -591,8 +583,8 @@ class TestTraining:
             seg_labels=silent.seg_labels,
         )
         net = FusionNetwork(config=SMALL, seed=2)
-        first, arb1 = evaluate(net, samples)
-        second, arb2 = evaluate(net, samples)
+        first, arb1 = Campaign(net, samples).evaluate()
+        second, arb2 = Campaign(net, samples).evaluate()
         assert to_plain(first) == to_plain(second)
         assert np.array_equal(arb1, arb2)
         assert 0.0 <= first.command_accuracy <= 1.0
@@ -606,7 +598,7 @@ class TestTraining:
 class TestEndToEndGradients:
     def test_twenty_random_parameter_components(self):
         net = FusionNetwork(config=SMALL, seed=3)
-        batch = stack_features(prepare_all(make_samples(2), net))
+        batch = stack_features(prepare_samples(make_samples(2), net.config))
 
         def loss_fn():
             result = net.forward(batch)

@@ -10,7 +10,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ffusion.model.inputs as inputs
-import ffusion.model.training as training
 from ffusion.autodiff import (
     AdamState,
     ParamStore,
@@ -29,9 +28,8 @@ from ffusion.model import (
     FusionNetwork,
     ModelConfig,
     TrainConfig,
-    evaluate,
-    prepare_all,
     prepare_features,
+    prepare_samples,
     stack_features,
     train,
 )
@@ -336,16 +334,16 @@ class TestPrepareOnce:
 
     @pytest.fixture
     def prepared(self, monkeypatch):
-        """Ids of the samples passed to the batched preparation prepare_all uses."""
+        """Ids of the samples passed to the batched preparation the probes use."""
         calls = []
-        original = training.prepare_samples
+        original = probe.prepare_samples
 
         def counting(samples, *args, **kwargs):
             samples = list(samples)
             calls.extend(s.sample_id for s in samples)
             return original(samples, *args, **kwargs)
 
-        monkeypatch.setattr(training, "prepare_samples", counting)
+        monkeypatch.setattr(probe, "prepare_samples", counting)
         return calls
 
     @pytest.fixture
@@ -459,9 +457,11 @@ class TestCampaign:
     @example(case=([Scenario("nominal"), Scenario("noise_then_dark", NOISE_THEN_DARK),
                     Scenario("dark_then_noise", NOISE_THEN_DARK[::-1]), ALL_DARK],
                    "lidar", [0.0, 0.25], 0))
+    @example(case=([Scenario("nominal")], "camera", [0.0], 0))
     def test_matches_preparing_every_scenario_alone(self, network, samples, case):
         """Shared per-modality inputs give exactly what preparing and
-        encoding each scenario and noise level alone gives."""
+        encoding each scenario and noise level alone gives: a fresh campaign
+        on the split with the faults already applied."""
         scenarios, broken, sigmas, seed = case
         split = list(samples[12:16])
         if broken is not None:
@@ -470,15 +470,21 @@ class TestCampaign:
         report = fail_operational_eval(campaign, scenarios, check_independence=False)
         rows = snr_enrichment_eval(campaign, sigmas, seed)
 
+        def alone(faulted, mask=None, scenario="nominal"):
+            """The faulted split's own evaluation; None when a sample has no
+            modality left."""
+            try:
+                return Campaign(network, faulted).evaluate(mask=mask, scenario=scenario)
+            except FusionError:
+                return None
+
         for scenario, result in zip(scenarios, report.scenarios):
             assert result.name == scenario.name
-            try:
-                metrics, arbitration = evaluate(
-                    network, split, scenario=scenario.name,
-                    features=prepare_all(scenario.apply(split), network))
-            except FusionError:
+            reference = alone(scenario.apply(split), scenario=scenario.name)
+            if reference is None:
                 assert result.status == FAIL_SILENT and result.metrics is None
                 continue
+            metrics, arbitration = reference
             assert result.status == "ok"
             assert result.metrics == metrics
             assert result.arbitration == [float(v) for v in arbitration]
@@ -486,17 +492,18 @@ class TestCampaign:
         for sigma, row in zip(sigmas, rows):
             faults = (FaultSpec("camera", "gaussian_noise", sigma, seed),
                       FaultSpec("lidar", "gaussian_noise", sigma, seed))
-            noisy = prepare_all([inject_faults(s, faults) for s in split], network)
-            assert row.fused_accuracy == evaluate(
-                network, split, features=noisy)[0].command_accuracy
-            assert row.camera_only_accuracy == evaluate(
-                network, split, camera_only, features=noisy)[0].command_accuracy
+            noisy = [inject_faults(s, faults) for s in split]
+            for column, mask in ((row.fused_accuracy, None),
+                                 (row.camera_only_accuracy, camera_only)):
+                reference = alone(noisy, mask)
+                assert column == (None if reference is None
+                                  else reference[0].command_accuracy)
         assert len(rows) == len(sigmas)
 
 
 class TestIndependence:
     def test_default_architecture_passes(self, network, samples):
-        batch = stack_features(prepare_all(samples[12:15], network))
+        batch = stack_features(prepare_samples(samples[12:15], network.config))
         report = verify_independence(network, batch)
         assert report.structural_pass
         assert report.shared_parameters == []
@@ -509,7 +516,7 @@ class TestIndependence:
         shared = Tensor(np.zeros((2, 2)), requires_grad=True)
         net.store.register("encoder.camera.alias", shared)
         net.store.register("encoder.depth.alias", shared)
-        batch = stack_features(prepare_all(samples[:2], net))
+        batch = stack_features(prepare_samples(samples[:2], net.config))
         report = verify_independence(net, batch)
         assert not report.structural_pass
         assert report.shared_parameters == [
@@ -532,7 +539,7 @@ def probe_features(probe_split):
     """A small network and 130 prepared samples, more than two EVAL_CHUNKs."""
     net = FusionNetwork(config=SMALL, seed=3)
     train_s, val_s = probe_split
-    return net, prepare_all((train_s + val_s)[:130], net)
+    return net, prepare_samples((train_s + val_s)[:130], net.config)
 
 
 class TestProbes:
