@@ -204,7 +204,7 @@ def cmd_inject(args) -> int:
     for entry in manifest["samples"]:
         sample = inject_fault(by_id[entry["id"]], spec)
         write_sample(sample, out, entry["files"])
-        new_entry = dict(entry)
+        new_entry = {k: v for k, v in entry.items() if k != "registration_shift"}
         if sample.registration_shift != (0, 0):
             new_entry["registration_shift"] = list(sample.registration_shift)
         entries.append(new_entry)

@@ -32,7 +32,6 @@ from ffusion.model.health import (
 from ffusion.model.inputs import (
     DEPTH_SCALE,
     FeatureBatch,
-    FeatureSet,
     group_by_availability,
     prepare_features,
     prepare_samples,
@@ -65,7 +64,6 @@ __all__ = [
     "FAILED",
     "FUSION_BLOCKS",
     "FeatureBatch",
-    "FeatureSet",
     "ForwardResult",
     "FusedLatent",
     "FusionCore",

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from ffusion.autodiff import (
     ParamStore,
@@ -59,9 +61,9 @@ class FusionNetwork:
             for m, available in zip(MODALITIES, batch.availability)
         })
 
-    def encode(self, batch: FeatureBatch, modalities: Sequence[str]) -> List[TokenSequence]:
-        """Run the named modalities' encoder branches on the batch, in order."""
-        return [self.branches[m].encode(getattr(batch, m)) for m in modalities]
+    def encode(self, inputs: Mapping[str, np.ndarray]) -> List[TokenSequence]:
+        """Run each named modality's encoder branch on its inputs, in order."""
+        return [self.branches[m].encode(x) for m, x in inputs.items()]
 
     def decode(self, latents: Sequence[TokenSequence],
                effective: AvailabilityMask) -> ForwardResult:
@@ -81,7 +83,7 @@ class FusionNetwork:
         contribute no tokens to fusion.
         """
         effective = self.availability(batch, mask)
-        latents = self.encode(batch, [m for m in MODALITIES if effective[m]])
+        latents = self.encode({m: getattr(batch, m) for m in MODALITIES if effective[m]})
         return self.decode(latents, effective)
 
     def loss(self, result: ForwardResult, batch: FeatureBatch) -> Tensor:

@@ -15,7 +15,6 @@ from ffusion.model.encoders import MODALITIES, TokenSequence
 from ffusion.model.fusion import AvailabilityMask
 from ffusion.model.inputs import (
     FeatureBatch,
-    FeatureSet,
     group_by_availability,
     prepare_samples,
     stack_features,
@@ -89,21 +88,20 @@ def train(network: FusionNetwork, samples: Sequence[Sample],
     if not samples:
         raise TrainingError("training requires a non-empty sample list")
     features = prepare_samples(samples, network.config)
-    for f in features:
-        failed = [m for m in MODALITIES if not f.health[m].available]
+    for sample_id, pattern in zip(features.sample_ids, features.patterns):
+        failed = [m for m, ok in zip(MODALITIES, pattern) if not ok]
         if failed:
             raise DataError(f"training data must pass health triage; sample "
-                            f"{f.sample_id} failed it on {', '.join(failed)}")
+                            f"{sample_id} failed it on {', '.join(failed)}")
     rng = Rng(config.seed)
     drop_rng = rng.derive("modality-dropout")
     state = AdamState.for_store(network.store)
     curve: List[float] = []
-    n = len(features)
+    n = features.size
     for epoch in range(config.epochs):
         order = rng.derive(f"order/epoch{epoch}").permutation(n)
         for start in range(0, n, config.batch_size):
-            picked = [features[i] for i in order[start:start + config.batch_size]]
-            batch = stack_features(picked)
+            batch = stack_features(features, order[start:start + config.batch_size])
             gate = float(drop_rng.uniform())
             choice = int(drop_rng.integers(0, len(MODALITIES)))
             mask = AvailabilityMask()
@@ -136,34 +134,33 @@ def train(network: FusionNetwork, samples: Sequence[Sample],
     return curve
 
 
-def _chunks(features: Sequence[FeatureSet]) -> Iterator[Tuple[List[int], FeatureBatch]]:
-    """(indices into features, stacked batch) per predict batch."""
-    for _, indices in sorted(group_by_availability(features).items()):
-        for start in range(0, len(indices), EVAL_CHUNK):
-            chunk = indices[start:start + EVAL_CHUNK]
-            yield chunk, stack_features([features[i] for i in chunk])
+def _chunks(features: FeatureBatch) -> Iterator[Tuple[tuple, List[int]]]:
+    """(availability pattern, rows of features) per predict batch."""
+    for pattern, rows in sorted(group_by_availability(features).items()):
+        for start in range(0, len(rows), EVAL_CHUNK):
+            yield pattern, rows[start:start + EVAL_CHUNK]
 
 
-def encode_rows(network: FusionNetwork, features: Sequence[FeatureSet],
+def encode_rows(network: FusionNetwork, features: FeatureBatch,
                 modalities: Sequence[str]) -> Dict[str, np.ndarray]:
     """Encoder tokens of every row of features, per named modality: (n, T, d).
 
     Each branch runs once per predict batch in which its modality is
-    available; rows where it is unavailable stay zero. A sample's tokens do
-    not depend on the rest of its batch, so any later batching may gather
-    its rows.
+    available; rows where it is unavailable stay zero. Only the named
+    modalities' inputs are gathered. A sample's tokens do not depend on the
+    rest of its batch, so any later batching may gather its rows.
     """
-    latents = {m: np.zeros((len(features), network.branch(m).tokens, network.config.d))
+    latents = {m: np.zeros((features.size, network.branch(m).tokens, network.config.d))
                for m in modalities}
-    for chunk, batch in _chunks(features):
-        present = [m for m, ok in zip(MODALITIES, batch.availability)
-                   if ok and m in latents]
-        for seq in network.encode(batch, present):
-            latents[seq.modality][chunk] = seq.tokens.data
+    for pattern, rows in _chunks(features):
+        inputs = {m: getattr(features, m)[rows] for m, ok in zip(MODALITIES, pattern)
+                  if ok and m in latents}
+        for seq in network.encode(inputs):
+            latents[seq.modality][rows] = seq.tokens.data
     return latents
 
 
-def predict(network: FusionNetwork, features: Sequence[FeatureSet],
+def predict(network: FusionNetwork, features: FeatureBatch,
             latents: Dict[str, np.ndarray], mask: Optional[AvailabilityMask] = None
             ) -> Iterator[Tuple[List[int], FeatureBatch, ForwardResult]]:
     """Forward passes over prepared features; no parameter updates.
@@ -173,10 +170,11 @@ def predict(network: FusionNetwork, features: Sequence[FeatureSet],
     every batch sees one pattern. Fusion and both heads run per batch on
     its samples' encoder token rows, gathered from latents: per modality
     the mask leaves, the tokens of every row of features, as encode_rows
-    returns them. Yields (indices into features, batch, result) per batch.
+    returns them. Yields (rows of features, batch, result) per batch.
     """
-    for chunk, batch in _chunks(features):
+    for _, rows in _chunks(features):
+        batch = stack_features(features, rows)
         effective = network.availability(batch, mask)
-        tokens = [TokenSequence(m, Tensor.constant(latents[m][chunk]))
+        tokens = [TokenSequence(m, Tensor.constant(latents[m][rows]))
                   for m in MODALITIES if effective[m]]
-        yield chunk, batch, network.decode(tokens, effective)
+        yield rows, batch, network.decode(tokens, effective)

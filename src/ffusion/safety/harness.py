@@ -19,8 +19,9 @@ from ..errors import ConfigError, DataError, FusionError
 from ..model import (
     MODALITIES,
     AvailabilityMask,
-    FeatureSet,
+    FeatureBatch,
     Metrics,
+    group_by_availability,
     predict,
     stack_features,
 )
@@ -128,7 +129,7 @@ class Campaign:
             raise ConfigError("cannot evaluate an empty split")
         self.network = network
         self.samples = list(samples)
-        self._prepared = {}  # (modality, key) -> (inputs, health) per sample
+        self._prepared = {}  # (modality, key) -> (inputs, health), a row per sample
         self._latents = {}  # (modality, key) -> encoder tokens per sample
         self._results = {}  # (keys, mask, scenario) -> (metrics, arbitration)
 
@@ -138,7 +139,7 @@ class Campaign:
                           and not (f.kind == "gaussian_noise" and f.magnitude == 0.0)))
                 for m in MODALITIES]
 
-    def features(self, faults: Sequence[FaultSpec] = ()) -> List[FeatureSet]:
+    def features(self, faults: Sequence[FaultSpec] = ()) -> FeatureBatch:
         """The split's features under the faults, each modality prepared once."""
         keys = self._keys(faults)
         for m, key in keys:
@@ -168,9 +169,8 @@ class Campaign:
         one division)."""
         memo = (tuple(self._keys(faults)), mask, scenario)
         if memo not in self._results:
-            truth_cmd = np.asarray([s.command_id for s in self.samples], dtype=np.int64)
-            truth_seg = np.stack([np.asarray(s.seg_labels, dtype=np.int64)
-                                  for s in self.samples])
+            features = self.features(faults)
+            truth_cmd, truth_seg = features.command_ids, features.seg_labels
             pred_cmd = np.zeros_like(truth_cmd)
             pred_seg = np.zeros_like(truth_seg)
             arb = np.zeros((len(self.samples), len(MODALITIES)))
@@ -218,10 +218,12 @@ def fail_operational_eval(campaign: Campaign,
     """
     chosen = list(default_scenarios() if scenarios is None else scenarios)
     check_scenario_names(chosen)
-    for f in campaign.features():
-        if not any(f.availability):
-            raise DataError(f"sample {f.sample_id} fails health triage on every "
-                            f"modality, so the {NOMINAL} baseline cannot run")
+    features = campaign.features()
+    groups = group_by_availability(features)
+    dead = groups.get((False,) * len(MODALITIES))
+    if dead:
+        raise DataError(f"sample {features.sample_ids[dead[0]]} fails health triage "
+                        f"on every modality, so the {NOMINAL} baseline cannot run")
     report = DegradationReport(nominal=campaign.evaluate()[0])
     for scenario in chosen:
         try:
@@ -242,12 +244,12 @@ def fail_operational_eval(campaign: Campaign,
     if check_independence:
         # The first (up to) INDEPENDENCE_SAMPLES nominal samples that pass
         # health triage on every modality, so they stack into one batch.
-        picked = [f for f in campaign.features() if all(f.availability)]
+        picked = groups.get((True,) * len(MODALITIES))
         if not picked:
             raise DataError("independence check needs a sample that passes "
                             "health triage on all three modalities; none does")
         report.independence = verify_independence(
-            campaign.network, stack_features(picked[:INDEPENDENCE_SAMPLES]))
+            campaign.network, stack_features(features, picked[:INDEPENDENCE_SAMPLES]))
     return report
 
 

@@ -24,7 +24,7 @@ from ..autodiff import (
     ops,
 )
 from ..errors import DataError
-from ..model import MODALITIES, FeatureSet, prepare_samples
+from ..model import MODALITIES, FeatureBatch, prepare_samples
 from ..model.training import encode_rows
 from ..scene.commands import COMMANDS
 
@@ -41,8 +41,7 @@ class ProbeResult:
     shuffled_labels: bool
 
 
-def pooled_embeddings(network, features: Sequence[FeatureSet],
-                      modality: str) -> np.ndarray:
+def pooled_embeddings(network, features: FeatureBatch, modality: str) -> np.ndarray:
     """Mean-pooled frozen tokens of one branch over prepared features, (n, d).
 
     The tokens are encode_rows's, so a row whose modality failed health
@@ -50,7 +49,7 @@ def pooled_embeddings(network, features: Sequence[FeatureSet],
     """
     if modality not in MODALITIES:
         raise DataError(f"unknown modality {modality!r}")
-    if not features:
+    if features.size == 0:
         raise DataError("cannot probe an empty split")
     return encode_rows(network, features, [modality])[modality].mean(axis=-2)
 
@@ -101,17 +100,13 @@ def _train_probes(train_x: np.ndarray, train_y: np.ndarray,
     return [float(np.mean(s.argmax(axis=-1) == val_y)) for s in scores]
 
 
-def _command_ids(features: Sequence[FeatureSet]) -> np.ndarray:
-    return np.asarray([f.command_id for f in features], dtype=np.int64)
-
-
-def _probe(network, train_features: Sequence[FeatureSet],
-           val_features: Sequence[FeatureSet], modalities: Sequence[str],
-           shuffle_labels: bool, seed: int) -> List[ProbeResult]:
+def _probe(network, train_features: FeatureBatch, val_features: FeatureBatch,
+           modalities: Sequence[str], shuffle_labels: bool, seed: int
+           ) -> List[ProbeResult]:
     def embed(features):
         return np.stack([pooled_embeddings(network, features, m) for m in modalities])
 
-    train_y = _command_ids(train_features)
+    train_y = train_features.command_ids
     if shuffle_labels:
         # Uniform random labels break any label-feature association while
         # keeping the optimization identical; accuracy must drop to chance.
@@ -119,7 +114,7 @@ def _probe(network, train_features: Sequence[FeatureSet],
             0, len(COMMANDS), size=train_y.shape)
     accuracies = _train_probes(
         embed(train_features), np.stack([train_y] * len(modalities)),
-        embed(val_features), _command_ids(val_features), seed)
+        embed(val_features), val_features.command_ids, seed)
     return [ProbeResult(modality=m, accuracy=a, shuffled_labels=shuffle_labels)
             for m, a in zip(modalities, accuracies)]
 

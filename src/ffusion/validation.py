@@ -21,21 +21,22 @@ def ensure_samples(samples: Sequence[Sample]) -> list:
 
 
 def ensure_labels(y: Sequence, count: int) -> np.ndarray:
-    """Normalize command labels (names or ids) to an int id array."""
+    """Command labels as an int id array. A label is a command name or an
+    integer id (int or numpy integer, not bool) in range; anything else is a
+    DataError naming its index and value."""
     labels = list(y)
     if len(labels) != count:
         raise DataError(f"got {len(labels)} labels for {count} samples")
     ids = np.empty(len(labels), dtype=np.int64)
     for i, label in enumerate(labels):
-        if isinstance(label, str):
-            if label not in COMMANDS:
-                raise DataError(f"unknown command label {label!r}")
+        if isinstance(label, str) and label in COMMANDS:
             ids[i] = COMMANDS.index(label)
+        elif (isinstance(label, (int, np.integer)) and not isinstance(label, bool)
+              and 0 <= label < len(COMMANDS)):
+            ids[i] = label
         else:
-            value = int(label)
-            if not 0 <= value < len(COMMANDS):
-                raise DataError(f"command id {value} outside 0..{len(COMMANDS) - 1}")
-            ids[i] = value
+            raise DataError(f"label {i} is {label!r}; expected one of {list(COMMANDS)} "
+                            f"or an integer id in 0..{len(COMMANDS) - 1}")
     return ids
 
 

@@ -285,7 +285,7 @@ def test_criterion_1_gradient_correctness(dataset):
 
     train_split, _, _ = dataset
     net = FusionNetwork(seed=3)
-    batch = stack_features(prepare_samples(train_split[:2], net.config))
+    batch = prepare_samples(train_split[:2], net.config)
 
     def loss_fn():
         return net.loss(net.forward(batch), batch)
@@ -332,9 +332,8 @@ def test_criterion_3_mask_equivalence(dataset):
     picked = [pool[i] for i in order[:50]]
 
     net = FusionNetwork(seed=0)
-    features = prepare_samples(picked, net.config)
-    assert all(f.availability == (True, True, True) for f in features)
-    batch = stack_features(features)
+    batch = prepare_samples(picked, net.config)
+    assert set(batch.patterns) == {(True, True, True)}
     inputs = {"camera": batch.camera, "depth": batch.depth, "text": batch.text}
     latents = [net.branches[m].encode(inputs[m]) for m in MODS]
 
@@ -360,7 +359,7 @@ def test_criterion_3_mask_equivalence(dataset):
 def test_criterion_4_gradient_isolation(dataset):
     train_split, _, _ = dataset
     net = FusionNetwork(seed=0)
-    batch = stack_features(prepare_samples(train_split[:2], net.config))
+    batch = prepare_samples(train_split[:2], net.config)
 
     clean = True
     detail = []
@@ -406,7 +405,7 @@ def test_criterion_5_fail_operational(dataset, trained_models):
         faulted = [inject_fault(s, spec) for s in test_split]
         features = prepare_samples(faulted, net.config)
         for indices in group_by_availability(features).values():
-            batch = stack_features([features[i] for i in indices])
+            batch = stack_features(features, indices)
             result = net.forward(batch)
             if not (np.isfinite(result.command_probs.data).all()
                     and np.isfinite(result.seg_probs.data).all()):
@@ -415,9 +414,9 @@ def test_criterion_5_fail_operational(dataset, trained_models):
     triple = tuple(FaultSpec(m, "blackout") for m in ("camera", "lidar", "text"))
     dead = [inject_faults(s, triple) for s in test_split]
     features = prepare_samples(dead, net.config)
-    assert {f.availability for f in features} == {(False, False, False)}
+    assert set(features.patterns) == {(False, False, False)}
     with pytest.raises(FusionError):
-        net.forward(stack_features(features))
+        net.forward(features)
 
     report = fail_operational_eval(
         Campaign(net, test_split),

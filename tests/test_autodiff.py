@@ -26,7 +26,7 @@ from ffusion.autodiff import (
 from ffusion.autodiff.tensor import record_op
 from ffusion.errors import CheckpointError, GradientError, OptimizerError
 from ffusion.model import (
-    MODALITIES, AvailabilityMask, FusionNetwork, ModelConfig, prepare_samples, stack_features)
+    MODALITIES, AvailabilityMask, FusionNetwork, ModelConfig, prepare_samples)
 from ffusion.safety import independence
 from ffusion.scene import synthesize_sample
 
@@ -411,7 +411,7 @@ def _network_step():
     root = Rng(11)
     samples = [synthesize_sample(f"{i:06d}", root.derive_seed(f"sample/{i:06d}"))
                for i in range(3)]
-    return net, stack_features(prepare_samples(samples, net.config))
+    return net, prepare_samples(samples, net.config)
 
 
 def _assert_grads_equal(store, expected: dict) -> None:

@@ -338,6 +338,26 @@ class TestPipeline:
         corrupted = load_dataset(out)["test"]
         assert all(s.registration_shift == (2, 2) for s in corrupted)
 
+    def test_inject_zero_shift_drops_the_stale_shift(self, pipeline, tmp_path):
+        """A zero shift injected into a shifted copy writes no shift, as
+        inject_fault gives in memory; an unshifted manifest keeps its entries."""
+        work, config, config_path = pipeline
+        shifted, straight = tmp_path / "shifted", tmp_path / "straight"
+        for source, out, magnitude in ((config.paths.dataset_dir, shifted, "2"),
+                                       (shifted, straight, "0")):
+            assert main(["inject", "--config", str(config_path),
+                         "--set", f"paths.dataset_dir={source}",
+                         "--modality", "lidar", "--kind", "miscalibration_shift",
+                         "--magnitude", magnitude, "--out", str(out)]) == EXIT_OK
+        zero = (FaultSpec("lidar", "miscalibration_shift", 0.0),)
+        assert all(inject_faults(s, zero).registration_shift == (0, 0)
+                   for s in load_dataset(shifted)["test"])
+        assert all(s.registration_shift == (0, 0) for s in load_dataset(straight)["test"])
+        entries = json.loads((straight / "manifest.json").read_text())["samples"]
+        original = json.loads(
+            (Path(config.paths.dataset_dir) / "manifest.json").read_text())["samples"]
+        assert entries == original
+
     def test_asil_check_writes_json(self, pipeline, tmp_path):
         work, _, _ = pipeline
         out = tmp_path / "verdicts.json"

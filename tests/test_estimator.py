@@ -1,5 +1,7 @@
 """Estimator facade: parameter handling, fit/predict contract, masking."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from ffusion.autodiff import Rng
 from ffusion.errors import ConfigError, DataError
 from ffusion.model import MODALITIES, AvailabilityMask, EncoderBranch
 from ffusion.scene import synthesize_sample
+from ffusion.validation import ensure_labels
 
 
 @pytest.fixture(scope="module")
@@ -116,9 +119,16 @@ class TestFitPredict:
         assert not np.array_equal(base.predict_proba(samples[8:10]),
                                   flipped.predict_proba(samples[8:10]))
 
-    def test_bad_labels_rejected(self, samples):
+    @pytest.mark.parametrize("labels, message", [
+        (["stop", "stop"], "got 2 labels for 4 samples"),
+        *((["stop", "go", bad, "go"], f"label 2 is {bad!r}")
+          for bad in ("warp", 1.7, 2.0, True, None, [1], 4, -1, np.int64(4))),
+    ], ids=["too_few", "unknown_name", "fraction", "integral_float", "bool", "none",
+            "list", "too_high", "negative", "numpy_too_high"])
+    def test_bad_labels_rejected(self, samples, labels, message):
         clf = MultimodalFusionClassifier(epochs=1, d=16, blocks=1, heads=2)
-        with pytest.raises(DataError):
-            clf.fit(samples[:4], ["stop", "stop"])
-        with pytest.raises(DataError):
-            clf.fit(samples[:4], ["warp", "stop", "go", "go"])
+        with pytest.raises(DataError, match=re.escape(message)):
+            clf.fit(samples[:4], labels)
+
+    def test_labels_are_names_or_integer_ids(self):
+        assert ensure_labels(["go", 0, np.int64(3)], 3).tolist() == [1, 0, 3]

@@ -1,6 +1,7 @@
 """Export lists: every name a package lists in __all__ exists on it, and
-every name the benchmark tracer wraps exists too. Imports: a command that
-runs no model never loads SciPy."""
+every name the benchmark tracer wraps exists too; a traced benchmark run of
+each workload passes. Imports: a command that runs no model never loads
+SciPy."""
 
 import importlib
 import json
@@ -71,6 +72,21 @@ def test_benchmark_tracer_spans_one_training_epoch(monkeypatch):
     assert counts["tape_records_step.full"] == 130
     assert counts["tape_records"] == 2 * 130
     assert all(span.end is not None for span in tracer.spans)
+
+
+@pytest.mark.parametrize("workload", ["train_loop", "safety_campaign", "dataset_roundtrip"])
+def test_traced_benchmark_run_passes(workload):
+    """A one-second traced run of each benchmark workload at the tiny size
+    exits 0 with every cycle correct, so the wrapped names still take the
+    arguments the package passes them."""
+    run = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve().parents[1] / "pipebench" / "run.py"),
+         "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1",
+         "--size", "tiny"],
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    last = json.loads(run.stdout.splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0)
 
 
 # Runs one command in a fresh interpreter, then prints the SciPy modules it loaded.

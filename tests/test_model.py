@@ -1,5 +1,7 @@
 """Encoders, fusion, decoders, health monitoring and the training loop."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -300,7 +302,7 @@ class TestFusion:
     def test_gradient_isolation_through_fusion(self):
         net = FusionNetwork(config=SMALL, seed=0)
         samples = make_samples(2)
-        batch = stack_features(prepare_samples(samples, net.config))
+        batch = prepare_samples(samples, net.config)
         net.store.zero_grad()
         with Tape() as tape:
             result = net.forward(batch, AvailabilityMask(depth=False))
@@ -321,7 +323,7 @@ class TestSegHead:
         net = FusionNetwork(config=SMALL, seed=0)
         bias = net.store["head.segmentation.bias"]
         bias.data[:] = Rng(4).normal(bias.shape)
-        batch = stack_features(prepare_samples(make_samples(2), net.config))
+        batch = prepare_samples(make_samples(2), net.config)
         result = net.forward(batch, AvailabilityMask(camera=False))
         logits = bias.data.reshape(2, 2, 4)
         expected = np.exp(logits - logits.max(axis=-1, keepdims=True))
@@ -362,7 +364,7 @@ class TestHealth:
     def test_nominal_sample_all_nominal(self):
         sample = make_samples(1)[0]
         features = prepare_features(sample, ModelConfig())
-        assert all(h.status == "nominal" for h in features.health.values())
+        assert all(h.status == "nominal" for (h,) in features.health.values())
         assert features.availability == (True, True, True)
 
 
@@ -379,26 +381,43 @@ class TestPrepare:
         monkeypatch.setattr(inputs, "DENSIFY_CHUNK", 3)
         batched = prepare_samples(samples, net.config)
         alone = [prepare_features(s, net.config) for s in samples]
-        assert [f.availability[1] for f in batched].count(False) == 2
-        assert len(batched) == len(alone)
-        for got, want in zip(batched, alone):
-            assert got.sample_id == want.sample_id
-            for name in ("camera", "depth", "text", "seg_labels"):
+        assert [p[1] for p in batched.patterns].count(False) == 2
+        assert batched.size == len(alone)
+        for i, want in enumerate(alone):
+            got = stack_features(batched, [i])
+            assert got.sample_ids == want.sample_ids
+            for name in ("camera", "depth", "text", "seg_labels", "command_ids"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.tobytes() == b.tobytes(), (got.sample_id, name)
-            assert got.command_id == want.command_id
-            assert {m: (h.status, h.available) for m, h in got.health.items()} == \
-                {m: (h.status, h.available) for m, h in want.health.items()}
+                assert a.tobytes() == b.tobytes(), (got.sample_ids, name)
+            assert {m: [(h.status, h.available) for h in hs] for m, hs in got.health.items()} == \
+                {m: [(h.status, h.available) for h in hs] for m, hs in want.health.items()}
 
     def test_empty_list(self):
-        assert prepare_samples([], SMALL) == []
+        batch = prepare_samples([], SMALL)
+        assert batch.size == 0 and batch.patterns == []
+        assert {getattr(batch, m).shape[0] for m in ("camera", "depth", "text")} == {0}
+        assert batch.command_ids.shape == (0,) and batch.seg_labels.shape == (0, 8, 8)
+
+    def test_stack_of_no_rows_is_data_error(self):
+        batch = prepare_samples(make_samples(2), SMALL)
+        with pytest.raises(DataError, match="empty row list"):
+            stack_features(batch, [])
+
+    def test_mixed_availability_is_data_error_at_forward(self):
+        samples = make_samples(2)
+        samples[1] = inject_fault(samples[1], FaultSpec("camera", "blackout"))
+        net = FusionNetwork(config=SMALL, seed=0)
+        batch = prepare_samples(samples, net.config)
+        with pytest.raises(DataError, match=re.escape(
+                "[(False, True, True), (True, True, True)]")):
+            net.forward(batch)
 
 
 class TestDecoders:
     def test_distributions_sum_to_one(self):
         net = FusionNetwork(config=SMALL, seed=0)
-        batch = stack_features(prepare_samples(make_samples(3), net.config))
+        batch = prepare_samples(make_samples(3), net.config)
         result = net.forward(batch)
         assert np.abs(result.command_probs.data.sum(-1) - 1.0).max() < 1e-9
         assert np.abs(result.seg_probs.data.sum(-1) - 1.0).max() < 1e-9
@@ -407,14 +426,14 @@ class TestDecoders:
         net = FusionNetwork(config=SMALL, seed=0)
         net.store["head.command.weight"].data[:] = 0.0
         net.store["head.command.bias"].data[:] = 0.0
-        batch = stack_features(prepare_samples(make_samples(2), net.config))
+        batch = prepare_samples(make_samples(2), net.config)
         result = net.forward(batch)
         assert np.array_equal(result.command_probs.data,
                               np.full_like(result.command_probs.data, 0.25))
 
     def test_camera_masked_still_valid_distribution(self):
         net = FusionNetwork(config=SMALL, seed=0)
-        batch = stack_features(prepare_samples(make_samples(2), net.config))
+        batch = prepare_samples(make_samples(2), net.config)
         result = net.forward(batch, AvailabilityMask(camera=False))
         assert np.all(np.isfinite(result.command_probs.data))
         assert np.abs(result.seg_probs.data.sum(-1) - 1.0).max() < 1e-9
@@ -457,7 +476,7 @@ class TestNetwork:
         # and value maps see every token; the query, out-projection and MLP
         # maps see the rows the heads read.
         net = FusionNetwork(config=SMALL, seed=0)
-        batch = stack_features(prepare_samples(make_samples(2), net.config))
+        batch = prepare_samples(make_samples(2), net.config)
         with Tape() as tape:
             loss = net.loss(net.forward(batch, mask), batch)
         backward(tape, loss)
@@ -480,7 +499,7 @@ class TestNetwork:
         # One training step at the default model: each attention call is one
         # record, with the head split and merge inside it.
         net = FusionNetwork(config=ModelConfig(), seed=0)
-        batch = stack_features(prepare_samples(make_samples(2), net.config))
+        batch = prepare_samples(make_samples(2), net.config)
         with Tape() as tape:
             net.loss(net.forward(batch, mask), batch)
         ops = [rec.backward_fn.__qualname__.split(".")[0] for rec in tape.records]
@@ -489,16 +508,15 @@ class TestNetwork:
 
     def test_batched_matches_single(self):
         net = FusionNetwork(config=SMALL, seed=1)
-        feats = prepare_samples(make_samples(3), net.config)
-        batch = stack_features(feats)
+        batch = prepare_samples(make_samples(3), net.config)
         together = net.forward(batch).command_probs.data
-        for i, f in enumerate(feats):
-            alone = net.forward(stack_features([f])).command_probs.data[0]
+        for i in range(batch.size):
+            alone = net.forward(stack_features(batch, [i])).command_probs.data[0]
             assert np.abs(together[i] - alone).max() < 1e-9
 
     def test_save_load_roundtrip(self, tmp_path):
         net = FusionNetwork(config=SMALL, seed=1)
-        batch = stack_features(prepare_samples(make_samples(2), net.config))
+        batch = prepare_samples(make_samples(2), net.config)
         before = net.forward(batch).command_probs.data
         path = tmp_path / "model.ckpt"
         net.save(path)
@@ -598,7 +616,7 @@ class TestTraining:
 class TestEndToEndGradients:
     def test_twenty_random_parameter_components(self):
         net = FusionNetwork(config=SMALL, seed=3)
-        batch = stack_features(prepare_samples(make_samples(2), net.config))
+        batch = prepare_samples(make_samples(2), net.config)
 
         def loss_fn():
             result = net.forward(batch)

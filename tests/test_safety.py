@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -141,15 +142,15 @@ class TestInjection:
                                 ("text", "text")):
             hit = inject_fault(samples[0], FaultSpec(modality, "blackout"))
             features = prepare_features(hit, ModelConfig())
-            assert features.health[field].status == "failed"
+            assert features.health[field][0].status == "failed"
             others = [m for m in ("camera", "depth", "text") if m != field]
-            assert all(features.health[m].status == "nominal" for m in others)
+            assert all(features.health[m][0].status == "nominal" for m in others)
 
     def test_stuck_at_constant_fails_health(self, samples):
         hit = inject_fault(samples[0], FaultSpec("camera", "stuck_at", 0.5))
         assert np.all(hit.rgb == 0.5)
         features = prepare_features(hit, ModelConfig())
-        assert features.health["camera"].status == "failed"
+        assert features.health["camera"][0].status == "failed"
 
     def test_zero_sigma_noise_is_identity(self, samples):
         assert inject_fault(samples[0], FaultSpec("camera", "gaussian_noise", 0.0)) is samples[0]
@@ -503,7 +504,7 @@ class TestCampaign:
 
 class TestIndependence:
     def test_default_architecture_passes(self, network, samples):
-        batch = stack_features(prepare_samples(samples[12:15], network.config))
+        batch = prepare_samples(samples[12:15], network.config)
         report = verify_independence(network, batch)
         assert report.structural_pass
         assert report.shared_parameters == []
@@ -516,7 +517,7 @@ class TestIndependence:
         shared = Tensor(np.zeros((2, 2)), requires_grad=True)
         net.store.register("encoder.camera.alias", shared)
         net.store.register("encoder.depth.alias", shared)
-        batch = stack_features(prepare_samples(samples[:2], net.config))
+        batch = prepare_samples(samples[:2], net.config)
         report = verify_independence(net, batch)
         assert not report.structural_pass
         assert report.shared_parameters == [
@@ -589,16 +590,23 @@ class TestProbes:
     @pytest.mark.parametrize("n", [1, EVAL_CHUNK, EVAL_CHUNK + 1, 130])
     def test_pooled_embeddings_match_whole_split(self, probe_features, n):
         net, features = probe_features
+        head = stack_features(features, range(n))
         for modality in ("camera", "depth", "text"):
-            whole = net.branch(modality).encode(
-                np.stack([getattr(f, modality) for f in features[:n]]))
+            whole = net.branch(modality).encode(getattr(head, modality))
             assert np.array_equal(
-                pooled_embeddings(net, features[:n], modality),
+                pooled_embeddings(net, head, modality),
                 whole.tokens.data.mean(axis=-2))
 
+    def test_pooled_embeddings_read_only_their_modality(self, probe_features):
+        net, features = probe_features
+        assert np.array_equal(
+            pooled_embeddings(net, replace(features, depth=None, text=None), "camera"),
+            pooled_embeddings(net, features, "camera"))
+
     def test_pooled_embeddings_reject_empty_split(self, probe_features):
+        net = probe_features[0]
         with pytest.raises(DataError, match="empty split"):
-            pooled_embeddings(probe_features[0], [], "camera")
+            pooled_embeddings(net, prepare_samples([], net.config), "camera")
 
     def test_single_modality_probe_steps_once_in_chunks(self, probe_split,
                                                         monkeypatch):
