@@ -32,6 +32,8 @@ from .errors import (
 from .model import FusionNetwork, Metrics, train
 from .model.config import from_plain, to_plain
 from .safety import (
+    FAULT_KINDS,
+    FAULT_MODALITIES,
     Campaign,
     DegradationReport,
     EnrichmentRow,
@@ -203,6 +205,8 @@ def cmd_inject(args) -> int:
     entries = []
     for entry in manifest["samples"]:
         sample = inject_fault(by_id[entry["id"]], spec)
+        for name in entry["files"].values():
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
         write_sample(sample, out, entry["files"])
         new_entry = {k: v for k, v in entry.items() if k != "registration_shift"}
         if sample.registration_shift != (0, 0):
@@ -327,11 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     inject = sub.add_parser("inject", help="write a fault-corrupted dataset")
     common(inject)
-    inject.add_argument("--modality", required=True,
-                        choices=("camera", "lidar", "text"))
-    inject.add_argument("--kind", required=True,
-                        choices=("blackout", "gaussian_noise", "stuck_at",
-                                 "miscalibration_shift", "partial_dropout"))
+    inject.add_argument("--modality", required=True, choices=FAULT_MODALITIES)
+    inject.add_argument("--kind", required=True, choices=FAULT_KINDS)
     inject.add_argument("--magnitude", type=float, default=0.0)
     inject.add_argument("--fault-seed", type=int, default=0)
     inject.add_argument("--out", required=True,

@@ -98,8 +98,8 @@ class MultimodalFusionClassifier:
             mask = availability_from_names(mask)
         samples = ensure_samples(X)
         probs = np.empty((len(samples), len(COMMANDS)))
-        for indices, _, result in Campaign(self.network_, samples).predict(mask=mask):
-            probs[indices] = result.command_probs.data
+        for rows, result in Campaign(self.network_, samples).predict(mask=mask):
+            probs[rows] = result.command_probs.data
         return probs
 
     def predict(self, X: Sequence[Sample],

@@ -45,12 +45,7 @@ from ffusion.model.layers import (
     init_param,
 )
 from ffusion.model.network import ForwardResult, FusionNetwork, SEG_LOSS_WEIGHT
-from ffusion.model.training import (
-    Metrics,
-    TrainConfig,
-    predict,
-    train,
-)
+from ffusion.model.training import Metrics, TrainConfig, train
 from ffusion.model.vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
 __all__ = [
@@ -91,7 +86,6 @@ __all__ = [
     "group_by_availability",
     "init_param",
     "patchify",
-    "predict",
     "prepare_features",
     "prepare_samples",
     "stack_features",

@@ -8,7 +8,7 @@ the camera path sanitizes non-finite pixels after health triage; the text
 path tokenizes against the fixed vocabulary. Each preparer fills one
 array with a row per sample; a row whose modality fails triage stays zero
 and reads unavailable. A FeatureBatch holds those arrays, and
-stack_features gathers its rows into the batches the network runs.
+stack_features gathers its rows into the batches that training runs.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def prepare_features(sample: Sample, config: ModelConfig) -> FeatureBatch:
 
 
 def stack_features(features: FeatureBatch, rows: Sequence[int]) -> FeatureBatch:
-    """The given rows of features, in the given order: the one row gather."""
+    """The given rows of features, in the given order, as one batch."""
     rows = np.asarray(rows, dtype=np.intp)
     if rows.size == 0:
         raise DataError("cannot stack an empty row list")

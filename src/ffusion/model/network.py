@@ -51,14 +51,13 @@ class FusionNetwork:
     def branch(self, modality: str) -> EncoderBranch:
         return self.branches[modality]
 
-    def availability(self, batch: FeatureBatch,
+    def availability(self, pattern: Sequence[bool],
                      mask: Optional[AvailabilityMask] = None) -> AvailabilityMask:
-        """The AND of the batch's health-derived availability and the optional
-        scenario mask; FusionError when no modality remains."""
+        """The AND of a batch's health-derived availability pattern and the
+        optional scenario mask; FusionError when no modality remains."""
         scenario = mask or AvailabilityMask()
         return AvailabilityMask(**{
-            m: available and scenario[m]
-            for m, available in zip(MODALITIES, batch.availability)
+            m: available and scenario[m] for m, available in zip(MODALITIES, pattern)
         })
 
     def encode(self, inputs: Mapping[str, np.ndarray]) -> List[TokenSequence]:
@@ -82,13 +81,14 @@ class FusionNetwork:
         Unavailable branches (see availability) are not executed and
         contribute no tokens to fusion.
         """
-        effective = self.availability(batch, mask)
+        effective = self.availability(batch.availability, mask)
         latents = self.encode({m: getattr(batch, m) for m in MODALITIES if effective[m]})
         return self.decode(latents, effective)
 
-    def loss(self, result: ForwardResult, batch: FeatureBatch) -> Tensor:
-        command = cross_entropy(result.command_probs, batch.command_ids)
-        segmentation = cross_entropy(result.seg_probs, batch.seg_labels)
+    def loss(self, result: ForwardResult, command_ids: np.ndarray,
+             seg_labels: np.ndarray) -> Tensor:
+        command = cross_entropy(result.command_probs, command_ids)
+        segmentation = cross_entropy(result.seg_probs, seg_labels)
         return add(command, scale(segmentation, SEG_LOSS_WEIGHT))
 
     def save(self, path: Union[str, Path]) -> None:

@@ -1,28 +1,20 @@
-"""Training with batch-level modality dropout, and batched inference on
-precomputed encoder tokens."""
+"""Training with batch-level modality dropout."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ffusion.autodiff import AdamState, Rng, Tape, Tensor, adam_step, backward
+from ffusion.autodiff import AdamState, Rng, Tape, adam_step, backward
 from ffusion.errors import ConfigError, DataError, TrainingError
 from ffusion.model.config import require_int, require_real
-from ffusion.model.encoders import MODALITIES, TokenSequence
+from ffusion.model.encoders import MODALITIES
 from ffusion.model.fusion import AvailabilityMask
-from ffusion.model.inputs import (
-    FeatureBatch,
-    group_by_availability,
-    prepare_samples,
-    stack_features,
-)
-from ffusion.model.network import ForwardResult, FusionNetwork
+from ffusion.model.inputs import prepare_samples, stack_features
+from ffusion.model.network import FusionNetwork
 from ffusion.scene.dataset import Sample
-
-EVAL_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -111,7 +103,7 @@ def train(network: FusionNetwork, samples: Sequence[Sample],
                 })
             with Tape() as tape:
                 result = network.forward(batch, mask)
-                loss = network.loss(result, batch)
+                loss = network.loss(result, batch.command_ids, batch.seg_labels)
             value = float(loss.item())
             if not np.isfinite(value):
                 culprit = _first_nonfinite_path(network)
@@ -132,49 +124,3 @@ def train(network: FusionNetwork, samples: Sequence[Sample],
                 ) from exc
             curve.append(value)
     return curve
-
-
-def _chunks(features: FeatureBatch) -> Iterator[Tuple[tuple, List[int]]]:
-    """(availability pattern, rows of features) per predict batch."""
-    for pattern, rows in sorted(group_by_availability(features).items()):
-        for start in range(0, len(rows), EVAL_CHUNK):
-            yield pattern, rows[start:start + EVAL_CHUNK]
-
-
-def encode_rows(network: FusionNetwork, features: FeatureBatch,
-                modalities: Sequence[str]) -> Dict[str, np.ndarray]:
-    """Encoder tokens of every row of features, per named modality: (n, T, d).
-
-    Each branch runs once per predict batch in which its modality is
-    available; rows where it is unavailable stay zero. Only the named
-    modalities' inputs are gathered. A sample's tokens do not depend on the
-    rest of its batch, so any later batching may gather its rows.
-    """
-    latents = {m: np.zeros((features.size, network.branch(m).tokens, network.config.d))
-               for m in modalities}
-    for pattern, rows in _chunks(features):
-        inputs = {m: getattr(features, m)[rows] for m, ok in zip(MODALITIES, pattern)
-                  if ok and m in latents}
-        for seq in network.encode(inputs):
-            latents[seq.modality][rows] = seq.tokens.data
-    return latents
-
-
-def predict(network: FusionNetwork, features: FeatureBatch,
-            latents: Dict[str, np.ndarray], mask: Optional[AvailabilityMask] = None
-            ) -> Iterator[Tuple[List[int], FeatureBatch, ForwardResult]]:
-    """Forward passes over prepared features; no parameter updates.
-
-    Samples are grouped by health-derived availability (groups in sorted
-    pattern order) and each group runs in chunks of at most EVAL_CHUNK, so
-    every batch sees one pattern. Fusion and both heads run per batch on
-    its samples' encoder token rows, gathered from latents: per modality
-    the mask leaves, the tokens of every row of features, as encode_rows
-    returns them. Yields (rows of features, batch, result) per batch.
-    """
-    for _, rows in _chunks(features):
-        batch = stack_features(features, rows)
-        effective = network.availability(batch, mask)
-        tokens = [TokenSequence(m, Tensor.constant(latents[m][rows]))
-                  for m in MODALITIES if effective[m]]
-        yield rows, batch, network.decode(tokens, effective)

@@ -11,22 +11,23 @@ captured and reported as FAIL_SILENT rather than raised.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..autodiff import Tensor
 from ..errors import ConfigError, DataError, FusionError
 from ..model import (
     MODALITIES,
     AvailabilityMask,
     FeatureBatch,
+    ForwardResult,
     Metrics,
+    TokenSequence,
     group_by_availability,
-    predict,
     stack_features,
 )
 from ..model.inputs import PREPARERS, assemble
-from ..model.training import encode_rows
 from ..scene.commands import COMMANDS
 from ..scene.dataset import Sample
 from .faults import FaultSpec, inject_faults
@@ -37,6 +38,7 @@ STATUS_OK = "ok"
 
 NOMINAL = "nominal"
 INDEPENDENCE_SAMPLES = 4
+EVAL_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -111,22 +113,30 @@ def _retained(scenario_accuracy: float,
 _FAULT_MODALITY = {"camera": "camera", "depth": "lidar", "text": "text"}
 
 
+def _chunks(features: FeatureBatch) -> Iterator[Tuple[tuple, List[int]]]:
+    """(availability pattern, rows of features) per inference batch: rows
+    grouped by pattern, in sorted pattern order, at most EVAL_CHUNK each."""
+    for pattern, rows in sorted(group_by_availability(features).items()):
+        for start in range(0, len(rows), EVAL_CHUNK):
+            yield pattern, rows[start:start + EVAL_CHUNK]
+
+
 class Campaign:
     """One split's per-modality inputs under fault lists, each prepared and
-    encoded once.
+    encoded once; the one owner of a split's inference.
 
     Faults on different modalities touch disjoint Sample fields, so a
     modality's input under a fault list depends only on that list's faults
     on the modality, in order: their tuple keys the input. Zero-sigma noise
     returns the sample itself, so it is left out of the key, and sigma 0
-    reuses the nominal inputs. Each input is encoded in the batches of the
-    first prediction that uses it; later ones gather its token rows. An
-    evaluation of the same inputs, mask and scenario name runs once.
+    reuses the nominal inputs. latents encodes each input once, and predict
+    decodes its token rows. An evaluation of the same inputs, mask and
+    scenario name runs once.
     """
 
     def __init__(self, network, samples: Sequence[Sample]):
         if not samples:
-            raise ConfigError("cannot evaluate an empty split")
+            raise DataError("cannot evaluate an empty split")
         self.network = network
         self.samples = list(samples)
         self._prepared = {}  # (modality, key) -> (inputs, health), a row per sample
@@ -148,19 +158,44 @@ class Campaign:
                     [inject_faults(s, key) for s in self.samples], self.network.config)
         return assemble(self.samples, {m: self._prepared[m, key] for m, key in keys})
 
-    def predict(self, faults: Sequence[FaultSpec] = (),
-                mask: Optional[AvailabilityMask] = None):
-        """training.predict over the split under the faults, on encoder tokens
-        computed once per modality input."""
-        keys = self._keys(faults)
-        features = self.features(faults)
-        used = [(m, key) for m, key in keys if mask is None or mask[m]]
-        fresh = [pair for pair in used if pair not in self._latents]
+    def latents(self, faults: Sequence[FaultSpec] = (),
+                modalities: Sequence[str] = MODALITIES) -> Dict[str, np.ndarray]:
+        """Encoder tokens of every sample under the faults, per named
+        modality: (n, T, d).
+
+        An input not yet encoded runs through its branch once per _chunks
+        batch in which its modality is available; rows where it is
+        unavailable stay zero. A sample's tokens do not depend on the rest
+        of its batch, so any later batching may gather its rows.
+        """
+        keys = dict(self._keys(faults))
+        fresh = [m for m in modalities if (m, keys[m]) not in self._latents]
         if fresh:
-            encoded = encode_rows(self.network, features, [m for m, _ in fresh])
-            self._latents.update({(m, key): encoded[m] for m, key in fresh})
-        return predict(self.network, features,
-                       {m: self._latents[m, key] for m, key in used}, mask)
+            features = self.features(faults)
+            for m in fresh:
+                self._latents[m, keys[m]] = np.zeros(
+                    (features.size, self.network.branch(m).tokens, self.network.config.d))
+            for pattern, rows in _chunks(features):
+                inputs = {m: getattr(features, m)[rows]
+                          for m, ok in zip(MODALITIES, pattern) if ok and m in fresh}
+                for seq in self.network.encode(inputs):
+                    self._latents[seq.modality, keys[seq.modality]][rows] = seq.tokens.data
+        return {m: self._latents[m, keys[m]] for m in modalities}
+
+    def predict(self, faults: Sequence[FaultSpec] = (),
+                mask: Optional[AvailabilityMask] = None
+                ) -> Iterator[Tuple[List[int], ForwardResult]]:
+        """Forward passes over the split under the faults; no parameter
+        updates. Per _chunks batch, fusion and both heads run on its rows'
+        tokens from latents for the modalities that its pattern and the mask
+        leave. Yields (rows, result) per batch."""
+        features = self.features(faults)
+        latents = self.latents(faults, [m for m in MODALITIES if mask is None or mask[m]])
+        for pattern, rows in _chunks(features):
+            effective = self.network.availability(pattern, mask)
+            tokens = [TokenSequence(m, Tensor.constant(latents[m][rows]))
+                      for m in MODALITIES if effective[m]]
+            yield rows, self.network.decode(tokens, effective)
 
     def evaluate(self, faults: Sequence[FaultSpec] = (),
                  mask: Optional[AvailabilityMask] = None, scenario: str = NOMINAL):
@@ -175,11 +210,12 @@ class Campaign:
             pred_seg = np.zeros_like(truth_seg)
             arb = np.zeros((len(self.samples), len(MODALITIES)))
             total_loss = 0.0
-            for indices, batch, result in self.predict(faults, mask):
-                pred_cmd[indices] = result.command_probs.data.argmax(axis=-1)
-                pred_seg[indices] = result.seg_probs.data.argmax(axis=-1)
-                arb[indices] = result.fused.arbitration.reshape(-1, len(MODALITIES))
-                total_loss += float(self.network.loss(result, batch).item()) * batch.size
+            for rows, result in self.predict(faults, mask):
+                pred_cmd[rows] = result.command_probs.data.argmax(axis=-1)
+                pred_seg[rows] = result.seg_probs.data.argmax(axis=-1)
+                arb[rows] = result.fused.arbitration.reshape(-1, len(MODALITIES))
+                loss = self.network.loss(result, truth_cmd[rows], truth_seg[rows])
+                total_loss += float(loss.item()) * len(rows)
             correct = pred_cmd == truth_cmd
             per_class = {}
             for cid, name in enumerate(COMMANDS):
@@ -207,8 +243,7 @@ def check_scenario_names(scenarios: Sequence[Scenario]) -> None:
 
 
 def fail_operational_eval(campaign: Campaign,
-                          scenarios: Optional[Sequence[Scenario]] = None,
-                          check_independence: bool = True) -> DegradationReport:
+                          scenarios: Optional[Sequence[Scenario]] = None) -> DegradationReport:
     """Evaluate every scenario against the nominal baseline.
 
     The nominal scenario's evaluation (one, through the campaign's memo) is
@@ -241,15 +276,14 @@ def fail_operational_eval(campaign: Campaign,
                                         report.nominal.command_accuracy),
         ))
 
-    if check_independence:
-        # The first (up to) INDEPENDENCE_SAMPLES nominal samples that pass
-        # health triage on every modality, so they stack into one batch.
-        picked = groups.get((True,) * len(MODALITIES))
-        if not picked:
-            raise DataError("independence check needs a sample that passes "
-                            "health triage on all three modalities; none does")
-        report.independence = verify_independence(
-            campaign.network, stack_features(features, picked[:INDEPENDENCE_SAMPLES]))
+    # The first (up to) INDEPENDENCE_SAMPLES nominal samples that pass
+    # health triage on every modality, so they stack into one batch.
+    picked = groups.get((True,) * len(MODALITIES))
+    if not picked:
+        raise DataError("independence check needs a sample that passes "
+                        "health triage on all three modalities; none does")
+    report.independence = verify_independence(
+        campaign.network, stack_features(features, picked[:INDEPENDENCE_SAMPLES]))
     return report
 
 

@@ -66,7 +66,7 @@ def check_functional(network, batch: FeatureBatch) -> tuple:
         network.store.zero_grad()
         with Tape() as tape:
             result = network.forward(batch, mask)
-            loss = network.loss(result, batch)
+            loss = network.loss(result, batch.command_ids, batch.seg_labels)
         backward(tape, loss)
         leak = None
         for path in branch_paths(network.store, modality):

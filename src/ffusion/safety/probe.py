@@ -24,9 +24,9 @@ from ..autodiff import (
     ops,
 )
 from ..errors import DataError
-from ..model import MODALITIES, FeatureBatch, prepare_samples
-from ..model.training import encode_rows
+from ..model import MODALITIES
 from ..scene.commands import COMMANDS
+from .harness import Campaign
 
 PROBE_EPOCHS = 50
 PROBE_BATCH = 32
@@ -41,17 +41,15 @@ class ProbeResult:
     shuffled_labels: bool
 
 
-def pooled_embeddings(network, features: FeatureBatch, modality: str) -> np.ndarray:
-    """Mean-pooled frozen tokens of one branch over prepared features, (n, d).
+def pooled_embeddings(campaign: Campaign, modality: str) -> np.ndarray:
+    """Mean-pooled frozen tokens of one branch over a campaign's split, (n, d).
 
-    The tokens are encode_rows's, so a row whose modality failed health
-    triage pools to zeros.
+    The tokens are the campaign's latents, so a row whose modality failed
+    health triage pools to zeros.
     """
     if modality not in MODALITIES:
         raise DataError(f"unknown modality {modality!r}")
-    if features.size == 0:
-        raise DataError("cannot probe an empty split")
-    return encode_rows(network, features, [modality])[modality].mean(axis=-2)
+    return campaign.latents(modalities=(modality,))[modality].mean(axis=-2)
 
 
 def _train_probes(train_x: np.ndarray, train_y: np.ndarray,
@@ -100,21 +98,23 @@ def _train_probes(train_x: np.ndarray, train_y: np.ndarray,
     return [float(np.mean(s.argmax(axis=-1) == val_y)) for s in scores]
 
 
-def _probe(network, train_features: FeatureBatch, val_features: FeatureBatch,
+def _probe(network, train_samples: Sequence, val_samples: Sequence,
            modalities: Sequence[str], shuffle_labels: bool, seed: int
            ) -> List[ProbeResult]:
-    def embed(features):
-        return np.stack([pooled_embeddings(network, features, m) for m in modalities])
+    train, val = Campaign(network, train_samples), Campaign(network, val_samples)
 
-    train_y = train_features.command_ids
+    def embed(campaign):
+        return np.stack([pooled_embeddings(campaign, m) for m in modalities])
+
+    train_y = train.features().command_ids
     if shuffle_labels:
         # Uniform random labels break any label-feature association while
         # keeping the optimization identical; accuracy must drop to chance.
         train_y = Rng(seed).derive("labels").integers(
             0, len(COMMANDS), size=train_y.shape)
     accuracies = _train_probes(
-        embed(train_features), np.stack([train_y] * len(modalities)),
-        embed(val_features), val_features.command_ids, seed)
+        embed(train), np.stack([train_y] * len(modalities)),
+        embed(val), val.features().command_ids, seed)
     return [ProbeResult(modality=m, accuracy=a, shuffled_labels=shuffle_labels)
             for m, a in zip(modalities, accuracies)]
 
@@ -123,8 +123,7 @@ def probe_modality(network, train_samples: Sequence, val_samples: Sequence,
                    modality: str, shuffle_labels: bool = False,
                    seed: int = PROBE_SEED) -> ProbeResult:
     """Train a probe for one modality and score it on the validation split."""
-    return _probe(network, prepare_samples(train_samples, network.config),
-                  prepare_samples(val_samples, network.config), (modality,),
+    return _probe(network, train_samples, val_samples, (modality,),
                   shuffle_labels, seed)[0]
 
 
@@ -132,10 +131,8 @@ def single_modality_probe(network, train_samples: Sequence,
                           val_samples: Sequence) -> Dict[str, ProbeResult]:
     """Probe each modality on the true labels; keys follow MODALITIES order.
 
-    Both splits are prepared once, and the three probes train as one stack
-    with PROBE_SEED.
+    Each split is one Campaign, so it is prepared once, and the three probes
+    train as one stack with PROBE_SEED.
     """
-    results = _probe(network, prepare_samples(train_samples, network.config),
-                     prepare_samples(val_samples, network.config), MODALITIES, False,
-                     PROBE_SEED)
-    return dict(zip(MODALITIES, results))
+    return dict(zip(MODALITIES, _probe(network, train_samples, val_samples,
+                                       MODALITIES, False, PROBE_SEED)))

@@ -288,7 +288,7 @@ def test_criterion_1_gradient_correctness(dataset):
     batch = prepare_samples(train_split[:2], net.config)
 
     def loss_fn():
-        return net.loss(net.forward(batch), batch)
+        return net.loss(net.forward(batch), batch.command_ids, batch.seg_labels)
 
     rng = Rng(17)
     paths = net.store.paths()
@@ -367,7 +367,7 @@ def test_criterion_4_gradient_isolation(dataset):
         net.store.zero_grad()
         with Tape() as tape:
             result = net.forward(batch, AvailabilityMask(**{m: m != drop for m in MODS}))
-            loss = net.loss(result, batch)
+            loss = net.loss(result, batch.command_ids, batch.seg_labels)
         backward(tape, loss)
         nonzero = []
         for path in net.store.paths():
@@ -420,8 +420,7 @@ def test_criterion_5_fail_operational(dataset, trained_models):
 
     report = fail_operational_eval(
         Campaign(net, test_split),
-        scenarios=[Scenario("nominal"), Scenario("triple_blackout", triple)],
-        check_independence=False)
+        scenarios=[Scenario("nominal"), Scenario("triple_blackout", triple)])
     silent = report.result("triple_blackout").status == FAIL_SILENT
 
     ok = bad_outputs == 0 and silent

@@ -433,7 +433,7 @@ class TestConcurrentBackward:
         mask = AvailabilityMask(**{m: m != dropped for m in MODALITIES})
         net, batch = _network_step()
         with Tape() as tape:
-            loss = net.loss(net.forward(batch, mask), batch)
+            loss = net.loss(net.forward(batch, mask), batch.command_ids, batch.seg_labels)
         expected = _sequential_grads(tape, loss)
         backward(tape, loss)
         _assert_grads_equal(net.store, expected)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ffusion.model.training as training
+import ffusion.safety.harness as harness
 from ffusion.autodiff import Tape, load_checkpoint, save_checkpoint
 from ffusion.cli import (
     EXIT_CONFIG,
@@ -276,7 +276,7 @@ class TestPipeline:
         """train's val metrics run the one inference loop: outside the
         training tape, each modality is encoded once per predict batch."""
         work, config, config_path = pipeline
-        monkeypatch.setattr(training, "EVAL_CHUNK", 3)
+        monkeypatch.setattr(harness, "EVAL_CHUNK", 3)
         untaped = []
         encode = EncoderBranch.encode
 
@@ -357,6 +357,27 @@ class TestPipeline:
         original = json.loads(
             (Path(config.paths.dataset_dir) / "manifest.json").read_text())["samples"]
         assert entries == original
+
+    def test_inject_creates_subdirectories_of_file_names(self, pipeline, tmp_path):
+        """A manifest may name files in a subdirectory of the dataset; the
+        corrupted copy writes them under the same subdirectory of --out."""
+        work, config, config_path = pipeline
+        source, out = tmp_path / "nested", tmp_path / "corrupted"
+        shutil.copytree(config.paths.dataset_dir, source)
+        manifest = json.loads((source / "manifest.json").read_text())
+        moved = manifest["samples"][0]
+        (source / "sub").mkdir()
+        for kind, name in moved["files"].items():
+            (source / name).rename(source / "sub" / name)
+            moved["files"][kind] = f"sub/{name}"
+        (source / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["inject", "--config", str(config_path),
+                     "--set", f"paths.dataset_dir={source}",
+                     "--modality", "camera", "--kind", "blackout",
+                     "--out", str(out)]) == EXIT_OK
+        assert all((out / name).is_file() for name in moved["files"].values())
+        corrupted = {s.sample_id: s for items in load_dataset(out).values() for s in items}
+        assert np.all(corrupted[moved["id"]].rgb == 0.0)
 
     def test_asil_check_writes_json(self, pipeline, tmp_path):
         work, _, _ = pipeline

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-import ffusion.model.training as training
+import ffusion.safety.harness as harness
 from ffusion import MultimodalFusionClassifier
 from ffusion.autodiff import Rng
 from ffusion.errors import ConfigError, DataError
@@ -86,7 +86,7 @@ class TestFitPredict:
                                                                 monkeypatch):
         """predict_proba runs the one inference loop: each modality the mask
         leaves is encoded once per predict batch."""
-        monkeypatch.setattr(training, "EVAL_CHUNK", 10)
+        monkeypatch.setattr(harness, "EVAL_CHUNK", 10)
         encoded = []
         encode = EncoderBranch.encode
 

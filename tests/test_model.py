@@ -306,7 +306,7 @@ class TestFusion:
         net.store.zero_grad()
         with Tape() as tape:
             result = net.forward(batch, AvailabilityMask(depth=False))
-            loss = net.loss(result, batch)
+            loss = net.loss(result, batch.command_ids, batch.seg_labels)
         backward(tape, loss)
         depth_paths = [p for p in net.store.paths() if p.startswith("encoder.depth.")]
         assert depth_paths
@@ -478,7 +478,7 @@ class TestNetwork:
         net = FusionNetwork(config=SMALL, seed=0)
         batch = prepare_samples(make_samples(2), net.config)
         with Tape() as tape:
-            loss = net.loss(net.forward(batch, mask), batch)
+            loss = net.loss(net.forward(batch, mask), batch.command_ids, batch.seg_labels)
         backward(tape, loss)
         block = net.fusion.blocks[-1]
         layers = {"query": block.attn.query, "key": block.attn.key,
@@ -501,7 +501,7 @@ class TestNetwork:
         net = FusionNetwork(config=ModelConfig(), seed=0)
         batch = prepare_samples(make_samples(2), net.config)
         with Tape() as tape:
-            net.loss(net.forward(batch, mask), batch)
+            net.loss(net.forward(batch, mask), batch.command_ids, batch.seg_labels)
         ops = [rec.backward_fn.__qualname__.split(".")[0] for rec in tape.records]
         assert (len(ops), ops.count("attention"), ops.count("reshape"),
                 ops.count("transpose")) == (records, attention, reshape, 1)
@@ -620,7 +620,7 @@ class TestEndToEndGradients:
 
         def loss_fn():
             result = net.forward(batch)
-            return net.loss(result, batch)
+            return net.loss(result, batch.command_ids, batch.seg_labels)
 
         rng = Rng(17)
         paths = net.store.paths()

@@ -1,6 +1,7 @@
 """Fault injection, degradation harness, independence, probes, ASIL."""
 
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 from unittest import mock
@@ -58,10 +59,10 @@ from ffusion.safety import (
     snr_enrichment_eval,
     verify_independence,
 )
-from ffusion.model.training import EVAL_CHUNK
-from ffusion.safety import probe
+from ffusion.safety import harness, probe
 from ffusion.safety.asil import ASIL_RANK
 from ffusion.safety.faults import _VALID
+from ffusion.safety.harness import EVAL_CHUNK
 from ffusion.safety.probe import PROBE_BATCH, PROBE_EPOCHS, PROBE_LR, pooled_embeddings
 from ffusion.scene import synthesize_sample
 from ffusion.scene.commands import COMMANDS
@@ -239,8 +240,7 @@ class TestHarness:
 
     def test_nominal_only_retained_exactly_one(self, network, samples):
         report = fail_operational_eval(Campaign(network, samples[12:16]),
-                                       [Scenario("nominal")],
-                                       check_independence=False)
+                                       [Scenario("nominal")])
         assert report.scenarios[0].retained_accuracy == 1.0
         assert report.scenarios[0].status == "ok"
 
@@ -260,8 +260,7 @@ class TestHarness:
         triple = Scenario("all_dark", tuple(
             FaultSpec(m, "blackout") for m in ("camera", "lidar", "text")))
         report = fail_operational_eval(Campaign(network, samples[12:16]),
-                                       [Scenario("nominal"), triple],
-                                       check_independence=False)
+                                       [Scenario("nominal"), triple])
         result = report.result("all_dark")
         assert result.status == FAIL_SILENT
         assert result.metrics is None
@@ -274,7 +273,7 @@ class TestHarness:
         with pytest.raises(ConfigError):
             fail_operational_eval(Campaign(network, samples[12:14]),
                                   [Scenario("nominal"), Scenario("nominal")])
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="empty split"):
             fail_operational_eval(Campaign(network, []), [Scenario("nominal")])
 
     def test_report_deterministic(self, network, samples):
@@ -307,8 +306,7 @@ class TestEnrichment:
     def test_zero_sigma_matches_nominal(self, network, samples):
         rows = snr_enrichment_eval(Campaign(network, samples[12:16]), [0.0])
         nominal = fail_operational_eval(Campaign(network, samples[12:16]),
-                                        [Scenario("nominal")],
-                                        check_independence=False)
+                                        [Scenario("nominal")])
         assert rows[0].fused_accuracy == nominal.nominal.command_accuracy
 
     def test_one_row_per_sigma(self, network, samples):
@@ -332,20 +330,6 @@ class TestEnrichment:
 class TestPrepareOnce:
     """A campaign prepares and encodes each distinct per-modality input once;
     each probe split is prepared once."""
-
-    @pytest.fixture
-    def prepared(self, monkeypatch):
-        """Ids of the samples passed to the batched preparation the probes use."""
-        calls = []
-        original = probe.prepare_samples
-
-        def counting(samples, *args, **kwargs):
-            samples = list(samples)
-            calls.extend(s.sample_id for s in samples)
-            return original(samples, *args, **kwargs)
-
-        monkeypatch.setattr(probe, "prepare_samples", counting)
-        return calls
 
     @pytest.fixture
     def work(self, monkeypatch):
@@ -384,16 +368,17 @@ class TestPrepareOnce:
         # One chunk in which every sample passes triage under every default
         # scenario. Preparing each scenario alone took 6 preparer calls per
         # modality and 15 encoder batches.
-        fail_operational_eval(Campaign(network, samples[12:16]), default_scenarios(),
-                              check_independence=False)
+        fail_operational_eval(Campaign(network, samples[12:16]), default_scenarios())
         # Camera and depth: nominal, blackout, and camera_noise's noise or
         # lidar_dropout's dropout; text: nominal and blackout. Blacked-out
         # inputs fail triage, so nothing densifies or encodes them. Each
         # scenario decodes once; the nominal row is the baseline's evaluation.
+        # The independence check adds three taped forwards, each with one
+        # branch masked: two more encoder batches per modality, three decodes.
         assert work == {
             "prepare camera": 3, "prepare depth": 3, "prepare text": 2,
-            "densify": 2, "encode camera": 2, "encode depth": 2, "encode text": 1,
-            "decode": 6,
+            "densify": 2, "encode camera": 4, "encode depth": 4, "encode text": 3,
+            "decode": 9,
         }
 
     def test_snr_enrichment_eval(self, network, samples, work):
@@ -402,22 +387,57 @@ class TestPrepareOnce:
         # seed is. Preparing each scenario and sigma alone took 27 encoder
         # batches.
         campaign = Campaign(network, samples[12:16])
-        fail_operational_eval(campaign, default_scenarios(), check_independence=False)
+        fail_operational_eval(campaign, default_scenarios())
         rows = snr_enrichment_eval(campaign, [0.0, 0.25, 0.5], seed=1)
         assert [row.sigma for row in rows] == [0.0, 0.25, 0.5]
         # Sigma 0 is the nominal input; sigmas 0.25 and 0.5 add one camera
         # and one depth input each, and text stays nominal. Sigma 0's fused
         # row is the nominal evaluation, so only its camera-only row decodes.
+        # The independence check's three taped forwards add two encoder
+        # batches per modality and three decodes.
         assert work == {
             "prepare camera": 5, "prepare depth": 5, "prepare text": 2,
-            "densify": 4, "encode camera": 4, "encode depth": 4, "encode text": 1,
-            "decode": 11,
+            "densify": 4, "encode camera": 6, "encode depth": 6, "encode text": 3,
+            "decode": 14,
         }
 
-    def test_single_modality_probe(self, network, samples, prepared):
+    def test_single_modality_probe(self, network, samples, work):
+        # One campaign per split: each modality of each split is prepared
+        # once and encoded in one batch.
         train_s, val_s = samples[:6], samples[6:9]
         single_modality_probe(network, train_s, val_s)
-        assert len(prepared) == len(train_s) + len(val_s)
+        assert work == {
+            "prepare camera": 2, "prepare depth": 2, "prepare text": 2,
+            "densify": 2, "encode camera": 2, "encode depth": 2, "encode text": 2,
+        }
+
+    def test_latents_encode_each_input_once(self, network, samples, work):
+        campaign = Campaign(network, samples[12:16])
+        camera = campaign.latents(modalities=("camera",))["camera"]
+        assert campaign.latents()["camera"] is camera
+        campaign.latents()
+        assert list(campaign.predict())
+        assert work == {
+            "prepare camera": 1, "prepare depth": 1, "prepare text": 1, "densify": 1,
+            "encode camera": 1, "encode depth": 1, "encode text": 1, "decode": 1,
+        }
+
+    def test_inference_gathers_no_feature_rows(self, network, samples, monkeypatch):
+        """evaluate and predict read token rows and labels, never a stack of
+        feature rows."""
+        def refuse(*args):
+            raise AssertionError("stack_features called")
+
+        original = inputs.stack_features
+        for module in list(sys.modules.values()):
+            if getattr(module, "stack_features", None) is original:
+                monkeypatch.setattr(module, "stack_features", refuse)
+        assert harness.stack_features is refuse
+        campaign = Campaign(network, samples[12:16])
+        campaign.evaluate()
+        campaign.evaluate((FaultSpec("camera", "blackout"),), scenario="camera_blackout")
+        mask = AvailabilityMask(camera=True, depth=False, text=False)
+        assert sorted(i for rows, _ in campaign.predict(mask=mask) for i in rows) == [0, 1, 2, 3]
 
 
 CAMPAIGN_FAULTS = (
@@ -468,7 +488,7 @@ class TestCampaign:
         if broken is not None:
             split[1] = inject_fault(split[1], FaultSpec(broken, "blackout"))
         campaign = Campaign(network, split)
-        report = fail_operational_eval(campaign, scenarios, check_independence=False)
+        report = fail_operational_eval(campaign, scenarios)
         rows = snr_enrichment_eval(campaign, sigmas, seed)
 
         def alone(faulted, mask=None, scenario="nominal"):
@@ -537,10 +557,12 @@ def probe_split():
 
 @pytest.fixture(scope="module")
 def probe_features(probe_split):
-    """A small network and 130 prepared samples, more than two EVAL_CHUNKs."""
+    """A small network, 130 samples (more than two EVAL_CHUNKs) and their
+    prepared features."""
     net = FusionNetwork(config=SMALL, seed=3)
     train_s, val_s = probe_split
-    return net, prepare_samples((train_s + val_s)[:130], net.config)
+    split = (train_s + val_s)[:130]
+    return net, split, prepare_samples(split, net.config)
 
 
 class TestProbes:
@@ -589,24 +611,30 @@ class TestProbes:
 
     @pytest.mark.parametrize("n", [1, EVAL_CHUNK, EVAL_CHUNK + 1, 130])
     def test_pooled_embeddings_match_whole_split(self, probe_features, n):
-        net, features = probe_features
+        net, split, features = probe_features
         head = stack_features(features, range(n))
+        campaign = Campaign(net, split[:n])
         for modality in ("camera", "depth", "text"):
             whole = net.branch(modality).encode(getattr(head, modality))
             assert np.array_equal(
-                pooled_embeddings(net, head, modality),
+                pooled_embeddings(campaign, modality),
                 whole.tokens.data.mean(axis=-2))
 
-    def test_pooled_embeddings_read_only_their_modality(self, probe_features):
-        net, features = probe_features
+    def test_pooled_embeddings_read_only_their_modality(self, probe_features,
+                                                        monkeypatch):
+        net, split, _ = probe_features
+        campaign = Campaign(net, split)
+        features = campaign.features
+        monkeypatch.setattr(campaign, "features", lambda faults=(): replace(
+            features(faults), depth=None, text=None))
         assert np.array_equal(
-            pooled_embeddings(net, replace(features, depth=None, text=None), "camera"),
-            pooled_embeddings(net, features, "camera"))
+            pooled_embeddings(campaign, "camera"),
+            pooled_embeddings(Campaign(net, split), "camera"))
 
     def test_pooled_embeddings_reject_empty_split(self, probe_features):
         net = probe_features[0]
         with pytest.raises(DataError, match="empty split"):
-            pooled_embeddings(net, prepare_samples([], net.config), "camera")
+            pooled_embeddings(Campaign(net, []), "camera")
 
     def test_single_modality_probe_steps_once_in_chunks(self, probe_split,
                                                         monkeypatch):
@@ -828,8 +856,7 @@ class TestArchGraph:
 class TestReportRendering:
     def test_json_bytes_stable(self, network, samples):
         report = fail_operational_eval(Campaign(network, samples[12:15]),
-                                       [Scenario("nominal")],
-                                       check_independence=False)
+                                       [Scenario("nominal")])
         payload = {"format": "ffusion-report-v1",
                    "degradation": to_plain(report)}
         assert render_json(payload) == render_json(
@@ -857,8 +884,7 @@ class TestReportRendering:
 
     def test_nominal_only_report(self, network, samples):
         report = fail_operational_eval(Campaign(network, samples[12:14]),
-                                       [Scenario("nominal")],
-                                       check_independence=False)
+                                       [Scenario("nominal")])
         payload = {"degradation": report}
         text = render_text_summary(payload)
         assert "nominal baseline" in text
