@@ -11,10 +11,13 @@ from ffusion.errors import DataError
 
 
 def read_ascii(path) -> str:
-    """Text of an ASCII file; a non-ASCII byte is a DataError naming the file."""
+    """Text of an ASCII file; a file that cannot be opened or holds a
+    non-ASCII byte is a DataError naming it."""
     try:
         with open(path, encoding="ascii") as handle:
             return handle.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"non-ASCII byte at offset {exc.start} in {path}") from exc
 

@@ -22,7 +22,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from ffusion.autodiff.params import ParamStore
-from ffusion.errors import CheckpointError
+from ffusion.errors import CheckpointError, MissingInputError
 
 MAGIC = "FFUSION-CKPT v1"
 
@@ -55,6 +55,8 @@ def _header_int(token: str, what: str) -> int:
 
 def load_checkpoint(path) -> dict:
     """Read a checkpoint back into {path: float64 array}."""
+    if not Path(path).is_file():
+        raise MissingInputError(f"checkpoint not found: {path}")
     raw = Path(path).read_bytes()
     head, sep, rest = raw.partition(b"\nend\n")
     if not sep:

@@ -13,6 +13,7 @@ package failure. Errors print one line to stderr: `error: <kind>: <message>`.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from . import __version__
-from .config import RunConfig, apply_overrides
+from .config import CONFIG_FORMAT, RunConfig, apply_overrides
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -28,9 +29,10 @@ from .errors import (
     FaultError,
     FfusionError,
     GraphError,
+    MissingInputError,
 )
+from .jsonfile import from_plain, read_json, to_plain
 from .model import FusionNetwork, Metrics, train
-from .model.config import from_plain, to_plain
 from .safety import (
     FAULT_KINDS,
     FAULT_MODALITIES,
@@ -54,7 +56,15 @@ from .safety.report import (
     write_report,
     write_text_report,
 )
-from .scene.dataset import build_dataset, load_dataset, read_manifest, write_sample
+from .scene.dataset import (
+    build_dataset,
+    load_dataset,
+    load_sample,
+    manifest_entries,
+    read_manifest,
+    write_manifest,
+    write_sample,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 3
@@ -65,40 +75,13 @@ EXIT_OTHER = 1
 TIMINGS_FORMAT = "ffusion-timings-v1"
 
 
-class MissingInputError(FfusionError):
-    """An input file or directory named by the config does not exist."""
-
-
 def _load_config(args) -> RunConfig:
     if args.config is None:
         data = RunConfig().to_dict()
     else:
-        path = Path(args.config)
-        if not path.is_file():
-            raise MissingInputError(f"config file not found: {path}")
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(
-                f"config {path} root must be a JSON object, got {type(data).__name__}")
+        data = read_json(args.config, "config", CONFIG_FORMAT, ConfigError)
     apply_overrides(data, args.set or [])
     return RunConfig.from_dict(data)
-
-
-def _require_dataset(config: RunConfig) -> None:
-    manifest = Path(config.paths.dataset_dir) / "manifest.json"
-    if not manifest.is_file():
-        raise MissingInputError(
-            f"dataset not found: {manifest} (run the generate subcommand first)")
-
-
-def _require_checkpoint(config: RunConfig) -> None:
-    if not Path(config.paths.checkpoint).is_file():
-        raise MissingInputError(
-            f"checkpoint not found: {config.paths.checkpoint} "
-            "(run the train subcommand first)")
 
 
 def _load_splits(config: RunConfig, needed) -> dict:
@@ -114,12 +97,10 @@ def _load_splits(config: RunConfig, needed) -> dict:
 
 def _merge_timing(config: RunConfig, key: str, seconds: float) -> None:
     path = Path(config.paths.timings)
-    data = {}
-    if path.is_file():
-        try:
-            data = _read_json(path, "timings sidecar", TIMINGS_FORMAT)
-        except DataError:
-            pass  # stale sidecar, or another format's; rewrite it
+    try:
+        data = read_json(path, "timings sidecar", TIMINGS_FORMAT)
+    except DataError:  # none yet, a stale one or another format's; rewrite it
+        data = {}
     data = {"format": TIMINGS_FORMAT, **data, key: round(seconds, 3)}
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
@@ -136,7 +117,6 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args)
-    _require_dataset(config)
     started = time.perf_counter()
     splits = _load_splits(config, ("train", "val"))
     network = FusionNetwork(config=config.model, seed=config.training.seed)
@@ -161,8 +141,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _load_config(args)
-    _require_dataset(config)
-    _require_checkpoint(config)
     started = time.perf_counter()
     network = FusionNetwork.from_checkpoint(config.paths.checkpoint,
                                             config=config.model)
@@ -195,29 +173,23 @@ def cmd_inject(args) -> int:
             f"--out {args.out} is the dataset directory "
             f"{config.paths.dataset_dir}; inject writes a corrupted copy, "
             "so it needs another directory")
-    _require_dataset(config)
     spec = FaultSpec(modality=args.modality, kind=args.kind,
                      magnitude=args.magnitude, seed=args.fault_seed)
-    manifest = read_manifest(config.paths.dataset_dir)
+    source = config.paths.dataset_dir
+    manifest = read_manifest(source)
+    entries = manifest_entries(manifest, source)
+    # Every sample is read, so checked, before --out is made.
+    samples = [load_sample(source, entry) for entry in entries]
     out.mkdir(parents=True, exist_ok=True)
-    splits = load_dataset(config.paths.dataset_dir)
-    by_id = {s.sample_id: s for items in splits.values() for s in items}
-    entries = []
-    for entry in manifest["samples"]:
-        sample = inject_fault(by_id[entry["id"]], spec)
-        for name in entry["files"].values():
+    written = []
+    for entry, sample in zip(entries, samples):
+        sample = inject_fault(sample, spec)
+        for name in entry.files.values():
             (out / name).parent.mkdir(parents=True, exist_ok=True)
-        write_sample(sample, out, entry["files"])
-        new_entry = {k: v for k, v in entry.items() if k != "registration_shift"}
-        if sample.registration_shift != (0, 0):
-            new_entry["registration_shift"] = list(sample.registration_shift)
-        entries.append(new_entry)
-    corrupted = dict(manifest)
-    corrupted["samples"] = entries
-    corrupted["fault"] = to_plain(spec)
-    (out / "manifest.json").write_text(
-        json.dumps(corrupted, indent=2, sort_keys=True) + "\n",
-        encoding="ascii")
+        write_sample(sample, out, entry.files)
+        written.append(dataclasses.replace(
+            entry, registration_shift=sample.registration_shift))
+    write_manifest(out, {**manifest, "fault": to_plain(spec)}, written)
     print(f"injected {spec.kind} on {spec.modality} -> {out}")
     return EXIT_OK
 
@@ -230,8 +202,6 @@ def cmd_asil_check(args) -> int:
     if graph_path is None:
         raise ConfigError("no architecture graph: pass --graph or set "
                           "paths.arch_graph in the config")
-    if not Path(graph_path).is_file():
-        raise MissingInputError(f"architecture graph not found: {graph_path}")
     graph = load_arch_graph(graph_path)
     verdicts = check_decomposition(graph)
     for verdict in verdicts:
@@ -248,34 +218,10 @@ def cmd_asil_check(args) -> int:
     return EXIT_OK
 
 
-def _read_json(path, description: str, fmt: str) -> dict:
-    """The JSON object in path less its format tag, which must be fmt when
-    present."""
-    file = Path(path)
-    if not file.is_file():
-        raise MissingInputError(f"{description} not found: {path}")
-
-    def reject(constant):
-        # The writers never emit these, and render_json cannot write them back.
-        raise DataError(f"{description} {path} holds {constant}, which is not JSON")
-
-    try:
-        payload = json.loads(file.read_text(encoding="utf-8"), parse_constant=reject)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{description} {path} is not valid UTF-8 JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise DataError(
-            f"{description} {path} must hold a JSON object, got {type(payload).__name__}")
-    tag = payload.pop("format", fmt)
-    if tag != fmt:
-        raise DataError(f"{description} {path}: unsupported format {tag!r}")
-    return payload
-
-
 def _read_report(path, description: str, **sections) -> dict:
     """The named sections of a report file, each read as its declared type;
     an absent or null section reads as None."""
-    payload = _read_json(path, description, REPORT_FORMAT)
+    payload = read_json(path, description, REPORT_FORMAT)
     return {key: from_plain(Optional[kind], payload.get(key), f"{description} {path}: {key}",
                             DataError)
             for key, kind in sections.items()}
@@ -294,14 +240,11 @@ def cmd_report(args) -> int:
                        enrichment=List[EnrichmentRow]),
     }
     if config.paths.arch_graph is not None:
-        if not Path(config.paths.arch_graph).is_file():
-            raise MissingInputError(
-                f"architecture graph not found: {config.paths.arch_graph}")
         payload["asil_verdicts"] = check_decomposition(
             load_arch_graph(config.paths.arch_graph))
     timings_path = Path(config.paths.timings)
     if timings_path.is_file():
-        timings = _read_json(timings_path, "timings sidecar", TIMINGS_FORMAT)
+        timings = read_json(timings_path, "timings sidecar", TIMINGS_FORMAT)
         payload["timings"] = from_plain(Dict[str, float], timings,
                                         f"timings sidecar {timings_path}: timings", DataError)
     # Render both before writing either, so a failure leaves neither file.

@@ -11,8 +11,9 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from .errors import ConfigError
+from .jsonfile import from_plain, to_plain
 from .model import ModelConfig, TrainConfig
-from .model.config import from_plain, require_int, require_real, to_plain
+from .model.config import require_int, require_real
 from .safety import Scenario, default_scenarios
 from .safety.harness import check_scenario_names
 

@@ -45,6 +45,10 @@ class DataError(FfusionError):
     """Malformed dataset files, manifests, texts or samples."""
 
 
+class MissingInputError(DataError):
+    """An input file that a reader was asked to open does not exist."""
+
+
 class FusionError(FfusionError):
     """Fusion cannot proceed, e.g. no modality available."""
 

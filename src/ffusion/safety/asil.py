@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Tuple
 
-from ..errors import GraphError
+from ..errors import GraphError, MissingInputError
 
 ASIL_LEVELS = ("QM", "A", "B", "C", "D")
 ASIL_RANK = {name: rank for rank, name in enumerate(ASIL_LEVELS)}
@@ -184,6 +184,8 @@ def parse_arch_graph(text: str) -> ArchGraph:
 
 
 def load_arch_graph(path) -> ArchGraph:
+    if not Path(path).is_file():
+        raise MissingInputError(f"architecture graph not found: {path}")
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

@@ -101,20 +101,22 @@ def _train_probes(train_x: np.ndarray, train_y: np.ndarray,
 def _probe(network, train_samples: Sequence, val_samples: Sequence,
            modalities: Sequence[str], shuffle_labels: bool, seed: int
            ) -> List[ProbeResult]:
-    train, val = Campaign(network, train_samples), Campaign(network, val_samples)
+    def embed(samples):
+        # The campaign, with every modality's tokens, is dropped on return;
+        # the probes read only the pooled rows.
+        campaign = Campaign(network, samples)
+        pooled = np.stack([pooled_embeddings(campaign, m) for m in modalities])
+        return pooled, campaign.features().command_ids
 
-    def embed(campaign):
-        return np.stack([pooled_embeddings(campaign, m) for m in modalities])
-
-    train_y = train.features().command_ids
+    train_x, train_y = embed(train_samples)
     if shuffle_labels:
         # Uniform random labels break any label-feature association while
         # keeping the optimization identical; accuracy must drop to chance.
         train_y = Rng(seed).derive("labels").integers(
             0, len(COMMANDS), size=train_y.shape)
-    accuracies = _train_probes(
-        embed(train), np.stack([train_y] * len(modalities)),
-        embed(val), val.features().command_ids, seed)
+    val_x, val_y = embed(val_samples)
+    accuracies = _train_probes(train_x, np.stack([train_y] * len(modalities)),
+                               val_x, val_y, seed)
     return [ProbeResult(modality=m, accuracy=a, shuffled_labels=shuffle_labels)
             for m, a in zip(modalities, accuracies)]
 

@@ -10,7 +10,7 @@ non-reproducible.
 import json
 from pathlib import Path
 
-from ..model.config import to_plain
+from ..jsonfile import to_plain
 
 REPORT_FORMAT = "ffusion-report-v1"
 

@@ -18,6 +18,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from ffusion.autodiff.rng import Rng
 from ffusion.errors import DataError
 from ffusion.geometry.depthmap import DepthMap, read_depth, write_depth
 from ffusion.geometry.pointcloud import PointCloud, read_point_cloud, write_point_cloud
+from ffusion.jsonfile import from_plain, read_json, to_plain
 from ffusion.scene.commands import COMMAND_IDS, derive_command
 from ffusion.scene.lidar import scan_from_hits
 from ffusion.scene.render import (
@@ -81,6 +83,35 @@ class Sample:
     @property
     def command_id(self) -> int:
         return COMMAND_IDS[self.command]
+
+
+@dataclass(frozen=True)
+class ManifestEntry:
+    """One sample's manifest record; files names each kind's file in the dataset.
+
+    A file name must be relative and stay inside the dataset directory when
+    normalized; it is checked as written, so symlinks are not followed.
+    """
+
+    id: str
+    split: str
+    seed: int
+    command: str
+    files: Dict[str, str]
+    registration_shift: Tuple[int, ...] = (0, 0)
+
+    def __post_init__(self):
+        if self.split not in SPLITS:
+            raise DataError(f"split {self.split!r} is not one of {SPLITS}")
+        if len(self.registration_shift) != 2:
+            raise DataError(f"registration_shift must be two integers, "
+                            f"got {list(self.registration_shift)}")
+        for kind in ("rgb", "cloud", "depth", "text", "labels"):
+            name = self.files.get(kind)
+            if name is None:
+                raise DataError(f"files lacks a {kind} file")
+            if os.path.isabs(name) or os.path.normpath(name).split(os.sep)[0] == os.pardir:
+                raise DataError(f"{kind} file {name!r} is outside the dataset directory")
 
 
 def quantize_rgb(rgb: np.ndarray) -> np.ndarray:
@@ -221,118 +252,67 @@ def build_dataset(out_dir, count: int, seed: int, ratios=DEFAULT_RATIOS) -> dict
         sample = synthesize_sample(sample_id, sample_seed)
         files = _sample_files(sample_id)
         write_sample(sample, out, files)
-        entries.append(
-            {
-                "id": sample_id,
-                "split": split,
-                "seed": sample_seed,
-                "command": sample.command,
-                "files": files,
-            }
-        )
-    manifest = {
-        "format": MANIFEST_FORMAT,
-        "count": count,
-        "seed": seed,
-        "ratios": list(ratios),
-        "image": {
-            "width": DEFAULT_INTRINSICS.width,
-            "height": DEFAULT_INTRINSICS.height,
-            "fx": DEFAULT_INTRINSICS.fx,
-            "fy": DEFAULT_INTRINSICS.fy,
-            "cx": DEFAULT_INTRINSICS.cx,
-            "cy": DEFAULT_INTRINSICS.cy,
-        },
-        "scan_row_step": SCAN_ROW_STEP,
-        "samples": entries,
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
+        entries.append(ManifestEntry(id=sample_id, split=split, seed=sample_seed,
+                                     command=sample.command, files=files))
+    image = {key: getattr(DEFAULT_INTRINSICS, key)
+             for key in ("width", "height", "fx", "fy", "cx", "cy")}
+    return write_manifest(out, {"count": count, "seed": seed, "ratios": list(ratios),
+                                "image": image, "scan_row_step": SCAN_ROW_STEP}, entries)
+
+
+def write_manifest(out_dir, header: dict, entries: Sequence[ManifestEntry]) -> dict:
+    """Write out_dir/manifest.json and return it: header, the format tag and
+    entries as the samples list, keys sorted. A zero registration_shift is
+    left out of its entry."""
+    samples = [{key: value for key, value in to_plain(entry).items()
+                if key != "registration_shift" or value != [0, 0]} for entry in entries]
+    manifest = {**header, "format": MANIFEST_FORMAT, "samples": samples}
+    (Path(out_dir) / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii")
     return manifest
 
 
 def read_manifest(dataset_dir) -> dict:
-    path = Path(dataset_dir) / "manifest.json"
-    if not path.is_file():
-        raise DataError(f"no manifest.json under {dataset_dir}")
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"manifest.json is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise DataError("manifest.json must hold a JSON object")
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise DataError(f"unsupported dataset format {manifest.get('format')!r}")
-    if not isinstance(manifest.get("samples"), list):
-        raise DataError("manifest.json has no samples list")
-    seen = set()
-    for entry in manifest["samples"]:
-        sample_id = entry.get("id") if isinstance(entry, dict) else None
-        if not isinstance(sample_id, str):
-            continue  # load_dataset rejects the entry's schema
-        if sample_id in seen:
-            raise DataError(f"manifest.json lists sample id {sample_id!r} twice")
-        seen.add(sample_id)
-    return manifest
+    """The manifest.json under dataset_dir as plain JSON, less its format tag."""
+    return read_json(Path(dataset_dir) / "manifest.json", "dataset manifest", MANIFEST_FORMAT)
 
 
-def _entry_paths(dataset_dir, entry) -> dict:
-    """Check one manifest entry's schema; return the path of each sample file.
+def manifest_entries(manifest: dict, dataset_dir) -> List[ManifestEntry]:
+    """The sample entries of a manifest read from dataset_dir, in order.
 
-    A file name must be relative and stay inside the dataset directory when
-    normalized; it is checked as written, so symlinks are not followed.
+    A malformed entry, or an id listed twice, is a DataError naming the
+    manifest file and the key path at fault.
     """
-    if not isinstance(entry, dict):
-        raise DataError(f"manifest sample entry must be an object, got {entry!r}")
-    sample_id, command, files = entry.get("id"), entry.get("command"), entry.get("files")
-    if not isinstance(sample_id, str):
-        raise DataError(f"manifest entry id must be a string, got {sample_id!r}")
-    if not isinstance(command, str):
-        raise DataError(f"manifest entry {sample_id!r}: command must be a string, got {command!r}")
-    if not (isinstance(files, dict) and all(isinstance(v, str) for v in files.values())):
-        raise DataError(f"manifest entry {sample_id!r}: files must map kinds to file names")
-    paths = {}
-    for key in ("rgb", "cloud", "depth", "text", "labels"):
-        name = files.get(key)
-        if name is None:
-            raise DataError(f"manifest entry {sample_id!r} lacks a {key} file")
-        if os.path.isabs(name) or os.path.normpath(name).split(os.sep)[0] == os.pardir:
-            raise DataError(f"manifest entry {sample_id!r}: {key} file {name!r} "
-                            f"is outside the dataset directory")
-        path = os.path.join(dataset_dir, name)
-        if not os.path.isfile(path):
-            raise DataError(f"dataset file missing: {name}")
-        paths[key] = path
-    return paths
+    where = f"dataset manifest {Path(dataset_dir) / 'manifest.json'}"
+    entries = from_plain(List[ManifestEntry], manifest.get("samples"), f"{where}: samples",
+                         DataError)
+    seen = set()
+    for entry in entries:
+        if entry.id in seen:
+            raise DataError(f"{where} lists sample id {entry.id!r} twice")
+        seen.add(entry.id)
+    return entries
 
 
-def load_sample(dataset_dir, entry: dict) -> Sample:
-    paths = _entry_paths(dataset_dir, entry)
-    shift = entry.get("registration_shift", (0, 0))
-    if not (isinstance(shift, (list, tuple)) and len(shift) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in shift)):
-        raise DataError(f"manifest entry {entry['id']!r}: registration_shift "
-                        f"must be two integers, got {shift!r}")
+def load_sample(dataset_dir, entry: ManifestEntry) -> Sample:
+    def path(kind):
+        return os.path.join(dataset_dir, entry.files[kind])
+
     return Sample(
-        sample_id=entry["id"],
-        rgb=read_ppm(paths["rgb"]),
-        cloud=read_point_cloud(paths["cloud"]),
-        depth=read_depth(paths["depth"]),
-        text=read_ascii(paths["text"]).strip(),
-        command=entry["command"],
-        seg_labels=read_labels(paths["labels"]),
-        registration_shift=tuple(shift),
+        sample_id=entry.id,
+        rgb=read_ppm(path("rgb")),
+        cloud=read_point_cloud(path("cloud")),
+        depth=read_depth(path("depth")),
+        text=read_ascii(path("text")).strip(),
+        command=entry.command,
+        seg_labels=read_labels(path("labels")),
+        registration_shift=entry.registration_shift,
     )
 
 
 def load_dataset(dataset_dir) -> dict:
     """Load every sample; returns {split: samples in manifest order}."""
-    manifest = read_manifest(dataset_dir)
     out = {name: [] for name in SPLITS}
-    for entry in manifest["samples"]:
-        name = entry.get("split") if isinstance(entry, dict) else None
-        if name not in SPLITS:
-            raise DataError(f"manifest entry has split {name!r}, expected one of {SPLITS}")
-        out[name].append(load_sample(dataset_dir, entry))
+    for entry in manifest_entries(read_manifest(dataset_dir), dataset_dir):
+        out[entry.split].append(load_sample(dataset_dir, entry))
     return out

@@ -54,6 +54,9 @@ def availability_from_names(names: Optional[Sequence[str]]):
 
     if names is None:
         return None
+    if isinstance(names, str):
+        raise DataError(f"a mask is an AvailabilityMask or a collection of modality "
+                        f"names, got the string {names!r}")
     kept = set(names)
     unknown = kept - set(MODALITIES)
     if unknown:

@@ -1,8 +1,10 @@
 """Config round-trips, subcommand orchestration, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
+import re
 import shutil
 from pathlib import Path
 from unittest import mock
@@ -28,9 +30,9 @@ from ffusion.config import (
     apply_overrides,
     parse_override,
 )
-from ffusion.errors import ConfigError, DataError
+from ffusion.errors import ConfigError, DataError, MissingInputError
+from ffusion.jsonfile import from_plain, to_plain
 from ffusion.model import MODALITIES, EncoderBranch, Metrics, ModelConfig, TrainConfig
-from ffusion.model.config import from_plain, to_plain
 from ffusion.safety import (
     DegradationReport,
     EnrichmentRow,
@@ -41,6 +43,7 @@ from ffusion.safety import (
     ScenarioResult,
     Verdict,
     inject_faults,
+    load_arch_graph,
 )
 from ffusion.safety.faults import _VALID
 from ffusion.scene.dataset import load_dataset, write_sample
@@ -379,6 +382,22 @@ class TestPipeline:
         corrupted = {s.sample_id: s for items in load_dataset(out).values() for s in items}
         assert np.all(corrupted[moved["id"]].rgb == 0.0)
 
+    def test_manifest_bytes_are_pinned(self, tmp_path):
+        """A 6-sample generate manifest and a miscalibration_shift inject copy
+        of it keep the bytes they had when the entries were plain dicts."""
+        data, shifted = tmp_path / "data", tmp_path / "shifted"
+        settings = ["--set", "dataset.count=6", "--set", f"paths.dataset_dir={data}"]
+        assert main(["generate", *settings]) == EXIT_OK
+        assert main(["inject", *settings, "--modality", "lidar",
+                     "--kind", "miscalibration_shift", "--magnitude", "2",
+                     "--out", str(shifted)]) == EXIT_OK
+        digests = {d.name: hashlib.sha256((d / "manifest.json").read_bytes()).hexdigest()
+                   for d in (data, shifted)}
+        assert digests == {
+            "data": "62b65c6a53d3db1ab9a672eb01cdb4d2e00b252bd0a519a3a59cfbb1d9070d7a",
+            "shifted": "9d7575d3b6579f36ba927683e6ca0ff3f8259102ca61bdaf675ffff2b6d3c250",
+        }
+
     def test_asil_check_writes_json(self, pipeline, tmp_path):
         work, _, _ = pipeline
         out = tmp_path / "verdicts.json"
@@ -527,7 +546,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("content, cause", [
         (b'{"paths": \xff}', "is not valid UTF-8 JSON"),
-        (b"[1]", "root must be a JSON object, got list"),
+        (b"[1]", "must hold a JSON object, got list"),
     ], ids=["not_utf8_json", "not_an_object"])
     def test_malformed_config_names_the_file(self, tmp_path, capsys, content, cause):
         bad = tmp_path / "bad.json"
@@ -635,7 +654,7 @@ class TestExitCodes:
         assert not checkpoint.exists()
 
     @pytest.mark.parametrize("edit, cause", [
-        (lambda entry: entry.pop("command"), "command must be a string"),
+        (lambda entry: entry.pop("command"), "samples[0].command is missing"),
         (lambda entry: entry["files"].update(text="../../bad_text.txt"),
          "outside the dataset directory"),
     ], ids=["no_command", "name_outside_dataset"])
@@ -804,6 +823,33 @@ class TestExitCodes:
         assert str(bad) in err[0] and cause in err[0]
         assert not any(path.exists() for path in outputs)
 
+    @pytest.mark.parametrize("defect", ["entry_without_command", "non_ascii_sample_file"])
+    def test_failed_inject_leaves_no_out(self, pipeline, tmp_path, capsys, defect):
+        """inject reads, so checks, every sample before it makes --out; the
+        defect is in the last sample, after every other would be written."""
+        work, config, config_path = pipeline
+        data, out = tmp_path / "data", tmp_path / "out"
+        shutil.copytree(config.paths.dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        last = len(manifest["samples"]) - 1
+        if defect == "entry_without_command":
+            del manifest["samples"][last]["command"]
+            (data / "manifest.json").write_text(json.dumps(manifest))
+            cause = f"samples[{last}].command is missing"
+        else:
+            text = data / manifest["samples"][last]["files"]["text"]
+            text.write_bytes(b"\xe9" + text.read_bytes()[1:])
+            cause = f"non-ASCII byte at offset 0 in {text}"
+        capsys.readouterr()
+        assert main(["inject", "--config", str(config_path),
+                     "--set", f"paths.dataset_dir={data}",
+                     "--modality", "camera", "--kind", "blackout",
+                     "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid-data: ")
+        assert cause in err[0]
+        assert not out.exists()
+
     def test_inject_into_the_dataset_is_config_error(self, pipeline, tmp_path, capsys):
         work, config, config_path = pipeline
         data = Path(config.paths.dataset_dir)
@@ -850,6 +896,18 @@ class TestExitCodes:
     def test_missing_graph_file(self, tmp_path):
         assert main(["asil-check", "--graph",
                      str(tmp_path / "nope.txt")]) == EXIT_MISSING
+
+    @pytest.mark.parametrize("reader, description", [
+        (load_checkpoint, "checkpoint"),
+        (load_arch_graph, "architecture graph"),
+        (load_dataset, "dataset manifest"),
+    ], ids=["checkpoint", "arch_graph", "dataset"])
+    def test_reader_reports_its_missing_file(self, tmp_path, reader, description):
+        """The reader that opens a file, not its caller, reports it missing."""
+        missing = tmp_path / "none"
+        with pytest.raises(MissingInputError,
+                           match=re.escape(f"{description} not found: {missing}")):
+            reader(missing)
 
     def test_invalid_graph_is_data_error(self, tmp_path):
         graph = tmp_path / "arch.txt"

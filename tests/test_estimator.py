@@ -82,6 +82,13 @@ class TestFitPredict:
         with pytest.raises(DataError):
             fitted.predict_proba(samples[:4], {"radar"})
 
+    @pytest.mark.parametrize("mask", ["camera", ""])
+    def test_string_mask_is_rejected_whole(self, fitted, samples, mask):
+        """A string is not read letter by letter as modality names."""
+        with pytest.raises(DataError, match="a mask is an AvailabilityMask or a collection "
+                                            "of modality names"):
+            fitted.predict_proba(samples[:4], mask)
+
     def test_predict_proba_encodes_each_modality_once_per_chunk(self, fitted, samples,
                                                                 monkeypatch):
         """predict_proba runs the one inference loop: each modality the mask

@@ -14,6 +14,7 @@ from ffusion.errors import (
     ShapeError,
     TrainingError,
 )
+from ffusion.jsonfile import from_plain, to_plain
 from ffusion.model import (
     AvailabilityMask,
     EncoderBranch,
@@ -34,7 +35,6 @@ from ffusion.model import (
     train,
 )
 from ffusion.model import inputs
-from ffusion.model.config import from_plain, to_plain
 from ffusion.model.vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID, VOCABULARY, WORD_IDS, encode
 from ffusion.autodiff import ParamStore
 from ffusion.safety import Campaign, FaultSpec, inject_fault

@@ -1,9 +1,10 @@
-"""Property tests for the dataset file readers.
+"""Property tests for the dataset file readers and the JSON reader.
 
 Any text given to a reader yields either a DataError or a valid object, never
 another exception; writing an object and reading it back is exact.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ffusion.errors import DataError
+from ffusion.errors import ConfigError, DataError, FfusionError, MissingInputError
 from ffusion.geometry import (
     DepthMap,
     PointCloud,
@@ -21,6 +22,7 @@ from ffusion.geometry import (
     write_depth,
     write_point_cloud,
 )
+from ffusion.jsonfile import read_json
 from ffusion.scene.dataset import read_labels, read_ppm, write_labels, write_ppm
 from ffusion.scene.spec import CLASS_NAMES
 
@@ -211,6 +213,71 @@ class TestDefects:
         assert _read_or_reject("depth", b"FFUSION-DEPTH v1 2 1\n1.5 -1").valid.tolist() == [[True, False]]
         grid = _read_or_reject("labels", b"FFUSION-LABELS v1 2 2\r\n1 2\r\n3 0\r\n")
         assert grid.tolist() == [[1, 2], [3, 0]]
+
+
+JSON_FORMAT = "ffusion-test-v1"
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def json_documents(draw):
+    """JSON text of a value of any type; an object may carry a format tag,
+    the expected one or any other value. NaN and Infinity are written as
+    Python's json module spells them."""
+    value = draw(JSON_VALUES)
+    if isinstance(value, dict) and draw(st.booleans()):
+        value["format"] = draw(st.just(JSON_FORMAT) | JSON_VALUES)
+    return json.dumps(value).encode("utf-8")
+
+
+def _read_json_or_error(data: bytes, error):
+    """read_json's result for a file holding data, or None on error, which
+    must name the file; any other exception escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "document.json"
+        path.write_bytes(data)
+        try:
+            result = read_json(path, "document", JSON_FORMAT, error)
+        except FfusionError as exc:
+            assert type(exc) is error, f"raised {type(exc).__name__}, not {error.__name__}"
+            assert str(path) in str(exc)
+            return None
+    assert isinstance(result, dict) and "format" not in result
+    return result
+
+
+class TestReadJson:
+    @given(data=st.binary(max_size=200) | json_documents(),
+           error=st.sampled_from([DataError, ConfigError]))
+    @example(data=b'{"a": NaN}', error=DataError)
+    @example(data=b'{"format": "ffusion-test-v1", "a": 1}', error=ConfigError)
+    def test_any_bytes(self, data, error):
+        _read_json_or_error(data, error)
+
+    @pytest.mark.parametrize("data", [
+        b"1" * 5000,  # int() refuses over 4300 digits with a bare ValueError
+        b"[" * 100000,  # the parser recurses once per level
+        b'{"a": -Infinity}',
+        b'{"format": "ffusion-test-v2"}',
+        b'"format"',
+        b"\xef\xbb\xbf{}",  # a byte-order mark is not JSON
+    ])
+    def test_rejected(self, data):
+        assert _read_json_or_error(data, DataError) is None
+
+    def test_absent_tag_reads_as_expected(self):
+        assert _read_json_or_error(b'{"a": [1, 2.5]}', DataError) == {"a": [1, 2.5]}
+        assert _read_json_or_error(b'{"format": "ffusion-test-v1"}', DataError) == {}
+
+    def test_missing_file_is_missing_input(self, tmp_path):
+        with pytest.raises(MissingInputError, match=f"document not found: {tmp_path}"):
+            read_json(tmp_path / "none.json", "document", JSON_FORMAT, ConfigError)
+        with pytest.raises(MissingInputError):
+            read_json(tmp_path, "document", JSON_FORMAT)
 
 
 class TestRoundTrip:

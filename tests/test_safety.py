@@ -23,7 +23,7 @@ from ffusion.autodiff import (
     ops,
 )
 from ffusion.errors import ConfigError, DataError, FaultError, FusionError, GraphError
-from ffusion.model.config import from_plain, to_plain
+from ffusion.jsonfile import from_plain, to_plain
 from ffusion.model import (
     AvailabilityMask,
     EncoderBranch,

@@ -471,8 +471,8 @@ class TestDataset:
     @pytest.mark.parametrize("key, value, cause", [
         ("id", 7, "id must be a string"),
         ("command", None, "command must be a string"),
-        ("files", ["rgb_000000.ppm"], "files must map"),
-        ("files", {"rgb": 3}, "files must map"),
+        ("files", ["rgb_000000.ppm"], "files must be an object"),
+        ("files", {"rgb": 3}, "files.rgb must be a string"),
         ("split", "holdout", "split"),
     ])
     def test_manifest_entry_schema(self, tmp_path, key, value, cause):
