@@ -184,7 +184,7 @@ def cmd_inject(args) -> int:
     written = []
     for entry, sample in zip(entries, samples):
         sample = inject_fault(sample, spec)
-        for name in entry.files.values():
+        for name in to_plain(entry.files).values():
             (out / name).parent.mkdir(parents=True, exist_ok=True)
         write_sample(sample, out, entry.files)
         written.append(dataclasses.replace(

@@ -2,8 +2,8 @@
 
 from ffusion.geometry.calibration import Intrinsics
 from ffusion.geometry.densify import densify_depth, densify_stack
-from ffusion.geometry.depthmap import DepthMap, read_depth, translate_depth, write_depth
-from ffusion.geometry.pointcloud import PointCloud, read_point_cloud, write_point_cloud
+from ffusion.geometry.depthmap import DepthMap, translate_depth
+from ffusion.geometry.pointcloud import PointCloud
 from ffusion.geometry.projection import NEAR_PLANE, project_point_cloud
 
 __all__ = [
@@ -14,9 +14,5 @@ __all__ = [
     "densify_depth",
     "densify_stack",
     "project_point_cloud",
-    "read_depth",
-    "read_point_cloud",
     "translate_depth",
-    "write_depth",
-    "write_point_cloud",
 ]

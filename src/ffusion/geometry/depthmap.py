@@ -1,22 +1,16 @@
-"""Depth maps with explicit validity: container, translation, ASCII file format.
+"""Depth maps with explicit validity: container and translation.
 
 Valid cells hold strictly positive, finite depths in meters; invalid cells
-hold exactly 0.0 and are flagged in the mask. The file format is:
-    line "FFUSION-DEPTH v1 <width> <height>"
-    height lines of width entries, repr() floats, missing written as -1
+hold exactly 0.0 and are flagged in the mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ffusion.asciifile import header_int, parse_numbers, read_ascii
 from ffusion.errors import DataError
-
-DEPTH_MAGIC = "FFUSION-DEPTH v1"
 
 
 @dataclass(eq=False)
@@ -65,25 +59,4 @@ def translate_depth(depth: DepthMap, dx: int, dy: int) -> DepthMap:
         src = (slice(src_r0, src_r1), slice(src_c0, src_c1))
         values[dst] = depth.values[src]
         valid[dst] = depth.valid[src]
-    return DepthMap(values, valid)
-
-
-def write_depth(depth: DepthMap, path) -> None:
-    lines = [f"{DEPTH_MAGIC} {depth.width} {depth.height}"]
-    for values, valid in zip(depth.values.tolist(), depth.valid.tolist()):
-        lines.append(" ".join([repr(v) if ok else "-1" for v, ok in zip(values, valid)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def read_depth(path) -> DepthMap:
-    header, _, body = read_ascii(path).partition("\n")
-    fields = header.split()
-    if len(fields) != 4 or " ".join(fields[:2]) != DEPTH_MAGIC:
-        raise DataError(f"unsupported depth header: {header!r}")
-    width, height = header_int(fields[2], path), header_int(fields[3], path)
-    if width < 1 or height < 1:
-        raise DataError(f"depth dimensions must be positive, got {width}x{height} in {path}")
-    values = parse_numbers(body, np.float64, (height, width), path, line_width=width)
-    valid = values != -1.0
-    values[~valid] = 0.0
     return DepthMap(values, valid)

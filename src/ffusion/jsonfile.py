@@ -12,11 +12,12 @@ from typing import Union, get_args, get_origin, get_type_hints
 from ffusion.errors import ConfigError, DataError, FfusionError, MissingInputError
 
 
-def read_json(path, description: str, fmt: str, error=DataError) -> dict:
+def read_json(path, description: str, fmt: str, error=DataError, hint: str = "") -> dict:
     """The JSON object in path less its format tag, which must be fmt when
     present. The file must be UTF-8 JSON without NaN or Infinity. A missing
     file is a MissingInputError and any other fault is error; every message
-    starts with description and names the file."""
+    starts with description and names the file. hint ends the message of
+    another format tag."""
     file = Path(path)
     if not file.is_file():
         raise MissingInputError(f"{description} not found: {path}")
@@ -36,7 +37,7 @@ def read_json(path, description: str, fmt: str, error=DataError) -> dict:
             f"{description} {path} must hold a JSON object, got {type(payload).__name__}")
     tag = payload.pop("format", fmt)
     if tag != fmt:
-        raise error(f"{description} {path}: unsupported format {tag!r}")
+        raise error(f"{description} {path}: unsupported format {tag!r}{hint}")
     return payload
 
 

@@ -8,9 +8,7 @@ from ffusion.scene.dataset import (
     load_sample,
     quantize_rgb,
     read_manifest,
-    read_ppm,
     synthesize_sample,
-    write_ppm,
 )
 from ffusion.scene.lidar import simulate_depth_scan
 from ffusion.scene.render import (
@@ -60,11 +58,9 @@ __all__ = [
     "pixel_directions",
     "quantize_rgb",
     "read_manifest",
-    "read_ppm",
     "render_depth",
     "render_labels",
     "render_rgb",
     "simulate_depth_scan",
     "synthesize_sample",
-    "write_ppm",
 ]

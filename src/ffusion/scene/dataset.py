@@ -1,11 +1,13 @@
-"""Sample container, image/label file formats and dataset build/load.
+"""Sample container, its files and dataset build/load.
 
-A dataset directory holds manifest.json plus five files per sample:
-    rgb_<id>.ppm      ASCII PPM (P3), 8-bit
-    cloud_<id>.pcd    sensor point cloud (FFUSION-PCD v1)
-    depth_<id>.txt    rendered ground-truth depth (FFUSION-DEPTH v1)
-    text_<id>.txt     instruction sentence, one line
-    labels_<id>.txt   8x8 segmentation class grid (FFUSION-LABELS v1)
+A dataset directory holds manifest.json plus five files per sample. Four
+are `ffusion.arrayfile` containers tagged "FFUSION-ARRAYS v1", each holding
+one array:
+    rgb_<id>.ffa      levels (h, w, 3), the 8-bit levels 0..255
+    cloud_<id>.ffa    points (n, 3), the sensor point cloud
+    depth_<id>.ffa    depth (h, w), rendered ground-truth depth, -1 where missing
+    labels_<id>.ffa   labels (8, 8), segmentation class ids
+and text_<id>.txt holds the instruction sentence, one ASCII line.
 
 Building twice with the same seed produces byte-identical files. Samples
 loaded from disk equal the ones synthesized in memory because rgb values
@@ -14,19 +16,20 @@ are quantized to the 8-bit grid before use.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ffusion.asciifile import header_int, parse_numbers, read_ascii
+from ffusion.arrayfile import read_arrays, write_arrays
 from ffusion.autodiff.rng import Rng
 from ffusion.errors import DataError
-from ffusion.geometry.depthmap import DepthMap, read_depth, write_depth
-from ffusion.geometry.pointcloud import PointCloud, read_point_cloud, write_point_cloud
+from ffusion.geometry.depthmap import DepthMap
+from ffusion.geometry.pointcloud import PointCloud
 from ffusion.jsonfile import from_plain, read_json, to_plain
 from ffusion.scene.commands import COMMAND_IDS, derive_command
 from ffusion.scene.lidar import scan_from_hits
@@ -41,8 +44,8 @@ from ffusion.scene.render import (
 )
 from ffusion.scene.spec import CLASS_NAMES, generate_scene
 
-MANIFEST_FORMAT = "FFUSION-DATASET v1"
-LABELS_MAGIC = "FFUSION-LABELS v1"
+MANIFEST_FORMAT = "FFUSION-DATASET v2"
+ARRAYS_MAGIC = "FFUSION-ARRAYS v1"
 SPLITS = ("train", "val", "test")
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
 SCAN_ROW_STEP = 2
@@ -86,18 +89,35 @@ class Sample:
 
 
 @dataclass(frozen=True)
-class ManifestEntry:
-    """One sample's manifest record; files names each kind's file in the dataset.
+class SampleFiles:
+    """The name of each of a sample's five files in its dataset directory.
 
-    A file name must be relative and stay inside the dataset directory when
+    A name must be relative and stay inside the dataset directory when
     normalized; it is checked as written, so symlinks are not followed.
     """
+
+    rgb: str
+    cloud: str
+    depth: str
+    text: str
+    labels: str
+
+    def __post_init__(self):
+        for kind in fields(self):
+            name = getattr(self, kind.name)
+            if os.path.isabs(name) or os.path.normpath(name).split(os.sep)[0] == os.pardir:
+                raise DataError(f"{kind.name} file {name!r} is outside the dataset directory")
+
+
+@dataclass(frozen=True)
+class ManifestEntry:
+    """One sample's manifest record."""
 
     id: str
     split: str
     seed: int
     command: str
-    files: Dict[str, str]
+    files: SampleFiles
     registration_shift: Tuple[int, ...] = (0, 0)
 
     def __post_init__(self):
@@ -106,72 +126,63 @@ class ManifestEntry:
         if len(self.registration_shift) != 2:
             raise DataError(f"registration_shift must be two integers, "
                             f"got {list(self.registration_shift)}")
-        for kind in ("rgb", "cloud", "depth", "text", "labels"):
-            name = self.files.get(kind)
-            if name is None:
-                raise DataError(f"files lacks a {kind} file")
-            if os.path.isabs(name) or os.path.normpath(name).split(os.sep)[0] == os.pardir:
-                raise DataError(f"{kind} file {name!r} is outside the dataset directory")
+
+
+def _levels(rgb: np.ndarray) -> np.ndarray:
+    """The 8-bit levels an rgb file stores."""
+    return np.rint(np.clip(rgb, 0.0, 1.0) * 255.0)
 
 
 def quantize_rgb(rgb: np.ndarray) -> np.ndarray:
-    """Snap to the 8-bit grid the PPM format stores."""
-    return np.rint(np.clip(rgb, 0.0, 1.0) * 255.0) / 255.0
+    """Snap to the 8-bit grid the rgb file stores."""
+    return _levels(rgb) / 255.0
 
 
-# Decimal text of every 8-bit level; also covers every label class id.
-_LEVEL_TEXT = tuple(str(v) for v in range(256))
+def read_ascii(path) -> str:
+    """Text of an ASCII file; a file that cannot be opened or holds a
+    non-ASCII byte is a DataError naming it."""
+    try:
+        with open(path, encoding="ascii") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"non-ASCII byte at offset {exc.start} in {path}") from exc
 
 
-def write_ppm(rgb: np.ndarray, path) -> None:
-    img = np.asarray(rgb, dtype=np.float64)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise DataError(f"rgb must be (h, w, 3), got {img.shape}")
-    height, width = img.shape[:2]
-    levels = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.int64)
-    lines = ["P3", f"{width} {height}", "255"]
-    rows = levels.reshape(height, -1).tolist()
-    lines += [" ".join(map(_LEVEL_TEXT.__getitem__, row)) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+def _read_array(path, kind: str, name: str, shape: tuple, top: Optional[int] = None,
+                empty: bool = False) -> np.ndarray:
+    """The one array, name, of the kind's file at path.
+
+    shape gives each dimension, None for any length; unless empty, the array
+    must hold a value. Every value must be finite and, with top, an integer
+    in [0, top]. Any fault is a DataError naming the file.
+    """
+    where = f"{kind} file {path}"
+    arrays = read_arrays(path, ARRAYS_MAGIC, f"{kind} file", DataError)
+    array = arrays.get(name)
+    if array is None or len(arrays) != 1:
+        raise DataError(f"{where} holds arrays {list(arrays)}, expected [{name!r}]")
+    if len(array.shape) != len(shape) or any(
+            want not in (None, got) for want, got in zip(shape, array.shape)):
+        raise DataError(f"{where}: {name} has shape {array.shape}, expected {shape}")
+    if not (empty or array.size):
+        raise DataError(f"{where}: {name} is empty")
+    if not np.isfinite(array).all():
+        raise DataError(f"{where}: {name} holds a non-finite value")
+    if top is not None and not (
+            0.0 <= array.min() and array.max() <= top and (np.rint(array) == array).all()):
+        raise DataError(f"{where}: {name} holds a value that is not an integer in [0, {top}]")
+    return array
 
 
-def read_ppm(path) -> np.ndarray:
-    head = read_ascii(path).split(maxsplit=4)
-    if not head or head[0] != "P3":
-        raise DataError(f"unsupported image format in {path}")
-    if len(head) < 4:
-        raise DataError(f"malformed PPM header in {path}")
-    width, height, maxval = (header_int(token, path) for token in head[1:4])
-    if width < 1 or height < 1:
-        raise DataError(f"PPM dimensions must be positive, got {width}x{height} in {path}")
-    if maxval != 255:
-        raise DataError(f"PPM maxval must be 255, got {maxval}")
-    body = head[4] if len(head) == 5 else ""
-    values = parse_numbers(body, np.int64, (height, width, 3), path)
-    if values.min() < 0 or values.max() > 255:
-        raise DataError("PPM values outside [0, 255]")
-    return values / 255.0
-
-
-def write_labels(labels: np.ndarray, path) -> None:
-    grid = np.asarray(labels, dtype=np.int64)
-    lines = [f"{LABELS_MAGIC} {grid.shape[1]} {grid.shape[0]}"]
-    lines += [" ".join(map(_LEVEL_TEXT.__getitem__, row)) for row in grid.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def read_labels(path) -> np.ndarray:
-    header, _, body = read_ascii(path).partition("\n")
-    fields = header.split()
-    if len(fields) != 4 or " ".join(fields[:2]) != LABELS_MAGIC:
-        raise DataError(f"unsupported label header {header!r} in {path}")
-    width, height = header_int(fields[2], path), header_int(fields[3], path)
-    if width < 1 or height < 1:
-        raise DataError(f"label dimensions must be positive, got {width}x{height} in {path}")
-    grid = parse_numbers(body, np.int64, (height, width), path, line_width=width)
-    if grid.min() < 0 or grid.max() >= len(CLASS_NAMES):
-        raise DataError(f"labels outside the class palette in {path}")
-    return grid
+def _read_depth(path) -> DepthMap:
+    values = _read_array(path, "depth", "depth", (None, None))
+    valid = values != -1.0
+    if not (values[valid] > 0.0).all():
+        raise DataError(f"depth file {path}: depth holds a value that is neither -1 nor positive")
+    values[~valid] = 0.0
+    return DepthMap(values, valid)
 
 
 def synthesize_sample(sample_id: str, seed: int, row_step: int = SCAN_ROW_STEP) -> Sample:
@@ -206,24 +217,22 @@ def _split_sizes(count: int, ratios) -> dict:
     return {"train": n_train, "val": n_val, "test": n_test}
 
 
-def _sample_files(sample_id: str) -> dict:
-    return {
-        "rgb": f"rgb_{sample_id}.ppm",
-        "cloud": f"cloud_{sample_id}.pcd",
-        "depth": f"depth_{sample_id}.txt",
-        "text": f"text_{sample_id}.txt",
-        "labels": f"labels_{sample_id}.txt",
-    }
+def _sample_files(sample_id: str) -> SampleFiles:
+    return SampleFiles(rgb=f"rgb_{sample_id}.ffa", cloud=f"cloud_{sample_id}.ffa",
+                       depth=f"depth_{sample_id}.ffa", text=f"text_{sample_id}.txt",
+                       labels=f"labels_{sample_id}.ffa")
 
 
-def write_sample(sample: Sample, out_dir, files: dict) -> None:
+def write_sample(sample: Sample, out_dir, files: SampleFiles) -> None:
     """Write a sample's five files into out_dir under the names in files."""
     out = Path(out_dir)
-    write_ppm(sample.rgb, out / files["rgb"])
-    write_point_cloud(sample.cloud, out / files["cloud"])
-    write_depth(sample.depth, out / files["depth"])
-    (out / files["text"]).write_text(sample.text + "\n", encoding="ascii")
-    write_labels(sample.seg_labels, out / files["labels"])
+    depth = sample.depth
+    write_arrays(out / files.rgb, ARRAYS_MAGIC, {"levels": _levels(sample.rgb)})
+    write_arrays(out / files.cloud, ARRAYS_MAGIC, {"points": sample.cloud.points})
+    write_arrays(out / files.depth, ARRAYS_MAGIC,
+                 {"depth": np.where(depth.valid, depth.values, -1.0)})
+    (out / files.text).write_text(sample.text + "\n", encoding="ascii")
+    write_arrays(out / files.labels, ARRAYS_MAGIC, {"labels": sample.seg_labels})
 
 
 def build_dataset(out_dir, count: int, seed: int, ratios=DEFAULT_RATIOS) -> dict:
@@ -273,8 +282,13 @@ def write_manifest(out_dir, header: dict, entries: Sequence[ManifestEntry]) -> d
 
 
 def read_manifest(dataset_dir) -> dict:
-    """The manifest.json under dataset_dir as plain JSON, less its format tag."""
-    return read_json(Path(dataset_dir) / "manifest.json", "dataset manifest", MANIFEST_FORMAT)
+    """The manifest.json under dataset_dir as plain JSON, less its format tag.
+
+    A manifest of another format, such as a FFUSION-DATASET v1 one with its
+    ASCII sample files, is a DataError that says to regenerate the dataset.
+    """
+    return read_json(Path(dataset_dir) / "manifest.json", "dataset manifest", MANIFEST_FORMAT,
+                     hint="; regenerate the dataset with `ffusion generate`")
 
 
 def manifest_entries(manifest: dict, dataset_dir) -> List[ManifestEntry]:
@@ -295,17 +309,19 @@ def manifest_entries(manifest: dict, dataset_dir) -> List[ManifestEntry]:
 
 
 def load_sample(dataset_dir, entry: ManifestEntry) -> Sample:
-    def path(kind):
-        return os.path.join(dataset_dir, entry.files[kind])
-
+    files = entry.files
+    path = functools.partial(os.path.join, dataset_dir)
     return Sample(
         sample_id=entry.id,
-        rgb=read_ppm(path("rgb")),
-        cloud=read_point_cloud(path("cloud")),
-        depth=read_depth(path("depth")),
-        text=read_ascii(path("text")).strip(),
+        rgb=_read_array(path(files.rgb), "rgb", "levels", (None, None, 3), top=255) / 255.0,
+        cloud=PointCloud(_read_array(path(files.cloud), "cloud", "points", (None, 3),
+                                     empty=True)),
+        depth=_read_depth(path(files.depth)),
+        text=read_ascii(path(files.text)).strip(),
         command=entry.command,
-        seg_labels=read_labels(path("labels")),
+        seg_labels=_read_array(path(files.labels), "labels", "labels",
+                               (LABEL_GRID, LABEL_GRID), top=len(CLASS_NAMES) - 1
+                               ).astype(np.int64),
         registration_shift=entry.registration_shift,
     )
 

@@ -1,5 +1,6 @@
 """Gradient correctness, optimizer behavior, rng determinism and checkpoints."""
 
+import hashlib
 import sys
 import tempfile
 import threading
@@ -298,6 +299,21 @@ class TestCheckpoint:
         save_checkpoint(store, p1)
         save_checkpoint(store, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_default_network_bytes_are_pinned(self, tmp_path):
+        """model.ckpt's layout: a default FusionNetwork(seed=0) writes the
+        bytes it wrote before the container was shared with the dataset files."""
+        path = tmp_path / "model.ckpt"
+        FusionNetwork(seed=0).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "187d351e1237a41c459365b9914887ff0345e19e98e5abe66ac1a8c283f025d4")
+
+    @pytest.mark.parametrize("name", ["end", "", "enc w"])
+    def test_unreadable_path_rejected_on_save(self, tmp_path, name):
+        """A path that would end the header early or split its line."""
+        with pytest.raises(CheckpointError, match="is empty, 'end' or holds whitespace"):
+            save_checkpoint({name: np.zeros(()), "w": np.ones(2)}, tmp_path / "model.ckpt")
+        assert not (tmp_path / "model.ckpt").exists()
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"

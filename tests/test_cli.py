@@ -46,7 +46,12 @@ from ffusion.safety import (
     load_arch_graph,
 )
 from ffusion.safety.faults import _VALID
-from ffusion.scene.dataset import load_dataset, write_sample
+from ffusion.scene.dataset import (
+    load_dataset,
+    manifest_entries,
+    read_manifest,
+    write_sample,
+)
 
 
 def tiny_config(work: Path) -> RunConfig:
@@ -205,9 +210,9 @@ def fault_first_test_sample(config: RunConfig, data: Path, faults) -> str:
     sample's files; returns that sample's id."""
     shutil.copytree(config.paths.dataset_dir, data)
     sample = load_dataset(data)["test"][0]
-    manifest = json.loads((data / "manifest.json").read_text())
-    entry = next(e for e in manifest["samples"] if e["id"] == sample.sample_id)
-    write_sample(inject_faults(sample, faults), data, entry["files"])
+    entry = next(e for e in manifest_entries(read_manifest(data), data)
+                 if e.id == sample.sample_id)
+    write_sample(inject_faults(sample, faults), data, entry.files)
     return sample.sample_id
 
 
@@ -384,16 +389,31 @@ class TestPipeline:
 
     def test_manifest_bytes_are_pinned(self, tmp_path):
         """A 6-sample generate manifest and a miscalibration_shift inject copy
-        of it keep the bytes they had when the entries were plain dicts."""
+        of it are pinned. With the format tag and the file extensions set back
+        to FFUSION-DATASET v1's, they are the bytes v1 wrote."""
         data, shifted = tmp_path / "data", tmp_path / "shifted"
         settings = ["--set", "dataset.count=6", "--set", f"paths.dataset_dir={data}"]
         assert main(["generate", *settings]) == EXIT_OK
         assert main(["inject", *settings, "--modality", "lidar",
                      "--kind", "miscalibration_shift", "--magnitude", "2",
                      "--out", str(shifted)]) == EXIT_OK
-        digests = {d.name: hashlib.sha256((d / "manifest.json").read_bytes()).hexdigest()
-                   for d in (data, shifted)}
-        assert digests == {
+        v1_extensions = {"rgb": "ppm", "cloud": "pcd", "depth": "txt", "labels": "txt"}
+
+        def as_v1(text: str) -> str:
+            text = text.replace('"FFUSION-DATASET v2"', '"FFUSION-DATASET v1"')
+            return re.sub(r'"(rgb|cloud|depth|labels)_(\d+)\.ffa"',
+                          lambda m: f'"{m[1]}_{m[2]}.{v1_extensions[m[1]]}"', text)
+
+        def digest(text: str) -> str:
+            return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+        texts = {d.name: (d / "manifest.json").read_text(encoding="ascii")
+                 for d in (data, shifted)}
+        assert {name: digest(text) for name, text in texts.items()} == {
+            "data": "4572e8c51277befb6139ef81a12226b023ff7ef8edaf24ec6a8c9a2ca66efcfc",
+            "shifted": "57b21a42493411ea0a7b1b060d44f8e4e0e2178862a96c20ca86cab0d7ab6901",
+        }
+        assert {name: digest(as_v1(text)) for name, text in texts.items()} == {
             "data": "62b65c6a53d3db1ab9a672eb01cdb4d2e00b252bd0a519a3a59cfbb1d9070d7a",
             "shifted": "9d7575d3b6579f36ba927683e6ca0ff3f8259102ca61bdaf675ffff2b6d3c250",
         }
@@ -675,6 +695,45 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: invalid-data: ")
         assert cause in err[0]
         assert not checkpoint.exists()
+
+    def test_unknown_file_kind_is_data_error(self, pipeline, tmp_path, capsys):
+        """A files kind other than the five is rejected before anything is
+        written; it would otherwise skip the outside-the-dataset check."""
+        work, config, config_path = pipeline
+        data, out = tmp_path / "data", tmp_path / "deep" / "out"
+        shutil.copytree(config.paths.dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["samples"][0]["files"]["extra"] = "../../escaped_dir/x.txt"
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["inject", "--config", str(config_path),
+                     "--set", f"paths.dataset_dir={data}",
+                     "--modality", "camera", "--kind", "blackout",
+                     "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid-data: ")
+        assert "samples[0].files.extra is not a known key" in err[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+    @pytest.mark.parametrize("command", ["train", "eval", "inject"])
+    def test_v1_dataset_says_to_regenerate(self, pipeline, tmp_path, capsys, command):
+        work, config, config_path = pipeline
+        data, out = tmp_path / "data", tmp_path / "out"
+        shutil.copytree(config.paths.dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / "manifest.json").write_text(
+            json.dumps({**manifest, "format": "FFUSION-DATASET v1"}))
+        extra = {"train": ["--set", f"paths.checkpoint={out / 'model.ckpt'}"],
+                 "eval": ["--set", f"paths.eval_report={out / 'eval_report.json'}"],
+                 "inject": ["--modality", "camera", "--kind", "blackout", "--out", str(out)]}
+        capsys.readouterr()
+        assert main([command, "--config", str(config_path),
+                     "--set", f"paths.dataset_dir={data}", *extra[command]]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: invalid-data: dataset manifest {data / 'manifest.json'}: "
+                       "unsupported format 'FFUSION-DATASET v1'; "
+                       "regenerate the dataset with `ffusion generate`"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["inject", "eval"])
     def test_repeated_sample_id_is_data_error(self, pipeline, tmp_path, capsys, command):

@@ -14,11 +14,7 @@ from ffusion.geometry import (
     densify_depth,
     densify_stack,
     project_point_cloud,
-    read_depth,
-    read_point_cloud,
     translate_depth,
-    write_depth,
-    write_point_cloud,
 )
 from ffusion.config import RunConfig
 from ffusion.geometry.densify import (
@@ -30,7 +26,9 @@ from ffusion.geometry.densify import (
 from ffusion.model.inputs import DENSIFY_CHUNK
 from ffusion.safety import FaultSpec, default_scenarios, inject_faults
 from ffusion.scene import synthesize_sample
+from ffusion.scene.dataset import ManifestEntry, load_sample, write_sample
 from ffusion.scene.render import DEFAULT_INTRINSICS
+from test_readers import FILES, TEMPLATE, roundtrip, with_part
 
 
 @pytest.fixture
@@ -335,20 +333,28 @@ class TestRegistration:
         assert int(moved.valid.sum()) == 1
 
 
+def _load_with(tmp_path, kind, data: bytes):
+    """load_sample of a template sample whose kind's file holds data."""
+    write_sample(TEMPLATE, tmp_path, FILES)
+    (tmp_path / getattr(FILES, kind)).write_bytes(data)
+    return load_sample(tmp_path, ManifestEntry(id=TEMPLATE.sample_id, split="train", seed=0,
+                                               command=TEMPLATE.command, files=FILES))
+
+
 class TestFileFormats:
+    """The cloud and depth files of a sample (see tests/test_readers.py)."""
+
     def test_point_cloud_roundtrip_exact(self, tmp_path):
         rng = Rng(7)
         cloud = PointCloud(rng.normal((50, 3)) * 10.0)
-        path = tmp_path / "scan.pcd"
-        write_point_cloud(cloud, path)
-        again = read_point_cloud(path)
+        again = roundtrip(with_part(cloud=cloud)).cloud
         assert np.array_equal(again.points, cloud.points)
-        assert path.read_text().startswith("FFUSION-PCD v1 50\n")
+        write_sample(with_part(cloud=cloud), tmp_path, FILES)
+        data = (tmp_path / FILES.cloud).read_bytes()
+        assert data.startswith(b"FFUSION-ARRAYS v1\n1\npoints 50 3\nend\n")
 
-    def test_empty_cloud_roundtrip(self, tmp_path):
-        path = tmp_path / "empty.pcd"
-        write_point_cloud(PointCloud.empty(), path)
-        assert len(read_point_cloud(path)) == 0
+    def test_empty_cloud_roundtrip(self):
+        assert len(roundtrip(with_part(cloud=PointCloud.empty())).cloud) == 0
 
     def test_depth_roundtrip_exact(self, tmp_path):
         rng = Rng(8)
@@ -356,28 +362,23 @@ class TestFileFormats:
         valid = rng.uniform(size=(32, 32)) < 0.4
         values[valid] = rng.uniform(0.5, 25.0, int(valid.sum()))
         depth = DepthMap(values, valid)
-        path = tmp_path / "depth.txt"
-        write_depth(depth, path)
-        again = read_depth(path)
+        again = roundtrip(with_part(depth=depth)).depth
         assert np.array_equal(again.values, depth.values)
         assert np.array_equal(again.valid, depth.valid)
-        assert path.read_text().startswith("FFUSION-DEPTH v1 32 32\n")
+        write_sample(with_part(depth=depth), tmp_path, FILES)
+        data = (tmp_path / FILES.depth).read_bytes()
+        assert data.startswith(b"FFUSION-ARRAYS v1\n1\ndepth 32 32\nend\n")
 
     def test_bad_headers_rejected(self, tmp_path):
-        p = tmp_path / "bad.pcd"
-        p.write_text("NOT-A-CLOUD 3\n")
-        with pytest.raises(DataError):
-            read_point_cloud(p)
-        d = tmp_path / "bad.txt"
-        d.write_text("NOT-A-DEPTH 4 4\n")
-        with pytest.raises(DataError):
-            read_depth(d)
+        with pytest.raises(DataError, match="cloud file .*: unsupported format 'NOT-A-CLOUD 3'"):
+            _load_with(tmp_path, "cloud", b"NOT-A-CLOUD 3\n1\npoints 0 3\nend\n")
+        with pytest.raises(DataError, match="depth file .*: unsupported format 'NOT-A-DEPTH'"):
+            _load_with(tmp_path, "depth", b"NOT-A-DEPTH\n1\ndepth 4 4\nend\n" + bytes(128))
 
     def test_count_mismatch_rejected(self, tmp_path):
-        p = tmp_path / "short.pcd"
-        p.write_text("FFUSION-PCD v1 2\n1.0 2.0 3.0\n")
-        with pytest.raises(DataError):
-            read_point_cloud(p)
+        with pytest.raises(DataError, match="data truncated at array 'points'"):
+            _load_with(tmp_path, "cloud",
+                       b"FFUSION-ARRAYS v1\n1\npoints 2 3\nend\n" + bytes(24))
 
     def test_depth_map_invariants(self):
         with pytest.raises(DataError):

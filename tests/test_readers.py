@@ -1,10 +1,17 @@
-"""Property tests for the dataset file readers and the JSON reader.
+"""Property tests for the array container, the dataset's sample files and
+the JSON reader.
 
-Any text given to a reader yields either a DataError or a valid object, never
-another exception; writing an object and reading it back is exact.
+Any bytes given to a reader yield either its error naming the file or a
+valid result, never another exception; writing and reading back is exact.
+The sample-file tests are keyed by the ASCII format each container file
+replaced in FFUSION-DATASET v1: ppm (rgb), pcd (cloud), depth and labels.
 """
 
+import dataclasses
 import json
+import math
+import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -13,98 +20,126 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from ffusion.arrayfile import read_arrays, write_arrays
 from ffusion.errors import ConfigError, DataError, FfusionError, MissingInputError
-from ffusion.geometry import (
-    DepthMap,
-    PointCloud,
-    read_depth,
-    read_point_cloud,
-    write_depth,
-    write_point_cloud,
-)
+from ffusion.geometry import DepthMap, PointCloud
 from ffusion.jsonfile import read_json
-from ffusion.scene.dataset import read_labels, read_ppm, write_labels, write_ppm
+from ffusion.scene.dataset import (
+    ARRAYS_MAGIC,
+    ManifestEntry,
+    Sample,
+    SampleFiles,
+    load_sample,
+    write_sample,
+)
+from ffusion.scene.render import LABEL_GRID
 from ffusion.scene.spec import CLASS_NAMES
 
-HEADERS = {
-    "ppm": "P3\n{w} {h}\n255",
-    "pcd": "FFUSION-PCD v1 {h}",
-    "depth": "FFUSION-DEPTH v1 {w} {h}",
-    "labels": "FFUSION-LABELS v1 {w} {h}",
-}
-
-# Numbers every reader accepts somewhere, plus near misses: floats where ints
-# belong, other bases, digit separators, bare signs, non-finite and huge values.
-TOKENS = st.sampled_from([
-    "0", "1", "2", "7", "255", "256", "-1", "-0", "+3", "1.5", "-1.0", "2.25",
-    "1e3", "1e400", "nan", "inf", "0x10", "1_0", "-", "+", "x", "1-2",
-    "99999999999999999999",
-])
-SEPARATORS = st.sampled_from([" ", " ", " ", "\n", "\n", "  ", "\t", "\r\n", "\x0b", ""])
+# v1 format: (SampleFiles kind, array name, Sample field) of the file replacing it.
+KINDS = {"ppm": ("rgb", "levels", "rgb"), "pcd": ("cloud", "points", "cloud"),
+         "depth": ("depth", "depth", "depth"), "labels": ("labels", "labels", "seg_labels")}
+FILES = SampleFiles(rgb="rgb.ffa", cloud="cloud.ffa", depth="depth.ffa", text="text.txt",
+                    labels="labels.ffa")
+TEMPLATE = Sample(sample_id="000000", rgb=np.zeros((2, 2, 3)), cloud=PointCloud.empty(),
+                  depth=DepthMap.empty(2, 2), text="go straight", command="go",
+                  seg_labels=np.zeros((LABEL_GRID, LABEL_GRID), dtype=np.int64))
 
 
-def _valid_ppm(rgb):
-    height, width = rgb.shape[:2]
-    levels = rgb * 255.0
-    return (rgb.dtype == np.float64 and rgb.shape == (height, width, 3)
-            and height >= 1 and width >= 1 and np.array_equal(levels, np.rint(levels))
-            and rgb.min() >= 0.0 and rgb.max() <= 1.0)
+def _entry(sample: Sample) -> ManifestEntry:
+    return ManifestEntry(id=sample.sample_id, split="train", seed=0, command=sample.command,
+                         files=FILES, registration_shift=sample.registration_shift)
 
 
-def _valid_cloud(cloud):
-    pts = cloud.points
-    return isinstance(cloud, PointCloud) and pts.shape == (len(cloud), 3) and np.isfinite(pts).all()
+def roundtrip(sample: Sample) -> Sample:
+    """sample written by write_sample and read back by load_sample."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_sample(sample, tmp, FILES)
+        return load_sample(tmp, _entry(sample))
 
 
-def _valid_depth(depth):
-    picked = depth.values[depth.valid]
-    return (isinstance(depth, DepthMap) and depth.height >= 1 and depth.width >= 1
-            and np.isfinite(picked).all() and (picked > 0.0).all()
-            and (depth.values[~depth.valid] == 0.0).all())
+def with_part(**parts) -> Sample:
+    """TEMPLATE with the given fields replaced."""
+    return dataclasses.replace(TEMPLATE, **parts)
 
 
-def _valid_labels(grid):
-    return (grid.dtype == np.int64 and grid.ndim == 2 and min(grid.shape) >= 1
+def _valid(kind, sample) -> bool:
+    if kind == "ppm":
+        levels = sample.rgb * 255.0
+        return (sample.rgb.dtype == np.float64 and sample.rgb.ndim == 3 and sample.rgb.size
+                and np.array_equal(levels, np.rint(levels))
+                and levels.min() >= 0.0 and levels.max() <= 255.0)
+    if kind == "pcd":
+        pts = sample.cloud.points
+        return pts.shape == (len(sample.cloud), 3) and np.isfinite(pts).all()
+    if kind == "depth":
+        depth = sample.depth
+        picked = depth.values[depth.valid]
+        return (depth.values.size and np.isfinite(picked).all() and (picked > 0.0).all()
+                and (depth.values[~depth.valid] == 0.0).all())
+    grid = sample.seg_labels
+    return (grid.dtype == np.int64 and grid.shape == (LABEL_GRID, LABEL_GRID)
             and grid.min() >= 0 and grid.max() < len(CLASS_NAMES))
 
 
-READERS = {
-    "ppm": (read_ppm, _valid_ppm),
-    "pcd": (read_point_cloud, _valid_cloud),
-    "depth": (read_depth, _valid_depth),
-    "labels": (read_labels, _valid_labels),
-}
-
-
 def _read_or_reject(kind, data: bytes):
-    """The reader's result for a file holding data, or None on DataError."""
-    reader, valid = READERS[kind]
+    """load_sample's result with the kind's file holding data, or None on a
+    DataError naming that file."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / f"sample.{kind}"
+        write_sample(TEMPLATE, tmp, FILES)
+        path = Path(tmp) / getattr(FILES, KINDS[kind][0])
         path.write_bytes(data)
         try:
-            result = reader(path)
-        except DataError:
+            sample = load_sample(tmp, _entry(TEMPLATE))
+        except DataError as exc:
+            assert str(path) in str(exc), f"{exc} does not name {path}"
             return None
-    assert valid(result), f"{kind} reader returned an invalid object"
-    return result
+    assert _valid(kind, sample), f"{kind} file loaded as an invalid sample"
+    return sample
+
+
+def _write(kind, obj) -> bytes:
+    """The bytes write_sample writes for obj, the kind's part of a sample."""
+    file_kind, _, part = KINDS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_sample(with_part(**{part: obj}), tmp, FILES)
+        return (Path(tmp) / getattr(FILES, file_kind)).read_bytes()
+
+
+# Header tokens: valid counts and dimensions plus near misses (signs, digit
+# separators, other bases, floats, huge values, non-ASCII digits).
+TOKENS = st.sampled_from([
+    "0", "1", "2", "3", "8", "-1", "+3", "1.5", "1e3", "0x10", "1_0", "x", "",
+    "99999999999999999999", "١", "levels", "points", "depth", "labels",
+])
+SEPARATORS = st.sampled_from([" ", " ", "\n", "\n", "  ", "\t", "\r\n", ""])
+VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 255.0, 256.0, -1.0, 1.5, 0.25,
+                          5e-324, 1e308, np.nan, np.inf, -np.inf])
+SHAPES = {"ppm": st.tuples(st.integers(1, 3), st.integers(1, 3), st.just(3)),
+          "pcd": st.tuples(st.integers(0, 4), st.just(3)),
+          "depth": st.tuples(st.integers(1, 3), st.integers(1, 3)),
+          "labels": st.just((LABEL_GRID, LABEL_GRID))}
 
 
 @st.composite
 def formatted_text(draw, kind):
-    """A header of the kind with small, possibly non-positive dimensions, then tokens."""
-    header = HEADERS[kind].format(w=draw(st.integers(-1, 3)), h=draw(st.integers(-1, 3)))
-    pieces = draw(st.lists(st.tuples(TOKENS, SEPARATORS), max_size=30))
-    return header + "\n" + "".join(token + sep for token, sep in pieces)
-
-
-def _write(kind, obj) -> bytes:
-    writer = {"ppm": write_ppm, "pcd": write_point_cloud,
-              "depth": write_depth, "labels": write_labels}[kind]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / f"sample.{kind}"
-        writer(obj, path)
-        return path.read_bytes()
+    """A container header with drawn magic, count and array lines, often one
+    holding the kind's array, then float64 data that often fits the header."""
+    magic = draw(st.sampled_from([ARRAYS_MAGIC] * 3 + ["FFUSION-ARRAYS v2", "P3"]))
+    lines = [draw(st.lists(TOKENS, max_size=4)) for _ in range(draw(st.sampled_from([0, 0, 1, 2])))]
+    seps = [draw(SEPARATORS) for _ in lines]
+    if draw(st.sampled_from([True, True, False])):
+        shape = draw(st.one_of(SHAPES[kind], SHAPES[kind], st.lists(st.integers(0, 9), max_size=4)))
+        lines.insert(0, [KINDS[kind][1], *map(str, shape)])
+        seps.insert(0, " ")
+    count = draw(st.sampled_from([str(len(lines)), str(len(lines)), draw(TOKENS)]))
+    header = [magic, count] + [sep.join(line) or " " for sep, line in zip(seps, lines)]
+    fit = sum(math.prod(int(d) for d in line[1:]) for line in lines
+              if all(d.isascii() and d.isdigit() for d in line[1:]))
+    size = draw(st.sampled_from([fit, fit, draw(st.integers(0, 40))]) if fit <= 100
+                else st.integers(0, 40))
+    value = draw(VALUES)
+    values = draw(st.just([value] * size) | st.lists(VALUES, min_size=size, max_size=size))
+    return ("\n".join(header) + "\nend\n").encode("utf-8") + struct.pack(f"<{size}d", *values)
 
 
 @st.composite
@@ -135,9 +170,8 @@ def depths(draw):
 
 @st.composite
 def label_grids(draw):
-    height, width = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return rng.integers(0, len(CLASS_NAMES), size=(height, width))
+    return rng.integers(0, len(CLASS_NAMES), size=(LABEL_GRID, LABEL_GRID))
 
 
 OBJECTS = {"ppm": ppms(), "pcd": clouds(), "depth": depths(), "labels": label_grids()}
@@ -145,11 +179,11 @@ OBJECTS = {"ppm": ppms(), "pcd": clouds(), "depth": depths(), "labels": label_gr
 
 @st.composite
 def edited_files(draw, kind):
-    """A file the writer produced, with one byte range replaced by a token or separator."""
+    """A file the writer produced, with one byte range replaced by drawn bytes."""
     data = _write(kind, draw(OBJECTS[kind]))
     start = draw(st.integers(0, len(data)))
-    stop = draw(st.integers(start, min(len(data), start + 4)))
-    patch = draw(st.one_of(TOKENS, SEPARATORS)).encode()
+    stop = draw(st.integers(start, min(len(data), start + 8)))
+    patch = draw(st.one_of(TOKENS.map(lambda t: t.encode("utf-8")), st.binary(max_size=8)))
     return data[:start] + patch + data[stop:]
 
 
@@ -157,7 +191,15 @@ def _bits(array):
     return np.ascontiguousarray(array, dtype=np.float64).view(np.int64)
 
 
-@pytest.mark.parametrize("kind", sorted(READERS))
+def _container(name, array, dims=None) -> bytes:
+    """A one-array container, built by hand; dims replaces the header's shape."""
+    array = np.asarray(array, dtype=np.float64)
+    dims = " ".join(map(str, array.shape)) if dims is None else dims
+    header = f"{ARRAYS_MAGIC}\n1\n{name} {dims}".rstrip() + "\nend\n"
+    return header.encode("ascii") + struct.pack(f"<{array.size}d", *array.ravel().tolist())
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
 class TestAnyText:
     @given(text=st.text(max_size=200))
     def test_arbitrary_text(self, kind, text):
@@ -165,7 +207,7 @@ class TestAnyText:
 
     @given(data=st.data())
     def test_formatted_text(self, kind, data):
-        _read_or_reject(kind, data.draw(formatted_text(kind)).encode("ascii"))
+        _read_or_reject(kind, data.draw(formatted_text(kind)))
 
     @given(data=st.data())
     def test_edited_files(self, kind, data):
@@ -173,8 +215,10 @@ class TestAnyText:
 
 
 class TestDefects:
-    """Inputs that escaped as other exceptions or loaded as empty objects."""
+    """Each kind's file rules, and the v1 ASCII files the containers replaced."""
 
+    # FFUSION-DATASET v1 files, among them the malformed ones that once
+    # escaped the ASCII readers as other exceptions or loaded as empty objects.
     @pytest.mark.parametrize("kind, text", [
         ("ppm", "P3\n0 0\n255\n"),
         ("ppm", "P3\n2 0\n255\n"),
@@ -203,16 +247,111 @@ class TestDefects:
     def test_rejected(self, kind, text):
         assert _read_or_reject(kind, text.encode()) is None
 
+    @pytest.mark.parametrize("kind, data", [
+        ("ppm", _container("points", np.zeros((1, 1, 3)))),
+        ("ppm", _container("levels", np.zeros((2, 3)))),
+        ("ppm", _container("levels", np.zeros((1, 1, 4)))),
+        ("ppm", _container("levels", np.zeros((0, 2, 3)))),
+        ("ppm", _container("levels", [[[1.0, 2.0, 256.0]]])),
+        ("ppm", _container("levels", [[[1.0, 2.0, -1.0]]])),
+        ("ppm", _container("levels", [[[1.0, 2.5, 3.0]]])),
+        ("ppm", _container("levels", [[[1.0, np.nan, 3.0]]])),
+        ("ppm", _container("levels", [[[1.0, 2.0, 3.0]]]) + _container("levels", [[[1.0, 2.0, 3.0]]])),
+        ("ppm", ARRAYS_MAGIC.encode() + b"\n2\nlevels 1 1 3\nextra\nend\n" + bytes(32)),
+        ("ppm", ARRAYS_MAGIC.encode() + b"\n2\nlevels 1 1 3\nlevels\nend\n" + bytes(32)),
+        ("pcd", _container("points", np.zeros((2, 2)))),
+        ("pcd", _container("points", [[1.0, 2.0, np.inf]])),
+        ("pcd", _container("points", [[1.0, 2.0, 3.0]], dims="1 3 1")),
+        ("depth", _container("depth", [[1.0, 0.0]])),
+        ("depth", _container("depth", [[1.0, -2.0]])),
+        ("depth", _container("depth", [[1.0, -np.inf]])),
+        ("depth", _container("depth", np.zeros((2, 0)))),
+        ("labels", _container("labels", np.zeros((LABEL_GRID, LABEL_GRID - 1)))),
+        ("labels", _container("labels", np.full((LABEL_GRID, LABEL_GRID), len(CLASS_NAMES)))),
+        ("labels", _container("labels", np.full((LABEL_GRID, LABEL_GRID), 0.5))),
+        ("labels", _container("labels", np.zeros((LABEL_GRID, LABEL_GRID)))[:-1]),
+        ("labels", _container("labels", np.zeros((LABEL_GRID, LABEL_GRID))) + b"\0"),
+    ])
+    def test_kind_rule_rejected(self, kind, data):
+        assert _read_or_reject(kind, data) is None
+
     def test_malformed_number_names_the_file(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("FFUSION-LABELS v1 2 1\n1 0x10\n")
-        with pytest.raises(DataError, match="malformed number in .*bad.txt"):
-            read_labels(path)
+        path = tmp_path / "bad.ffa"
+        path.write_bytes(_container("labels", np.zeros(2), dims="0x2"))
+        with pytest.raises(DataError,
+                           match=r"labels file .*bad.ffa: dimension of 'labels' '0x2' is not"):
+            read_arrays(path, ARRAYS_MAGIC, "labels file", DataError)
 
     def test_missing_final_newline_and_crlf_accepted(self):
-        assert _read_or_reject("depth", b"FFUSION-DEPTH v1 2 1\n1.5 -1").valid.tolist() == [[True, False]]
-        grid = _read_or_reject("labels", b"FFUSION-LABELS v1 2 2\r\n1 2\r\n3 0\r\n")
-        assert grid.tolist() == [[1, 2], [3, 0]]
+        for data in (b"go straight", b"go straight\r\n", b"go straight\n"):
+            with tempfile.TemporaryDirectory() as tmp:
+                write_sample(TEMPLATE, tmp, FILES)
+                (Path(tmp) / FILES.text).write_bytes(data)
+                assert load_sample(tmp, _entry(TEMPLATE)).text == "go straight"
+
+
+@st.composite
+def array_sets(draw):
+    """Named float64 arrays of up to three dimensions, zero-size ones included,
+    holding any float64 bit pattern: -0.0, subnormals, NaN and infinities."""
+    names = draw(st.lists(st.text(st.characters(min_codepoint=33, max_codepoint=126),
+                                  min_size=1, max_size=6).filter(lambda n: n != "end"),
+                          unique=True, max_size=4))
+    arrays = {}
+    for name in names:
+        shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+        bits = draw(st.lists(st.integers(0, 2**64 - 1), min_size=int(np.prod(shape)),
+                             max_size=int(np.prod(shape))))
+        arrays[name] = np.array(bits, dtype=np.uint64).view(np.float64).reshape(shape)
+    return arrays
+
+
+class TestArrayFile:
+    @given(arrays=array_sets())
+    @example(arrays={"a": np.array([-0.0, 5e-324, -5e-324, 1.7976931348623157e308]),
+                     "empty": np.zeros((2, 0, 3)), "scalar": np.array(-0.0)})
+    def test_roundtrip_bit_exact(self, arrays):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "arrays.ffa"
+            write_arrays(path, ARRAYS_MAGIC, arrays)
+            again = read_arrays(path, ARRAYS_MAGIC, "arrays", DataError)
+        assert list(again) == list(arrays)
+        for name, array in arrays.items():
+            assert again[name].shape == array.shape and again[name].dtype == np.float64
+            assert np.array_equal(_bits(again[name]), _bits(array))
+
+    @pytest.mark.parametrize("data, cause", [
+        (b"M\n", "header is missing its end marker"),
+        (b"X\n0\nend\n", "unsupported format 'X', expected 'M'"),
+        (b"M\nend\n", "header is missing its array count"),
+        (b"M\n+1\na\nend\n" + bytes(8), "array count '+1' is not a decimal integer"),
+        (b"M\n2\na 1\nend\n" + bytes(8), "header lists 1 arrays, expected 2"),
+        (b"M\n1\n \nend\n", "empty array line in header"),
+        (b"M\n2\na 1\na 1\nend\n" + bytes(16), "array 'a' is listed twice"),
+        (b"M\n1\na 2 -1\nend\n" + bytes(16), "dimension of 'a' '-1' is not a decimal integer"),
+        (b"M\n1\na " + b"1 " * 65 + b"\nend\n" + bytes(8), "bad shape on array line"),
+        (b"M\n1\na 2\nend\n" + bytes(8), "data truncated at array 'a'"),
+        (b"M\n1\na 1\nend\n" + bytes(16), "8 unexpected trailing bytes"),
+        (b"M\xff\n0\nend\n", "non-ASCII byte at offset 1"),
+    ])
+    def test_rejected(self, tmp_path, data, cause):
+        path = tmp_path / "arrays.ffa"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=re.escape(f"arrays {path}: {cause}")):
+            read_arrays(path, "M", "arrays", DataError)
+
+    @given(data=st.binary(max_size=200) | formatted_text("ppm"),
+           error=st.sampled_from([DataError, ConfigError]))
+    def test_any_bytes(self, data, error):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "arrays.ffa"
+            path.write_bytes(data)
+            try:
+                arrays = read_arrays(path, ARRAYS_MAGIC, "arrays", error)
+            except FfusionError as exc:
+                assert type(exc) is error and str(path) in str(exc)
+                return
+        assert all(isinstance(a, np.ndarray) and a.dtype == np.float64 for a in arrays.values())
 
 
 JSON_FORMAT = "ffusion-test-v1"
@@ -283,73 +422,40 @@ class TestReadJson:
 class TestRoundTrip:
     @given(rgb=ppms())
     def test_ppm(self, rgb):
-        assert np.array_equal(_bits(_read_or_reject("ppm", _write("ppm", rgb))), _bits(rgb))
+        assert np.array_equal(_bits(roundtrip(with_part(rgb=rgb)).rgb), _bits(rgb))
 
     @given(cloud=clouds())
     @example(cloud=PointCloud(np.array([[-0.0, 5e-324, 1.7976931348623157e308]])))
     def test_point_cloud(self, cloud):
-        again = _read_or_reject("pcd", _write("pcd", cloud))
+        again = roundtrip(with_part(cloud=cloud)).cloud
         assert np.array_equal(_bits(again.points), _bits(cloud.points))
 
     @given(depth=depths())
     def test_depth(self, depth):
-        again = _read_or_reject("depth", _write("depth", depth))
+        again = roundtrip(with_part(depth=depth)).depth
         assert np.array_equal(_bits(again.values), _bits(depth.values))
         assert np.array_equal(again.valid, depth.valid)
 
     @given(grid=label_grids())
     def test_labels(self, grid):
-        assert np.array_equal(_read_or_reject("labels", _write("labels", grid)), grid)
+        assert np.array_equal(roundtrip(with_part(seg_labels=grid)).seg_labels, grid)
 
 
-def _ppm_by_cell(rgb, path):
+def _levels_by_cell(rgb):
+    """8-bit levels, each rounded half to even from its clipped value."""
     img = np.asarray(rgb, dtype=np.float64)
-    height, width = img.shape[:2]
-    levels = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.int64)
-    lines = ["P3", f"{width} {height}", "255"]
-    for r in range(height):
-        lines.append(" ".join(str(v) for v in levels[r].reshape(-1)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    cells = [float(round(min(max(float(v), 0.0), 1.0) * 255.0)) for v in img.ravel()]
+    return np.array(cells).reshape(img.shape)
 
 
-def _cloud_by_cell(cloud, path):
-    lines = [f"FFUSION-PCD v1 {len(cloud)}"]
-    for x, y, z in cloud.points:
-        lines.append(f"{float(x)!r} {float(y)!r} {float(z)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def _depth_by_cell(depth, path):
-    lines = [f"FFUSION-DEPTH v1 {depth.width} {depth.height}"]
-    for r in range(depth.height):
-        row = [repr(float(depth.values[r, c])) if depth.valid[r, c] else "-1"
-               for c in range(depth.width)]
-        lines.append(" ".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def _labels_by_cell(labels, path):
-    grid = np.asarray(labels, dtype=np.int64)
-    lines = [f"FFUSION-LABELS v1 {grid.shape[1]} {grid.shape[0]}"]
-    for row in grid:
-        lines.append(" ".join(str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-REFERENCE_WRITERS = {"ppm": _ppm_by_cell, "pcd": _cloud_by_cell,
-                     "depth": _depth_by_cell, "labels": _labels_by_cell}
-
-
-def _reference_bytes(kind, obj) -> bytes:
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / f"sample.{kind}"
-        REFERENCE_WRITERS[kind](obj, path)
-        return path.read_bytes()
+def _depth_by_cell(depth):
+    cells = [float(v) if ok else -1.0 for v, ok in zip(depth.values.ravel(), depth.valid.ravel())]
+    return np.array(cells).reshape(depth.values.shape)
 
 
 @st.composite
 def raw_rgbs(draw):
-    """Unquantized colors, some outside [0, 1], that the PPM writer clips and rounds."""
+    """Unquantized colors, some outside [0, 1], that the rgb writer clips and rounds."""
     height, width = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return rng.uniform(-0.1, 1.1, size=(height, width, 3))
@@ -366,26 +472,28 @@ def masked_depths(draw):
 
 
 class TestWritersMatchCellByCellReference:
-    """The writers format plain Python values; the bytes equal per-cell numpy formatting."""
+    """Each file is a container built by hand: the header text, then every
+    cell packed on its own with struct."""
 
     @given(rgb=st.one_of(ppms(), raw_rgbs()))
     @example(rgb=(np.arange(768) % 256).reshape(16, 16, 3) / 255.0)
+    @example(rgb=np.array([[[0.5 / 255.0, 1.5 / 255.0, 2.5 / 255.0]]]))
     def test_ppm(self, rgb):
-        assert _write("ppm", rgb) == _reference_bytes("ppm", rgb)
+        assert _write("ppm", rgb) == _container("levels", _levels_by_cell(rgb))
 
     @given(cloud=clouds())
     @example(cloud=PointCloud.empty())
     @example(cloud=PointCloud(np.array([[-0.0, 5e-324, 1.7976931348623157e308],
                                         [-5e-324, -1.7976931348623157e308, 0.1]])))
     def test_point_cloud(self, cloud):
-        assert _write("pcd", cloud) == _reference_bytes("pcd", cloud)
+        assert _write("pcd", cloud) == _container("points", cloud.points)
 
     @given(depth=st.one_of(depths(), masked_depths()))
     @example(depth=DepthMap.empty(3, 4))
     @example(depth=DepthMap(np.array([[5e-324, 1.7976931348623157e308]]), np.ones((1, 2), bool)))
     def test_depth(self, depth):
-        assert _write("depth", depth) == _reference_bytes("depth", depth)
+        assert _write("depth", depth) == _container("depth", _depth_by_cell(depth))
 
     @given(grid=label_grids())
     def test_labels(self, grid):
-        assert _write("labels", grid) == _reference_bytes("labels", grid)
+        assert _write("labels", grid) == _container("labels", grid)

@@ -28,18 +28,17 @@ from ffusion.scene import (
     load_dataset,
     pixel_directions,
     quantize_rgb,
-    read_ppm,
     render_depth,
     render_labels,
     render_rgb,
     simulate_depth_scan,
     synthesize_sample,
-    write_ppm,
 )
 from ffusion.geometry.calibration import Intrinsics
-from ffusion.scene.dataset import SCAN_ROW_STEP
+from ffusion.scene.dataset import MANIFEST_FORMAT, SCAN_ROW_STEP, write_sample
 from ffusion.scene.render import HIT_GROUND, HIT_NONE, HIT_OBJECT, labels_from_hits, rgb_from_hits
 from ffusion.scene.spec import GROUND_COLORS, SKY_COLOR
+from test_readers import FILES, roundtrip, with_part
 
 
 def _box(x, z, size=1.0, class_name="vehicle", y=None):
@@ -431,13 +430,16 @@ class TestDataset:
         assert seen == {"stop", "go", "turn_left", "turn_right"}
 
     def test_ppm_roundtrip(self, tmp_path):
+        """The rgb file (a PPM in FFUSION-DATASET v1) stores 8-bit levels."""
         rng = Rng(4)
         img = np.rint(rng.uniform(size=(32, 32, 3)) * 255.0) / 255.0
-        path = tmp_path / "img.ppm"
-        write_ppm(img, path)
-        again = read_ppm(path)
-        assert np.array_equal(img, again)
-        assert path.read_text().startswith("P3\n32 32\n255\n")
+        assert np.array_equal(img, roundtrip(with_part(rgb=img)).rgb)
+        write_sample(with_part(rgb=img), tmp_path, FILES)
+        data = (tmp_path / FILES.rgb).read_bytes()
+        head = b"FFUSION-ARRAYS v1\n1\nlevels 32 32 3\nend\n"
+        assert data.startswith(head)
+        levels = np.frombuffer(data[len(head):], dtype="<f8")
+        assert np.array_equal(levels, (img * 255.0).ravel())
 
     def test_manifest_validation(self, tmp_path):
         with pytest.raises(DataError):
@@ -447,8 +449,8 @@ class TestDataset:
             load_dataset(tmp_path)
 
     def test_manifest_without_samples(self, tmp_path):
-        (tmp_path / "manifest.json").write_text('{"format": "FFUSION-DATASET v1"}')
-        with pytest.raises(DataError, match="samples"):
+        (tmp_path / "manifest.json").write_text(json.dumps({"format": MANIFEST_FORMAT}))
+        with pytest.raises(DataError, match="manifest.json: samples must be a list"):
             load_dataset(tmp_path)
 
     @pytest.mark.parametrize("shift", [["a", 1], [1.5, 0], [1], "12", [True, 0]])
@@ -503,8 +505,8 @@ class TestDataset:
 
     def test_missing_sample_file_detected(self, tmp_path):
         build_dataset(tmp_path / "data", count=4, seed=9, ratios=(0.5, 0.25, 0.25))
-        (tmp_path / "data" / "rgb_000000.ppm").unlink()
-        with pytest.raises(DataError):
+        (tmp_path / "data" / "rgb_000000.ffa").unlink()
+        with pytest.raises(DataError, match="cannot read rgb file .*rgb_000000.ffa"):
             load_dataset(tmp_path / "data")
 
     def test_sample_validation(self):
