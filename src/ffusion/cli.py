@@ -13,7 +13,6 @@ package failure. Errors print one line to stderr: `error: <kind>: <message>`.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -181,15 +180,11 @@ def cmd_inject(args) -> int:
     # Every sample is read, so checked, before --out is made.
     samples = [load_sample(source, entry) for entry in entries]
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     for entry, sample in zip(entries, samples):
-        sample = inject_fault(sample, spec)
         for name in to_plain(entry.files).values():
             (out / name).parent.mkdir(parents=True, exist_ok=True)
-        write_sample(sample, out, entry.files)
-        written.append(dataclasses.replace(
-            entry, registration_shift=sample.registration_shift))
-    write_manifest(out, {**manifest, "fault": to_plain(spec)}, written)
+        write_sample(inject_fault(sample, spec), out, entry.files)
+    write_manifest(out, {**manifest, "fault": to_plain(spec)}, entries)
     print(f"injected {spec.kind} on {spec.modality} -> {out}")
     return EXIT_OK
 

@@ -2,7 +2,7 @@
 
 from ffusion.geometry.calibration import Intrinsics
 from ffusion.geometry.densify import densify_depth, densify_stack
-from ffusion.geometry.depthmap import DepthMap, translate_depth
+from ffusion.geometry.depthmap import DepthMap
 from ffusion.geometry.pointcloud import PointCloud
 from ffusion.geometry.projection import NEAR_PLANE, project_point_cloud
 
@@ -14,5 +14,4 @@ __all__ = [
     "densify_depth",
     "densify_stack",
     "project_point_cloud",
-    "translate_depth",
 ]

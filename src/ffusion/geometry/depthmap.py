@@ -1,4 +1,4 @@
-"""Depth maps with explicit validity: container and translation.
+"""Depth maps with explicit validity.
 
 Valid cells hold strictly positive, finite depths in meters; invalid cells
 hold exactly 0.0 and are flagged in the mask.
@@ -44,19 +44,3 @@ class DepthMap:
     @classmethod
     def empty(cls, height: int, width: int) -> "DepthMap":
         return cls(np.zeros((height, width)), np.zeros((height, width), dtype=bool))
-
-
-def translate_depth(depth: DepthMap, dx: int, dy: int) -> DepthMap:
-    """Move depth content by dx columns and dy rows; vacated cells go missing."""
-    dx, dy = int(dx), int(dy)
-    height, width = depth.values.shape
-    values = np.zeros((height, width))
-    valid = np.zeros((height, width), dtype=bool)
-    src_r0, src_r1 = max(0, -dy), min(height, height - dy)
-    src_c0, src_c1 = max(0, -dx), min(width, width - dx)
-    if src_r0 < src_r1 and src_c0 < src_c1:
-        dst = (slice(src_r0 + dy, src_r1 + dy), slice(src_c0 + dx, src_c1 + dx))
-        src = (slice(src_r0, src_r1), slice(src_c0, src_c1))
-        values[dst] = depth.values[src]
-        valid[dst] = depth.valid[src]
-    return DepthMap(values, valid)

@@ -7,9 +7,8 @@ import numbers
 from dataclasses import dataclass
 
 from ffusion.errors import ConfigError
-from ffusion.scene.render import LABEL_GRID
+from ffusion.scene.render import IMAGE_SIDE, LABEL_GRID
 
-IMAGE_SIDE = 32  # camera and depth images are IMAGE_SIDE pixels square
 SEG_BLOCK = 2  # label cells per patch side that the segmentation head decodes
 
 

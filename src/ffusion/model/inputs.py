@@ -1,9 +1,9 @@
 """Sample-to-feature preparation: geometry, health checks, tokenization.
 
 One preparer per modality reads only that modality's Sample fields. The
-depth path reconstructs a dense map from the point cloud (project, apply
-the sample's registration shift, densify) and feeds value/validity
-channels, densifying the maps of all samples prepared in one call together;
+depth path reconstructs a dense map from the point cloud (project,
+densify) and feeds value/validity channels, densifying the maps of all
+samples prepared in one call together;
 the camera path sanitizes non-finite pixels after health triage; the text
 path tokenizes against the fixed vocabulary. Each preparer fills one
 array with a row per sample; a row whose modality fails triage stays zero
@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ffusion.errors import DataError
-from ffusion.geometry import DepthMap, densify_stack, project_point_cloud, translate_depth
+from ffusion.geometry import DepthMap, densify_stack, project_point_cloud
 from ffusion.model.config import ModelConfig
 from ffusion.model.encoders import (
     CAMERA_CHANNELS,
@@ -90,7 +90,7 @@ def prepare_camera(samples: Sequence[Sample], config: ModelConfig) -> Prepared:
 
 
 def prepare_depth(samples: Sequence[Sample], config: ModelConfig) -> Prepared:
-    """Projection with the registration shift, depth triage, densified patches.
+    """Projection of the point cloud, depth triage, densified patches.
 
     The maps that pass triage are densified together, DENSIFY_CHUNK maps per
     densify_stack call as they accumulate (the last call takes the rest),
@@ -100,9 +100,6 @@ def prepare_depth(samples: Sequence[Sample], config: ModelConfig) -> Prepared:
     pending = []  # (row, sparse depth) awaiting densification
     for i, sample in enumerate(samples):
         sparse = project_point_cloud(sample.cloud, DEFAULT_INTRINSICS)
-        dx, dy = (int(v) for v in sample.registration_shift)
-        if (dx, dy) != (0, 0):
-            sparse = translate_depth(sparse, dx, dy)
         status = depth_health(sparse.values, sparse.valid)
         health.append(status)
         if status.available:

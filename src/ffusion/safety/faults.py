@@ -3,7 +3,8 @@
 Faults corrupt raw Sample data, never model internals: the corrupted
 sample flows through the same health triage and feature preparation as
 clean data, so downstream behavior (availability gating, placeholder
-features) is exactly what deployment would see.
+features) is exactly what deployment would see. A LiDAR miscalibration
+moves the point cloud itself, so only the depth encoder sees it.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ from ..autodiff import Rng
 from ..errors import FaultError
 from ..geometry.pointcloud import PointCloud
 from ..scene.dataset import Sample
+from ..scene.render import DEFAULT_INTRINSICS
 
 FAULT_KINDS = ("blackout", "gaussian_noise", "stuck_at",
                "miscalibration_shift", "partial_dropout")
@@ -37,7 +39,7 @@ _VALID = {
 class FaultSpec:
     """One fault: what breaks, how it breaks, and how badly.
 
-    magnitude is the noise sigma, the stuck pixel value, the registration
+    magnitude is the noise sigma, the stuck pixel value, the miscalibration
     shift in pixels, or the dropout fraction, depending on kind.
     """
 
@@ -98,8 +100,12 @@ def inject_fault(sample: Sample, spec: FaultSpec) -> Sample:
         return dataclasses.replace(sample, cloud=PointCloud(noisy))
 
     if spec.kind == "miscalibration_shift":
-        shift = int(round(spec.magnitude))
-        return dataclasses.replace(sample, registration_shift=(shift, shift))
+        # Each point moves magnitude pixels right and down in the image
+        # plane at its own depth.
+        x, y, z = sample.cloud.points.T
+        moved = np.column_stack([x + spec.magnitude * z / DEFAULT_INTRINSICS.fx,
+                                 y + spec.magnitude * z / DEFAULT_INTRINSICS.fy, z])
+        return dataclasses.replace(sample, cloud=PointCloud(moved))
 
     # partial_dropout: remove round(fraction * n) points, order preserved
     points = sample.cloud.points

@@ -18,8 +18,6 @@ from ffusion.scene.render import (
     cast_rays,
     pixel_directions,
     render_depth,
-    render_labels,
-    render_rgb,
 )
 from ffusion.scene.spec import (
     CLASS_IDS,
@@ -59,8 +57,6 @@ __all__ = [
     "quantize_rgb",
     "read_manifest",
     "render_depth",
-    "render_labels",
-    "render_rgb",
     "simulate_depth_scan",
     "synthesize_sample",
 ]

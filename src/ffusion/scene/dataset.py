@@ -3,11 +3,12 @@
 A dataset directory holds manifest.json plus five files per sample. Four
 are `ffusion.arrayfile` containers tagged "FFUSION-ARRAYS v1", each holding
 one array:
-    rgb_<id>.ffa      levels (h, w, 3), the 8-bit levels 0..255
+    rgb_<id>.ffa      levels (S, S, 3), the 8-bit levels 0..255
     cloud_<id>.ffa    points (n, 3), the sensor point cloud
-    depth_<id>.ffa    depth (h, w), rendered ground-truth depth, -1 where missing
+    depth_<id>.ffa    depth (S, S), rendered ground-truth depth, -1 where missing
     labels_<id>.ffa   labels (8, 8), segmentation class ids
-and text_<id>.txt holds the instruction sentence, one ASCII line.
+and text_<id>.txt holds the instruction sentence, one ASCII line. S is
+IMAGE_SIDE, the side of the pixel grid that the model patches.
 
 Building twice with the same seed produces byte-identical files. Samples
 loaded from disk equal the ones synthesized in memory because rgb values
@@ -21,7 +22,7 @@ import json
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -32,9 +33,10 @@ from ffusion.geometry.depthmap import DepthMap
 from ffusion.geometry.pointcloud import PointCloud
 from ffusion.jsonfile import from_plain, read_json, to_plain
 from ffusion.scene.commands import COMMAND_IDS, derive_command
-from ffusion.scene.lidar import scan_from_hits
+from ffusion.scene.lidar import SCAN_ROW_STEP, scan_from_hits
 from ffusion.scene.render import (
     DEFAULT_INTRINSICS,
+    IMAGE_SIDE,
     LABEL_GRID,
     cast_rays,
     depth_from_hits,
@@ -48,17 +50,12 @@ MANIFEST_FORMAT = "FFUSION-DATASET v2"
 ARRAYS_MAGIC = "FFUSION-ARRAYS v1"
 SPLITS = ("train", "val", "test")
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
-SCAN_ROW_STEP = 2
 
 
 @dataclass(eq=False)
 class Sample:
-    """One multimodal example: image, point cloud, text, labels.
-
-    registration_shift is bookkeeping for injected miscalibration: it states
-    how far the depth content is displaced from the image grid and is
-    consumed by the input preparation pipeline's registration stage.
-    """
+    """One multimodal example on the IMAGE_SIDE x IMAGE_SIDE pixel grid:
+    image, point cloud, rendered depth, text, labels."""
 
     sample_id: str
     rgb: np.ndarray
@@ -67,12 +64,14 @@ class Sample:
     text: str
     command: str
     seg_labels: np.ndarray
-    registration_shift: tuple = (0, 0)
 
     def __post_init__(self):
+        grid = (IMAGE_SIDE, IMAGE_SIDE)
         rgb = np.ascontiguousarray(np.asarray(self.rgb, dtype=np.float64))
-        if rgb.ndim != 3 or rgb.shape[2] != 3:
-            raise DataError(f"rgb must be (h, w, 3), got {rgb.shape}")
+        if rgb.shape != grid + (3,):
+            raise DataError(f"rgb must be {grid + (3,)}, got {rgb.shape}")
+        if not isinstance(self.depth, DepthMap) or self.depth.values.shape != grid:
+            raise DataError(f"depth must be a {grid} depth map")
         if self.command not in COMMAND_IDS:
             raise DataError(f"unknown command {self.command!r}")
         labels = np.asarray(self.seg_labels, dtype=np.int64)
@@ -118,14 +117,10 @@ class ManifestEntry:
     seed: int
     command: str
     files: SampleFiles
-    registration_shift: Tuple[int, ...] = (0, 0)
 
     def __post_init__(self):
         if self.split not in SPLITS:
             raise DataError(f"split {self.split!r} is not one of {SPLITS}")
-        if len(self.registration_shift) != 2:
-            raise DataError(f"registration_shift must be two integers, "
-                            f"got {list(self.registration_shift)}")
 
 
 def _levels(rgb: np.ndarray) -> np.ndarray:
@@ -150,13 +145,13 @@ def read_ascii(path) -> str:
         raise DataError(f"non-ASCII byte at offset {exc.start} in {path}") from exc
 
 
-def _read_array(path, kind: str, name: str, shape: tuple, top: Optional[int] = None,
-                empty: bool = False) -> np.ndarray:
+def _read_array(path, kind: str, name: str, shape: tuple,
+                top: Optional[int] = None) -> np.ndarray:
     """The one array, name, of the kind's file at path.
 
-    shape gives each dimension, None for any length; unless empty, the array
-    must hold a value. Every value must be finite and, with top, an integer
-    in [0, top]. Any fault is a DataError naming the file.
+    shape gives each dimension, None for any length. Every value must be
+    finite and, with top, an integer in [0, top]. Any fault is a DataError
+    naming the file.
     """
     where = f"{kind} file {path}"
     arrays = read_arrays(path, ARRAYS_MAGIC, f"{kind} file", DataError)
@@ -166,8 +161,6 @@ def _read_array(path, kind: str, name: str, shape: tuple, top: Optional[int] = N
     if len(array.shape) != len(shape) or any(
             want not in (None, got) for want, got in zip(shape, array.shape)):
         raise DataError(f"{where}: {name} has shape {array.shape}, expected {shape}")
-    if not (empty or array.size):
-        raise DataError(f"{where}: {name} is empty")
     if not np.isfinite(array).all():
         raise DataError(f"{where}: {name} holds a non-finite value")
     if top is not None and not (
@@ -177,7 +170,7 @@ def _read_array(path, kind: str, name: str, shape: tuple, top: Optional[int] = N
 
 
 def _read_depth(path) -> DepthMap:
-    values = _read_array(path, "depth", "depth", (None, None))
+    values = _read_array(path, "depth", "depth", (IMAGE_SIDE, IMAGE_SIDE))
     valid = values != -1.0
     if not (values[valid] > 0.0).all():
         raise DataError(f"depth file {path}: depth holds a value that is neither -1 nor positive")
@@ -263,19 +256,14 @@ def build_dataset(out_dir, count: int, seed: int, ratios=DEFAULT_RATIOS) -> dict
         write_sample(sample, out, files)
         entries.append(ManifestEntry(id=sample_id, split=split, seed=sample_seed,
                                      command=sample.command, files=files))
-    image = {key: getattr(DEFAULT_INTRINSICS, key)
-             for key in ("width", "height", "fx", "fy", "cx", "cy")}
-    return write_manifest(out, {"count": count, "seed": seed, "ratios": list(ratios),
-                                "image": image, "scan_row_step": SCAN_ROW_STEP}, entries)
+    return write_manifest(out, {"count": count, "seed": seed, "ratios": list(ratios)}, entries)
 
 
 def write_manifest(out_dir, header: dict, entries: Sequence[ManifestEntry]) -> dict:
     """Write out_dir/manifest.json and return it: header, the format tag and
-    entries as the samples list, keys sorted. A zero registration_shift is
-    left out of its entry."""
-    samples = [{key: value for key, value in to_plain(entry).items()
-                if key != "registration_shift" or value != [0, 0]} for entry in entries]
-    manifest = {**header, "format": MANIFEST_FORMAT, "samples": samples}
+    entries as the samples list, keys sorted."""
+    manifest = {**header, "format": MANIFEST_FORMAT,
+                "samples": [to_plain(entry) for entry in entries]}
     (Path(out_dir) / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii")
     return manifest
@@ -313,16 +301,15 @@ def load_sample(dataset_dir, entry: ManifestEntry) -> Sample:
     path = functools.partial(os.path.join, dataset_dir)
     return Sample(
         sample_id=entry.id,
-        rgb=_read_array(path(files.rgb), "rgb", "levels", (None, None, 3), top=255) / 255.0,
-        cloud=PointCloud(_read_array(path(files.cloud), "cloud", "points", (None, 3),
-                                     empty=True)),
+        rgb=_read_array(path(files.rgb), "rgb", "levels", (IMAGE_SIDE, IMAGE_SIDE, 3),
+                        top=255) / 255.0,
+        cloud=PointCloud(_read_array(path(files.cloud), "cloud", "points", (None, 3))),
         depth=_read_depth(path(files.depth)),
         text=read_ascii(path(files.text)).strip(),
         command=entry.command,
         seg_labels=_read_array(path(files.labels), "labels", "labels",
                                (LABEL_GRID, LABEL_GRID), top=len(CLASS_NAMES) - 1
                                ).astype(np.int64),
-        registration_shift=entry.registration_shift,
     )
 
 

@@ -8,6 +8,8 @@ from ffusion.geometry.pointcloud import PointCloud
 from ffusion.scene.render import DEFAULT_INTRINSICS, RayHits, cast_rays, pixel_directions
 from ffusion.scene.spec import SceneSpec
 
+SCAN_ROW_STEP = 2  # the scan covers pixel rows 0, 2, 4, ...
+
 
 def scan_from_hits(hits: RayHits, intrinsics: Intrinsics, row_step: int) -> PointCloud:
     """Hit points of pixel rows 0, row_step, 2 * row_step, ... in row-major order."""
@@ -21,7 +23,7 @@ def scan_from_hits(hits: RayHits, intrinsics: Intrinsics, row_step: int) -> Poin
 def simulate_depth_scan(
     scene: SceneSpec,
     intrinsics: Intrinsics = DEFAULT_INTRINSICS,
-    row_step: int = 2,
+    row_step: int = SCAN_ROW_STEP,
 ) -> PointCloud:
     """Co-located line scan through pixel centers of every row_step-th row.
 

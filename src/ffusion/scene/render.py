@@ -4,8 +4,8 @@ One caster serves every consumer: rgb, depth and label rendering and the
 pixel-aligned depth scan. Sharing the intersection code is what lets
 projected scans and rendered depth agree to float precision. Each view is a
 function of the pixel grid's hits (the *_from_hits functions), so a sample
-casts its grid once for all four views, and each render_* function is one
-cast followed by the same function.
+casts its grid once for all four views; render_depth is one cast followed
+by depth_from_hits.
 """
 
 from __future__ import annotations
@@ -31,10 +31,12 @@ HIT_OBJECT = 2
 
 _T_MIN = 1e-9
 
-DEFAULT_INTRINSICS = Intrinsics(fx=28.0, fy=28.0, cx=16.0, cy=16.0, width=32, height=32)
+IMAGE_SIDE = 32  # camera and depth images are IMAGE_SIDE pixels square
+DEFAULT_INTRINSICS = Intrinsics(fx=28.0, fy=28.0, cx=IMAGE_SIDE / 2, cy=IMAGE_SIDE / 2,
+                                width=IMAGE_SIDE, height=IMAGE_SIDE)
 
 LABEL_GRID = 8
-_CELL = 4  # image pixels per label cell edge
+_CELL = IMAGE_SIDE // LABEL_GRID  # image pixels per label cell edge
 
 
 @dataclass(eq=False)
@@ -171,13 +173,3 @@ def labels_from_hits(scene: SceneSpec, hits: RayHits, intrinsics: Intrinsics) ->
 def render_depth(scene: SceneSpec, intrinsics: Intrinsics = DEFAULT_INTRINSICS) -> DepthMap:
     """Cast the pixel grid and render its depth map (see depth_from_hits)."""
     return depth_from_hits(cast_rays(scene, pixel_directions(intrinsics)), intrinsics)
-
-
-def render_rgb(scene: SceneSpec, intrinsics: Intrinsics = DEFAULT_INTRINSICS) -> np.ndarray:
-    """Cast the pixel grid and shade its color image (see rgb_from_hits)."""
-    return rgb_from_hits(scene, cast_rays(scene, pixel_directions(intrinsics)), intrinsics)
-
-
-def render_labels(scene: SceneSpec, intrinsics: Intrinsics = DEFAULT_INTRINSICS) -> np.ndarray:
-    """Cast the pixel grid and vote its label grid (see labels_from_hits)."""
-    return labels_from_hits(scene, cast_rays(scene, pixel_directions(intrinsics)), intrinsics)

@@ -32,7 +32,9 @@ from ffusion.config import (
 )
 from ffusion.errors import ConfigError, DataError, MissingInputError
 from ffusion.jsonfile import from_plain, to_plain
+from ffusion.arrayfile import write_arrays
 from ffusion.model import MODALITIES, EncoderBranch, Metrics, ModelConfig, TrainConfig
+from ffusion.model.inputs import prepare_depth
 from ffusion.safety import (
     DegradationReport,
     EnrichmentRow,
@@ -47,6 +49,7 @@ from ffusion.safety import (
 )
 from ffusion.safety.faults import _VALID
 from ffusion.scene.dataset import (
+    ARRAYS_MAGIC,
     load_dataset,
     manifest_entries,
     read_manifest,
@@ -337,31 +340,25 @@ class TestPipeline:
         corrupted = load_dataset(out)["test"]
         assert all(np.all(s.rgb == 0.0) for s in corrupted)
 
-    def test_inject_miscalibration_roundtrips_shift(self, pipeline, tmp_path):
+    def test_inject_shift_copy_prepares_as_in_memory(self, pipeline, tmp_path):
+        """A miscalibration_shift copy holds the moved clouds: loaded, it
+        prepares to the depth inputs that inject_fault gives in memory, and
+        its manifest lists the source's entries."""
         work, config, config_path = pipeline
         out = tmp_path / "shifted"
         assert main(["inject", "--config", str(config_path),
                      "--modality", "lidar", "--kind", "miscalibration_shift",
                      "--magnitude", "2", "--out", str(out)]) == EXIT_OK
-        corrupted = load_dataset(out)["test"]
-        assert all(s.registration_shift == (2, 2) for s in corrupted)
-
-    def test_inject_zero_shift_drops_the_stale_shift(self, pipeline, tmp_path):
-        """A zero shift injected into a shifted copy writes no shift, as
-        inject_fault gives in memory; an unshifted manifest keeps its entries."""
-        work, config, config_path = pipeline
-        shifted, straight = tmp_path / "shifted", tmp_path / "straight"
-        for source, out, magnitude in ((config.paths.dataset_dir, shifted, "2"),
-                                       (shifted, straight, "0")):
-            assert main(["inject", "--config", str(config_path),
-                         "--set", f"paths.dataset_dir={source}",
-                         "--modality", "lidar", "--kind", "miscalibration_shift",
-                         "--magnitude", magnitude, "--out", str(out)]) == EXIT_OK
-        zero = (FaultSpec("lidar", "miscalibration_shift", 0.0),)
-        assert all(inject_faults(s, zero).registration_shift == (0, 0)
-                   for s in load_dataset(shifted)["test"])
-        assert all(s.registration_shift == (0, 0) for s in load_dataset(straight)["test"])
-        entries = json.loads((straight / "manifest.json").read_text())["samples"]
+        shift = (FaultSpec("lidar", "miscalibration_shift", 2.0),)
+        source, copy = load_dataset(config.paths.dataset_dir), load_dataset(out)
+        for split, samples in source.items():
+            in_memory = prepare_depth([inject_faults(s, shift) for s in samples], config.model)
+            loaded = prepare_depth(copy[split], config.model)
+            assert in_memory[0].tobytes() == loaded[0].tobytes()
+            assert in_memory[1] == loaded[1]
+        assert not np.array_equal(prepare_depth(source["test"], config.model)[0],
+                                  prepare_depth(copy["test"], config.model)[0])
+        entries = json.loads((out / "manifest.json").read_text())["samples"]
         original = json.loads(
             (Path(config.paths.dataset_dir) / "manifest.json").read_text())["samples"]
         assert entries == original
@@ -389,8 +386,10 @@ class TestPipeline:
 
     def test_manifest_bytes_are_pinned(self, tmp_path):
         """A 6-sample generate manifest and a miscalibration_shift inject copy
-        of it are pinned. With the format tag and the file extensions set back
-        to FFUSION-DATASET v1's, they are the bytes v1 wrote."""
+        of it are pinned. With the header's image and scan_row_step and the
+        copy's registration_shift put back, they are the bytes the format
+        first wrote; with the format tag and the file extensions set back to
+        FFUSION-DATASET v1's as well, the bytes v1 wrote."""
         data, shifted = tmp_path / "data", tmp_path / "shifted"
         settings = ["--set", "dataset.count=6", "--set", f"paths.dataset_dir={data}"]
         assert main(["generate", *settings]) == EXIT_OK
@@ -398,6 +397,14 @@ class TestPipeline:
                      "--kind", "miscalibration_shift", "--magnitude", "2",
                      "--out", str(shifted)]) == EXIT_OK
         v1_extensions = {"rgb": "ppm", "cloud": "pcd", "depth": "txt", "labels": "txt"}
+        image = {"width": 32, "height": 32, "fx": 28.0, "fy": 28.0, "cx": 16.0, "cy": 16.0}
+
+        def as_first_v2(text: str) -> str:
+            manifest = {**json.loads(text), "image": image, "scan_row_step": 2}
+            if "fault" in manifest:
+                for entry in manifest["samples"]:
+                    entry["registration_shift"] = [2, 2]
+            return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
         def as_v1(text: str) -> str:
             text = text.replace('"FFUSION-DATASET v2"', '"FFUSION-DATASET v1"')
@@ -409,6 +416,11 @@ class TestPipeline:
 
         texts = {d.name: (d / "manifest.json").read_text(encoding="ascii")
                  for d in (data, shifted)}
+        assert {name: digest(text) for name, text in texts.items()} == {
+            "data": "6893d806e3db089d37776ae9aeda0372a346f75ac1f19eb64eba19fb445d1d0d",
+            "shifted": "8cb1c980fe7bf62a95011c6cb0edd31ab5649f81311a31003ff451f4899da989",
+        }
+        texts = {name: as_first_v2(text) for name, text in texts.items()}
         assert {name: digest(text) for name, text in texts.items()} == {
             "data": "4572e8c51277befb6139ef81a12226b023ff7ef8edaf24ec6a8c9a2ca66efcfc",
             "shifted": "57b21a42493411ea0a7b1b060d44f8e4e0e2178862a96c20ca86cab0d7ab6901",
@@ -677,7 +689,9 @@ class TestExitCodes:
         (lambda entry: entry.pop("command"), "samples[0].command is missing"),
         (lambda entry: entry["files"].update(text="../../bad_text.txt"),
          "outside the dataset directory"),
-    ], ids=["no_command", "name_outside_dataset"])
+        (lambda entry: entry.update(registration_shift=[2, 2]),
+         "samples[0].registration_shift is not a known key"),
+    ], ids=["no_command", "name_outside_dataset", "registration_shift"])
     def test_bad_manifest_entry_is_data_error(self, pipeline, tmp_path, capsys, edit, cause):
         work, config, config_path = pipeline
         data = tmp_path / "a" / "b" / "data"
@@ -694,6 +708,26 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: invalid-data: ")
         assert cause in err[0]
+        assert not checkpoint.exists()
+
+    @pytest.mark.parametrize("side", [5, 16])
+    def test_off_grid_image_is_data_error(self, pipeline, tmp_path, capsys, side):
+        """A train sample's rgb file holding a non-constant image of another
+        size fails where it is read, naming the file."""
+        work, config, config_path = pipeline
+        data = tmp_path / "data"
+        shutil.copytree(config.paths.dataset_dir, data)
+        entry = next(e for e in manifest_entries(read_manifest(data), data) if e.split == "train")
+        levels = np.arange(side * side * 3).reshape(side, side, 3) % 256
+        write_arrays(data / entry.files.rgb, ARRAYS_MAGIC, {"levels": levels})
+        checkpoint = tmp_path / "model.ckpt"
+        capsys.readouterr()
+        assert main(["train", "--config", str(config_path),
+                     "--set", f"paths.dataset_dir={data}",
+                     "--set", f"paths.checkpoint={checkpoint}"]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: invalid-data: rgb file {data / entry.files.rgb}: levels has "
+                       f"shape ({side}, {side}, 3), expected (32, 32, 3)"]
         assert not checkpoint.exists()
 
     def test_unknown_file_kind_is_data_error(self, pipeline, tmp_path, capsys):

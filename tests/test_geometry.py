@@ -1,10 +1,13 @@
-"""Sensor geometry: projection, densification, translation, intrinsics, file I/O."""
+"""Sensor geometry: projection, densification, registration, intrinsics, file I/O."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import ffusion.model.inputs as inputs
 from ffusion.autodiff import Rng
 from ffusion.errors import CalibrationError, DataError, ShapeError
 from ffusion.geometry import (
@@ -14,7 +17,6 @@ from ffusion.geometry import (
     densify_depth,
     densify_stack,
     project_point_cloud,
-    translate_depth,
 )
 from ffusion.config import RunConfig
 from ffusion.geometry.densify import (
@@ -23,6 +25,7 @@ from ffusion.geometry.densify import (
     DISTANCE_REG,
     _neighbor_offsets,
 )
+from ffusion.model import ModelConfig
 from ffusion.model.inputs import DENSIFY_CHUNK
 from ffusion.safety import FaultSpec, default_scenarios, inject_faults
 from ffusion.scene import synthesize_sample
@@ -41,6 +44,25 @@ def pixel_centre_points(rows, cols, z, intr):
     x = (np.asarray(cols) + 0.5 - intr.cx) * z / intr.fx
     y = (np.asarray(rows) + 0.5 - intr.cy) * z / intr.fy
     return np.stack([x, y, z], axis=-1)
+
+
+def translate_depth(depth: DepthMap, dx: int, dy: int) -> DepthMap:
+    """Move depth content by dx columns and dy rows; vacated cells go missing.
+
+    The reference for a LiDAR miscalibration: moving the scan by whole pixels
+    moves its projected map this way.
+    """
+    height, width = depth.values.shape
+    values = np.zeros((height, width))
+    valid = np.zeros((height, width), dtype=bool)
+    src_r0, src_r1 = max(0, -dy), min(height, height - dy)
+    src_c0, src_c1 = max(0, -dx), min(width, width - dx)
+    if src_r0 < src_r1 and src_c0 < src_c1:
+        dst = (slice(src_r0 + dy, src_r1 + dy), slice(src_c0 + dx, src_c1 + dx))
+        src = (slice(src_r0, src_r1), slice(src_c0, src_c1))
+        values[dst] = depth.values[src]
+        valid[dst] = depth.valid[src]
+    return DepthMap(values, valid)
 
 
 class TestProjection:
@@ -298,11 +320,8 @@ class TestDensifyStack:
                   for sigma in RunConfig().sigmas]
         samples = [synthesize_sample(f"m{i}", 4200 + i) for i in range(6)]
         for faults in [(), (FaultSpec("lidar", "miscalibration_shift", 2.0),), *lidar]:
-            maps = []
-            for sample in samples:
-                sample = inject_faults(sample, faults)
-                sparse = project_point_cloud(sample.cloud, DEFAULT_INTRINSICS)
-                maps.append(translate_depth(sparse, *sample.registration_shift))
+            maps = [project_point_cloud(inject_faults(sample, faults).cloud, DEFAULT_INTRINSICS)
+                    for sample in samples]
             values = np.stack([m.values for m in maps])
             valid = np.stack([m.valid for m in maps])
             out_values, out_valid = densify_stack(values, valid)
@@ -322,6 +341,9 @@ class TestDensifyStack:
 
 
 class TestRegistration:
+    """A miscalibration_shift of m pixels moves the point cloud, and its
+    projection is the clean one translated by m columns and m rows."""
+
     def test_translate_moves_content(self):
         values = np.zeros((8, 8))
         valid = np.zeros((8, 8), dtype=bool)
@@ -331,6 +353,29 @@ class TestRegistration:
         assert moved.valid[3, 5]
         assert moved.values[3, 5] == 4.0
         assert int(moved.valid.sum()) == 1
+
+    @given(seed=st.integers(0, 2**64 - 1), shift=st.integers(0, 3),
+           dropout=st.none() | st.floats(0.0, 1.0))
+    def test_shifted_cloud_prepares_as_the_translated_projection(self, seed, shift, dropout):
+        clean = synthesize_sample("000000", seed)
+        if dropout is not None:
+            clean = inject_faults(clean, (FaultSpec("lidar", "partial_dropout", dropout, 1),))
+        shifted = inject_faults(clean, (FaultSpec("lidar", "miscalibration_shift", shift),))
+        moved = project_point_cloud(shifted.cloud, DEFAULT_INTRINSICS)
+        expected = translate_depth(project_point_cloud(clean.cloud, DEFAULT_INTRINSICS),
+                                   shift, shift)
+        assert moved.values.tobytes() == expected.values.tobytes()
+        assert np.array_equal(moved.valid, expected.valid)
+        config = ModelConfig()
+        values, health = inputs.prepare_depth([shifted], config)
+
+        def translated(cloud, intrinsics):
+            return translate_depth(project_point_cloud(cloud, intrinsics), shift, shift)
+
+        with mock.patch.object(inputs, "project_point_cloud", translated):
+            ref_values, ref_health = inputs.prepare_depth([clean], config)
+        assert values.tobytes() == ref_values.tobytes()
+        assert health == ref_health
 
 
 def _load_with(tmp_path, kind, data: bytes):

@@ -5,6 +5,7 @@ Any bytes given to a reader yield either its error naming the file or a
 valid result, never another exception; writing and reading back is exact.
 The sample-file tests are keyed by the ASCII format each container file
 replaced in FFUSION-DATASET v1: ppm (rgb), pcd (cloud), depth and labels.
+A valid rgb image or depth map lies on the IMAGE_SIDE x IMAGE_SIDE grid.
 """
 
 import dataclasses
@@ -32,7 +33,7 @@ from ffusion.scene.dataset import (
     load_sample,
     write_sample,
 )
-from ffusion.scene.render import LABEL_GRID
+from ffusion.scene.render import IMAGE_SIDE, LABEL_GRID
 from ffusion.scene.spec import CLASS_NAMES
 
 # v1 format: (SampleFiles kind, array name, Sample field) of the file replacing it.
@@ -40,14 +41,15 @@ KINDS = {"ppm": ("rgb", "levels", "rgb"), "pcd": ("cloud", "points", "cloud"),
          "depth": ("depth", "depth", "depth"), "labels": ("labels", "labels", "seg_labels")}
 FILES = SampleFiles(rgb="rgb.ffa", cloud="cloud.ffa", depth="depth.ffa", text="text.txt",
                     labels="labels.ffa")
-TEMPLATE = Sample(sample_id="000000", rgb=np.zeros((2, 2, 3)), cloud=PointCloud.empty(),
-                  depth=DepthMap.empty(2, 2), text="go straight", command="go",
+GRID = (IMAGE_SIDE, IMAGE_SIDE)
+TEMPLATE = Sample(sample_id="000000", rgb=np.zeros(GRID + (3,)), cloud=PointCloud.empty(),
+                  depth=DepthMap.empty(*GRID), text="go straight", command="go",
                   seg_labels=np.zeros((LABEL_GRID, LABEL_GRID), dtype=np.int64))
 
 
 def _entry(sample: Sample) -> ManifestEntry:
     return ManifestEntry(id=sample.sample_id, split="train", seed=0, command=sample.command,
-                         files=FILES, registration_shift=sample.registration_shift)
+                         files=FILES)
 
 
 def roundtrip(sample: Sample) -> Sample:
@@ -65,7 +67,7 @@ def with_part(**parts) -> Sample:
 def _valid(kind, sample) -> bool:
     if kind == "ppm":
         levels = sample.rgb * 255.0
-        return (sample.rgb.dtype == np.float64 and sample.rgb.ndim == 3 and sample.rgb.size
+        return (sample.rgb.dtype == np.float64 and sample.rgb.shape == GRID + (3,)
                 and np.array_equal(levels, np.rint(levels))
                 and levels.min() >= 0.0 and levels.max() <= 255.0)
     if kind == "pcd":
@@ -74,7 +76,7 @@ def _valid(kind, sample) -> bool:
     if kind == "depth":
         depth = sample.depth
         picked = depth.values[depth.valid]
-        return (depth.values.size and np.isfinite(picked).all() and (picked > 0.0).all()
+        return (depth.values.shape == GRID and np.isfinite(picked).all() and (picked > 0.0).all()
                 and (depth.values[~depth.valid] == 0.0).all())
     grid = sample.seg_labels
     return (grid.dtype == np.int64 and grid.shape == (LABEL_GRID, LABEL_GRID)
@@ -114,16 +116,18 @@ TOKENS = st.sampled_from([
 SEPARATORS = st.sampled_from([" ", " ", "\n", "\n", "  ", "\t", "\r\n", ""])
 VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 255.0, 256.0, -1.0, 1.5, 0.25,
                           5e-324, 1e308, np.nan, np.inf, -np.inf])
-SHAPES = {"ppm": st.tuples(st.integers(1, 3), st.integers(1, 3), st.just(3)),
+SHAPES = {"ppm": st.just(GRID + (3,)) | st.tuples(st.integers(1, 3), st.integers(1, 3),
+                                                    st.just(3)),
           "pcd": st.tuples(st.integers(0, 4), st.just(3)),
-          "depth": st.tuples(st.integers(1, 3), st.integers(1, 3)),
+          "depth": st.just(GRID) | st.tuples(st.integers(1, 3), st.integers(1, 3)),
           "labels": st.just((LABEL_GRID, LABEL_GRID))}
 
 
 @st.composite
 def formatted_text(draw, kind):
     """A container header with drawn magic, count and array lines, often one
-    holding the kind's array, then float64 data that often fits the header."""
+    holding the kind's array, then float64 data that often fits the header.
+    Data for more than 100 values is one value repeated."""
     magic = draw(st.sampled_from([ARRAYS_MAGIC] * 3 + ["FFUSION-ARRAYS v2", "P3"]))
     lines = [draw(st.lists(TOKENS, max_size=4)) for _ in range(draw(st.sampled_from([0, 0, 1, 2])))]
     seps = [draw(SEPARATORS) for _ in lines]
@@ -135,18 +139,17 @@ def formatted_text(draw, kind):
     header = [magic, count] + [sep.join(line) or " " for sep, line in zip(seps, lines)]
     fit = sum(math.prod(int(d) for d in line[1:]) for line in lines
               if all(d.isascii() and d.isdigit() for d in line[1:]))
-    size = draw(st.sampled_from([fit, fit, draw(st.integers(0, 40))]) if fit <= 100
+    size = draw(st.sampled_from([fit, fit, draw(st.integers(0, 40))]) if fit <= 3 * IMAGE_SIDE ** 2
                 else st.integers(0, 40))
-    value = draw(VALUES)
-    values = draw(st.just([value] * size) | st.lists(VALUES, min_size=size, max_size=size))
+    same = st.just([draw(VALUES)] * size)
+    values = draw(same | st.lists(VALUES, min_size=size, max_size=size) if size <= 100 else same)
     return ("\n".join(header) + "\nend\n").encode("utf-8") + struct.pack(f"<{size}d", *values)
 
 
 @st.composite
 def ppms(draw):
-    height, width = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return rng.integers(0, 256, size=(height, width, 3)) / 255.0
+    return rng.integers(0, 256, size=GRID + (3,)) / 255.0
 
 
 @st.composite
@@ -159,13 +162,14 @@ def clouds(draw):
 
 @st.composite
 def depths(draw):
-    height, width = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    """Grid depth maps whose valid cells take drawn positive floats, from
+    subnormals to the largest float."""
     positive = st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)
-    cells = draw(st.lists(st.one_of(st.none(), positive),
-                          min_size=height * width, max_size=height * width))
-    valid = np.array([c is not None for c in cells]).reshape(height, width)
-    values = np.array([0.0 if c is None else c for c in cells]).reshape(height, width)
-    return DepthMap(values, valid)
+    palette = np.array(draw(st.lists(positive, min_size=1, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    valid = rng.uniform(size=GRID) < draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    return DepthMap(np.where(valid, palette[rng.integers(0, len(palette), size=GRID)], 0.0),
+                    valid)
 
 
 @st.composite
@@ -197,6 +201,13 @@ def _container(name, array, dims=None) -> bytes:
     dims = " ".join(map(str, array.shape)) if dims is None else dims
     header = f"{ARRAYS_MAGIC}\n1\n{name} {dims}".rstrip() + "\nend\n"
     return header.encode("ascii") + struct.pack(f"<{array.size}d", *array.ravel().tolist())
+
+
+def _on_grid(cells, channels=(3,), fill=1.0):
+    """An array on the image grid that holds fill but for its first cells."""
+    array = np.full(GRID + channels, fill)
+    array.reshape(-1)[:len(cells)] = cells
+    return array
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -248,24 +259,41 @@ class TestDefects:
         assert _read_or_reject(kind, text.encode()) is None
 
     @pytest.mark.parametrize("kind, data", [
-        ("ppm", _container("points", np.zeros((1, 1, 3)))),
-        ("ppm", _container("levels", np.zeros((2, 3)))),
-        ("ppm", _container("levels", np.zeros((1, 1, 4)))),
-        ("ppm", _container("levels", np.zeros((0, 2, 3)))),
-        ("ppm", _container("levels", [[[1.0, 2.0, 256.0]]])),
-        ("ppm", _container("levels", [[[1.0, 2.0, -1.0]]])),
-        ("ppm", _container("levels", [[[1.0, 2.5, 3.0]]])),
-        ("ppm", _container("levels", [[[1.0, np.nan, 3.0]]])),
-        ("ppm", _container("levels", [[[1.0, 2.0, 3.0]]]) + _container("levels", [[[1.0, 2.0, 3.0]]])),
-        ("ppm", ARRAYS_MAGIC.encode() + b"\n2\nlevels 1 1 3\nextra\nend\n" + bytes(32)),
-        ("ppm", ARRAYS_MAGIC.encode() + b"\n2\nlevels 1 1 3\nlevels\nend\n" + bytes(32)),
+        pytest.param("ppm", _container("points", _on_grid([])), id="ppm-wrong_name"),
+        pytest.param("ppm", _container("levels", _on_grid([], ())), id="ppm-gray"),
+        pytest.param("ppm", _container("levels", _on_grid([], (4,))), id="ppm-four_channels"),
+        pytest.param("ppm", _container("levels", np.zeros((0, 2, 3))), id="ppm-empty"),
+        pytest.param("ppm", _container("levels", _on_grid([1.0, 2.0, 256.0])), id="ppm-256"),
+        pytest.param("ppm", _container("levels", _on_grid([1.0, 2.0, -1.0])), id="ppm-negative"),
+        pytest.param("ppm", _container("levels", _on_grid([1.0, 2.5, 3.0])), id="ppm-fraction"),
+        pytest.param("ppm", _container("levels", _on_grid([1.0, np.nan, 3.0])), id="ppm-nan"),
+        pytest.param("ppm", _container("levels", _on_grid([])) * 2, id="ppm-two_containers"),
+        pytest.param("ppm", f"{ARRAYS_MAGIC}\n2\nlevels {IMAGE_SIDE} {IMAGE_SIDE} 3\nextra\nend\n"
+                     .encode() + bytes(8 * (3 * IMAGE_SIDE ** 2 + 1)), id="ppm-extra_array"),
+        pytest.param("ppm", f"{ARRAYS_MAGIC}\n2\nlevels {IMAGE_SIDE} {IMAGE_SIDE} 3\nlevels\nend\n"
+                     .encode() + bytes(8 * (3 * IMAGE_SIDE ** 2 + 1)), id="ppm-listed_twice"),
+        # Off the image grid, among them the sizes that once loaded and
+        # failed deep in feature preparation.
+        pytest.param("ppm", _container("levels", np.arange(75).reshape(5, 5, 3)), id="ppm-5x5"),
+        pytest.param("ppm", _container("levels", np.arange(768).reshape(16, 16, 3) % 256),
+                     id="ppm-16x16"),
+        pytest.param("ppm", _container("levels", np.zeros((IMAGE_SIDE, IMAGE_SIDE - 1, 3))),
+                     id="ppm-32x31"),
+        pytest.param("ppm", _container("levels", np.zeros((IMAGE_SIDE + 1, IMAGE_SIDE, 3))),
+                     id="ppm-33x32"),
+        pytest.param("ppm", _container("levels", np.zeros((1, 1, 3))), id="ppm-1x1"),
         ("pcd", _container("points", np.zeros((2, 2)))),
         ("pcd", _container("points", [[1.0, 2.0, np.inf]])),
         ("pcd", _container("points", [[1.0, 2.0, 3.0]], dims="1 3 1")),
-        ("depth", _container("depth", [[1.0, 0.0]])),
-        ("depth", _container("depth", [[1.0, -2.0]])),
-        ("depth", _container("depth", [[1.0, -np.inf]])),
-        ("depth", _container("depth", np.zeros((2, 0)))),
+        pytest.param("depth", _container("depth", _on_grid([1.0, 0.0], ())), id="depth-zero"),
+        pytest.param("depth", _container("depth", _on_grid([1.0, -2.0], ())), id="depth-negative"),
+        pytest.param("depth", _container("depth", _on_grid([1.0, -np.inf], ())),
+                     id="depth-minus_inf"),
+        pytest.param("depth", _container("depth", np.zeros((2, 0))), id="depth-empty"),
+        pytest.param("depth", _container("depth", np.ones((16, 16))), id="depth-16x16"),
+        pytest.param("depth", _container("depth", np.ones((IMAGE_SIDE, IMAGE_SIDE + 1))),
+                     id="depth-32x33"),
+        pytest.param("depth", _container("depth", np.ones((1, 1))), id="depth-1x1"),
         ("labels", _container("labels", np.zeros((LABEL_GRID, LABEL_GRID - 1)))),
         ("labels", _container("labels", np.full((LABEL_GRID, LABEL_GRID), len(CLASS_NAMES)))),
         ("labels", _container("labels", np.full((LABEL_GRID, LABEL_GRID), 0.5))),
@@ -456,18 +484,16 @@ def _depth_by_cell(depth):
 @st.composite
 def raw_rgbs(draw):
     """Unquantized colors, some outside [0, 1], that the rgb writer clips and rounds."""
-    height, width = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return rng.uniform(-0.1, 1.1, size=(height, width, 3))
+    return rng.uniform(-0.1, 1.1, size=GRID + (3,))
 
 
 @st.composite
 def masked_depths(draw):
     """Depth maps whose invalid share is drawn from 0 % to 100 %."""
-    height, width = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    valid = rng.uniform(size=(height, width)) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
-    values = np.exp(rng.uniform(-700.0, 700.0, size=(height, width)))
+    valid = rng.uniform(size=GRID) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    values = np.exp(rng.uniform(-700.0, 700.0, size=GRID))
     return DepthMap(np.where(valid, values, 0.0), valid)
 
 
@@ -476,8 +502,8 @@ class TestWritersMatchCellByCellReference:
     cell packed on its own with struct."""
 
     @given(rgb=st.one_of(ppms(), raw_rgbs()))
-    @example(rgb=(np.arange(768) % 256).reshape(16, 16, 3) / 255.0)
-    @example(rgb=np.array([[[0.5 / 255.0, 1.5 / 255.0, 2.5 / 255.0]]]))
+    @example(rgb=(np.arange(3 * IMAGE_SIDE ** 2) % 256).reshape(GRID + (3,)) / 255.0)
+    @example(rgb=_on_grid([0.5 / 255.0, 1.5 / 255.0, 2.5 / 255.0]))
     def test_ppm(self, rgb):
         assert _write("ppm", rgb) == _container("levels", _levels_by_cell(rgb))
 
@@ -489,8 +515,8 @@ class TestWritersMatchCellByCellReference:
         assert _write("pcd", cloud) == _container("points", cloud.points)
 
     @given(depth=st.one_of(depths(), masked_depths()))
-    @example(depth=DepthMap.empty(3, 4))
-    @example(depth=DepthMap(np.array([[5e-324, 1.7976931348623157e308]]), np.ones((1, 2), bool)))
+    @example(depth=DepthMap.empty(*GRID))
+    @example(depth=DepthMap(_on_grid([5e-324, 1.7976931348623157e308], ()), np.ones(GRID, bool)))
     def test_depth(self, depth):
         assert _write("depth", depth) == _container("depth", _depth_by_cell(depth))
 

@@ -64,7 +64,7 @@ from ffusion.safety.asil import ASIL_RANK
 from ffusion.safety.faults import _VALID
 from ffusion.safety.harness import EVAL_CHUNK
 from ffusion.safety.probe import PROBE_BATCH, PROBE_EPOCHS, PROBE_LR, pooled_embeddings
-from ffusion.scene import synthesize_sample
+from ffusion.scene import DEFAULT_INTRINSICS, synthesize_sample
 from ffusion.scene.commands import COMMANDS
 
 SMALL = ModelConfig(d=16, blocks=1, heads=2, patch=8, text_len=8)
@@ -184,13 +184,20 @@ class TestInjection:
         positions = [original.index(p) for p in hit.cloud.points.tolist()]
         assert positions == sorted(positions)
 
-    def test_miscalibration_sets_registration_shift(self, samples):
+    def test_miscalibration_moves_the_cloud(self, samples):
+        """Each point moves 2 pixels right and down at its own depth; only
+        the depth inputs change."""
         hit = inject_fault(samples[0], FaultSpec("lidar", "miscalibration_shift", 2.0))
-        assert hit.registration_shift == (2, 2)
-        assert samples[0].registration_shift == (0, 0)
+        points, moved = samples[0].cloud.points, hit.cloud.points
+        z = points[:, 2]
+        assert np.array_equal(moved[:, 2], z)
+        assert np.array_equal(moved[:, 0], points[:, 0] + 2.0 * z / DEFAULT_INTRINSICS.fx)
+        assert np.array_equal(moved[:, 1], points[:, 1] + 2.0 * z / DEFAULT_INTRINSICS.fy)
         straight = prepare_features(samples[0], ModelConfig())
         shifted = prepare_features(hit, ModelConfig())
         assert not np.array_equal(straight.depth, shifted.depth)
+        assert np.array_equal(straight.camera, shifted.camera)
+        assert np.array_equal(straight.text, shifted.text)
 
 
 FAULT_PAIRS = [(m, k) for k, modalities in _VALID.items() for m in modalities]
@@ -209,7 +216,6 @@ class TestInjectionProperties:
         assert np.array_equal(first.rgb, second.rgb)
         assert np.array_equal(first.cloud.points, second.cloud.points)
         assert first.text == second.text
-        assert first.registration_shift == second.registration_shift
         assert np.array_equal(sample.rgb, rgb) and np.array_equal(sample.cloud.points, points)
         assert first.rgb.shape == rgb.shape and first.rgb.dtype == np.float64
         n = len(points)

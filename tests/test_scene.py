@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ffusion.autodiff import Rng
 from ffusion.errors import DataError, SceneError
-from ffusion.geometry import PointCloud, project_point_cloud
+from ffusion.geometry import DepthMap, PointCloud, project_point_cloud
 from ffusion.scene import (
     CLASS_IDS,
     DEFAULT_INTRINSICS,
@@ -29,13 +29,12 @@ from ffusion.scene import (
     pixel_directions,
     quantize_rgb,
     render_depth,
-    render_labels,
-    render_rgb,
     simulate_depth_scan,
     synthesize_sample,
 )
 from ffusion.geometry.calibration import Intrinsics
-from ffusion.scene.dataset import MANIFEST_FORMAT, SCAN_ROW_STEP, write_sample
+from ffusion.scene.dataset import MANIFEST_FORMAT, write_sample
+from ffusion.scene.lidar import SCAN_ROW_STEP
 from ffusion.scene.render import HIT_GROUND, HIT_NONE, HIT_OBJECT, labels_from_hits, rgb_from_hits
 from ffusion.scene.spec import GROUND_COLORS, SKY_COLOR
 from test_readers import FILES, roundtrip, with_part
@@ -95,6 +94,11 @@ class TestGenerateScene:
             _box(0.0, 1.2)  # front face would touch the camera zone
 
 
+def _cast(scene):
+    """The pixel grid's hits, from which every view of a sample is derived."""
+    return cast_rays(scene, pixel_directions(DEFAULT_INTRINSICS))
+
+
 class TestRendering:
     def test_fronto_parallel_box_depth_is_exact(self):
         # Resting box, size 1, centered at z=4: front face is the plane
@@ -125,7 +129,7 @@ class TestRendering:
 
     def test_rgb_range_and_regions(self):
         scene = SceneSpec((_box(0.0, 4.0, size=1.5),))
-        img = render_rgb(scene, DEFAULT_INTRINSICS)
+        img = rgb_from_hits(scene, _cast(scene), DEFAULT_INTRINSICS)
         assert img.shape == (32, 32, 3)
         assert img.min() >= 0.0 and img.max() <= 1.0
         assert np.array_equal(img[18, 16], np.array([0.2, 0.3, 0.8]))  # box color
@@ -133,7 +137,7 @@ class TestRendering:
 
     def test_checkerboard_ground_varies(self):
         scene = SceneSpec((_box(0.0, 17.5, size=0.5),))
-        img = render_rgb(scene, DEFAULT_INTRINSICS)
+        img = rgb_from_hits(scene, _cast(scene), DEFAULT_INTRINSICS)
         bottom = img[28:, :, 0]
         assert bottom.std() > 0.01
 
@@ -154,7 +158,7 @@ class TestRendering:
 
     def test_labels_mark_large_object(self):
         scene = SceneSpec((_box(0.0, 4.0, size=2.0, class_name="barrier"),))
-        labels = render_labels(scene, DEFAULT_INTRINSICS)
+        labels = labels_from_hits(scene, _cast(scene), DEFAULT_INTRINSICS)
         assert labels[4, 4] == CLASS_IDS["barrier"]
         assert labels[0, 0] == 0  # sky stays background
         assert labels.shape == (8, 8)
@@ -162,7 +166,7 @@ class TestRendering:
     def test_labels_majority_rule(self):
         # A sliver of an object never outvotes the background in a cell.
         scene = SceneSpec((_box(8.0, 14.0, size=0.3, y=GROUND_HEIGHT - 0.15),))
-        labels = render_labels(scene, DEFAULT_INTRINSICS)
+        labels = labels_from_hits(scene, _cast(scene), DEFAULT_INTRINSICS)
         assert labels.sum() == 0
 
     def test_occlusion_nearest_wins(self):
@@ -239,11 +243,14 @@ class TestOneCastPerSample:
     def test_synthesized_views_equal_the_renderers(self, seed, row_step):
         scene = generate_scene(seed)
         sample = synthesize_sample("000000", seed, row_step=row_step)
-        assert np.array_equal(_bits(sample.rgb), _bits(quantize_rgb(render_rgb(scene))))
+        hits = _cast(scene)
+        rgb = quantize_rgb(rgb_from_hits(scene, hits, DEFAULT_INTRINSICS))
+        assert np.array_equal(_bits(sample.rgb), _bits(rgb))
         depth = render_depth(scene)
         assert np.array_equal(_bits(sample.depth.values), _bits(depth.values))
         assert np.array_equal(sample.depth.valid, depth.valid)
-        assert np.array_equal(sample.seg_labels, render_labels(scene))
+        assert np.array_equal(sample.seg_labels,
+                              labels_from_hits(scene, hits, DEFAULT_INTRINSICS))
         scan = simulate_depth_scan(scene, DEFAULT_INTRINSICS, row_step)
         assert np.array_equal(_bits(sample.cloud.points), _bits(scan.points))
 
@@ -453,13 +460,24 @@ class TestDataset:
         with pytest.raises(DataError, match="manifest.json: samples must be a list"):
             load_dataset(tmp_path)
 
-    @pytest.mark.parametrize("shift", [["a", 1], [1.5, 0], [1], "12", [True, 0]])
-    def test_non_integer_registration_shift(self, tmp_path, shift):
+    def test_registration_shift_is_not_a_known_key(self, tmp_path):
+        """A shifted copy made by an older inject records its shift in the
+        manifest; a miscalibration now moves the cloud in the files."""
         manifest = build_dataset(tmp_path, count=4, seed=9, ratios=(0.5, 0.25, 0.25))
-        manifest["samples"][0]["registration_shift"] = shift
+        manifest["samples"][0]["registration_shift"] = [2, 2]
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match="registration_shift"):
+        with pytest.raises(DataError, match=r"samples\[0\]\.registration_shift is not a known key"):
             load_dataset(tmp_path)
+
+    def test_v2_manifest_header_keys_still_load(self, tmp_path):
+        """The image and scan_row_step header keys that earlier builds wrote
+        are read past."""
+        manifest = build_dataset(tmp_path, count=4, seed=9, ratios=(0.5, 0.25, 0.25))
+        assert "image" not in manifest and "scan_row_step" not in manifest
+        image = {"width": 32, "height": 32, "fx": 28.0, "fy": 28.0, "cx": 16.0, "cy": 16.0}
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({**manifest, "image": image, "scan_row_step": 2}))
+        assert [s.sample_id for s in load_dataset(tmp_path)["train"]] == ["000000", "000001"]
 
     @pytest.mark.parametrize("key", ["rgb", "cloud", "depth", "text", "labels"])
     def test_non_ascii_byte_is_data_error(self, tmp_path, key):
@@ -520,3 +538,13 @@ class TestDataset:
                 command="accelerate",
                 seg_labels=np.zeros((8, 8), dtype=np.int64),
             )
+
+    @pytest.mark.parametrize("part, cause", [
+        ({"rgb": np.zeros((16, 16, 3))}, r"rgb must be \(32, 32, 3\), got \(16, 16, 3\)"),
+        ({"rgb": np.zeros((32, 32))}, r"rgb must be \(32, 32, 3\), got \(32, 32\)"),
+        ({"depth": DepthMap.empty(16, 16)}, r"depth must be a \(32, 32\) depth map"),
+        ({"depth": None}, r"depth must be a \(32, 32\) depth map"),
+    ], ids=["rgb_16", "rgb_gray", "depth_16", "depth_none"])
+    def test_sample_off_the_image_grid_rejected(self, part, cause):
+        with pytest.raises(DataError, match=cause):
+            with_part(**part)
