@@ -22,29 +22,27 @@ def grad_check(fn: Callable[[Tensor], Tensor], x: Tensor) -> float:
     """Max relative error between the tape gradient and central differences.
 
     fn must map x to a scalar tensor and be deterministic. x is perturbed
-    in place component by component and restored afterwards.
+    in place component by component; each component is restored and x.grad
+    cleared afterwards, also when fn raises.
     """
     if not x.requires_grad:
         raise GradientError("grad_check: input tensor must require gradients")
     x.grad = None
-    with Tape() as tape:
-        y = fn(x)
-    if y.data.size != 1:
-        raise GradientError(f"grad_check: fn must return a scalar, got shape {y.data.shape}")
-    backward(tape, y)
-    g_auto = np.zeros_like(x.data) if x.grad is None else np.array(x.grad)
     g_fd = np.zeros_like(x.data)
     flat = x.data.reshape(-1)
     fd_flat = g_fd.reshape(-1)
-    for i in range(flat.size):
-        saved = flat[i]
-        flat[i] = saved + EPS
-        hi = fn(x).item()
-        flat[i] = saved - EPS
-        lo = fn(x).item()
-        flat[i] = saved
-        fd_flat[i] = (hi - lo) / (2.0 * EPS)
-    x.grad = None
+    try:
+        with Tape() as tape:
+            y = fn(x)
+        if y.data.size != 1:
+            raise GradientError(
+                f"grad_check: fn must return a scalar, got shape {y.data.shape}")
+        backward(tape, y)
+        g_auto = np.zeros_like(x.data) if x.grad is None else np.array(x.grad)
+        for i in range(flat.size):
+            fd_flat[i] = _central_difference(lambda: fn(x), flat, i)
+    finally:
+        x.grad = None
     return float(relative_error(g_auto, g_fd).max())
 
 
@@ -60,25 +58,33 @@ def grad_check_components(
     Returns the maximum relative error over the picks.
     """
     store.zero_grad()
-    with Tape() as tape:
-        loss = loss_fn()
-    backward(tape, loss)
-    auto = store.gradients()
     worst = 0.0
-    for path, index in picks:
-        param = store[path]
-        flat = param.data.reshape(-1)
-        if not (0 <= index < flat.size):
-            raise GradientError(f"component {index} outside parameter {path!r}")
-        saved = flat[index]
-        flat[index] = saved + EPS
-        hi = loss_fn().item()
-        flat[index] = saved - EPS
-        lo = loss_fn().item()
-        flat[index] = saved
-        fd = (hi - lo) / (2.0 * EPS)
-        ga = float(auto[path].reshape(-1)[index])
-        err = float(relative_error(np.asarray(ga), np.asarray(fd)))
-        worst = max(worst, err)
-    store.zero_grad()
+    try:
+        with Tape() as tape:
+            loss = loss_fn()
+        backward(tape, loss)
+        auto = store.gradients()
+        for path, index in picks:
+            flat = store[path].data.reshape(-1)
+            if not (0 <= index < flat.size):
+                raise GradientError(f"component {index} outside parameter {path!r}")
+            fd = _central_difference(loss_fn, flat, index)
+            ga = float(auto[path].reshape(-1)[index])
+            worst = max(worst, float(relative_error(np.asarray(ga), np.asarray(fd))))
+    finally:
+        store.zero_grad()
     return worst
+
+
+def _central_difference(fn: Callable[[], Tensor], flat: np.ndarray, i: int) -> float:
+    """(fn at flat[i] + EPS - fn at flat[i] - EPS) / 2 EPS; flat[i] is restored
+    bit for bit, also when fn raises."""
+    saved = flat[i]
+    try:
+        flat[i] = saved + EPS
+        hi = fn().item()
+        flat[i] = saved - EPS
+        lo = fn().item()
+    finally:
+        flat[i] = saved
+    return (hi - lo) / (2.0 * EPS)

@@ -78,24 +78,32 @@ def scale(x: Tensor, factor: float) -> Tensor:
     return out
 
 
+def _gelu_cdf(x: Array) -> Array:
+    """Phi(x), the Gaussian CDF that GELU multiplies x by."""
+    from scipy.special import erf  # here, so commands that run no model never load SciPy
+    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+
+
+def _gelu_grad(g: Array, x: Array, cdf: Array) -> Array:
+    """g * (cdf + x * pdf) with pdf = exp(-0.5 * x * x) / sqrt(2 pi), in one new array."""
+    d = -0.5 * x
+    d *= x
+    np.exp(d, out=d)
+    d *= _INV_SQRT_2PI
+    d *= x
+    d += cdf
+    d *= g
+    return d
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with the Gaussian CDF."""
-    from scipy.special import erf  # here, so commands that run no model never load SciPy
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out = _result((x,), x.data * cdf)
     xd = x.data
+    cdf = _gelu_cdf(xd)
+    out = _result((x,), xd * cdf)
 
     def backward_fn(g: Array) -> tuple:
-        # g * (cdf + xd * pdf) with pdf = exp(-0.5 * xd * xd) / sqrt(2 pi),
-        # evaluated in one temporary.
-        d = -0.5 * xd
-        d *= xd
-        np.exp(d, out=d)
-        d *= _INV_SQRT_2PI
-        d *= xd
-        d += cdf
-        d *= g
-        return (d,)
+        return (_gelu_grad(g, xd, cdf),)
 
     record_op((x,), out, backward_fn)
     return out
@@ -276,6 +284,23 @@ def _matmul_right_grad(ad: Array, bd: Array, g: Array) -> Array:
     return np.matmul(np.swapaxes(ad, -1, -2), g)
 
 
+def _linear(x: Array, weight: Array, bias: Optional[Array] = None) -> Array:
+    """x @ weight + bias, the bias added in place."""
+    arr = np.matmul(x, weight)
+    if bias is not None:
+        arr += bias
+    return arr
+
+
+def _linear_grad(g: Array, x: Array, weight: Array,
+                 need: tuple = (True, True, True)) -> tuple:
+    """(dx, dweight, dbias) of x @ weight + bias; None where need says no."""
+    dx = np.matmul(g, weight.T) if need[0] else None
+    dw = _matmul_right_grad(x, weight, g) if need[1] else None
+    db = g.sum(axis=tuple(range(g.ndim - 1))) if need[2] else None
+    return dx, dw, db
+
+
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine map x @ weight + bias on the last axis, as one tape record.
 
@@ -288,20 +313,14 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         raise ShapeError(f"linear: cannot map {xshape} through weight {wshape}")
     if bias is not None and bias.data.shape != wshape[1:]:
         raise ShapeError(f"linear: bias {bias.data.shape} does not match weight {wshape}")
-    arr = np.matmul(x.data, weight.data)
-    if bias is not None:
-        arr += bias.data
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    out = _result(inputs, arr)
+    out = _result(inputs, _linear(x.data, weight.data, None if bias is None else bias.data))
     xd, wd = x.data, weight.data
-    lead = tuple(range(x.data.ndim - 1))
 
     def backward_fn(g: Array) -> tuple:
-        dx = np.matmul(g, wd.T) if x.requires_grad else None
-        dw = _matmul_right_grad(xd, wd, g) if weight.requires_grad else None
-        if bias is None:
-            return dx, dw
-        return dx, dw, g.sum(axis=lead) if bias.requires_grad else None
+        dx, dw, db = _linear_grad(g, xd, wd, (x.requires_grad, weight.requires_grad,
+                                              bias is not None and bias.requires_grad))
+        return (dx, dw) if bias is None else (dx, dw, db)
 
     record_op(inputs, out, backward_fn)
     return out
@@ -347,6 +366,58 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
+def _head_axes(ndim: int) -> tuple:
+    # Swaps the token and head axes of an (..., T, H, hd) or (..., H, T, hd) array.
+    lead = ndim - 3
+    return tuple(range(lead)) + (lead + 1, lead, lead + 2)
+
+
+def _split_heads(x: Array, heads: int) -> Array:
+    """(..., T, d) -> (..., H, T, d / H), a view when x is contiguous."""
+    x = x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads))
+    return np.transpose(x, _head_axes(x.ndim))
+
+
+def _merge_heads(x: Array) -> Array:
+    """(..., H, T, hd) -> (..., T, H * hd)."""
+    x = np.transpose(x, _head_axes(x.ndim))
+    return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+
+
+def _attention_weights(q: Array, k: Array, heads: int) -> Array:
+    """softmax(q @ k^T / sqrt(hd)) per head, (..., H, Tq, T)."""
+    qh = _split_heads(q, heads)
+    weights = np.matmul(qh, np.swapaxes(_split_heads(k, heads), -1, -2))
+    weights *= 1.0 / math.sqrt(qh.shape[-1])
+    _softmax_rows(weights, -1, out=weights)
+    return weights
+
+
+def _attention_mix(weights: Array, v: Array) -> Array:
+    """weights @ v per head, merged back to (..., Tq, d)."""
+    return _merge_heads(np.matmul(weights, _split_heads(v, weights.shape[-3])))
+
+
+def _attention_grad(g: Array, q: Array, k: Array, v: Array, weights: Array,
+                    need: tuple = (True, True, True)) -> tuple:
+    """(dq, dk, dv) of _attention_mix(_attention_weights(q, k), v) for its
+    output gradient g; None where need says no."""
+    heads = weights.shape[-3]
+    g = _split_heads(g, heads)
+    dv = _merge_heads(np.matmul(np.swapaxes(weights, -1, -2), g)) if need[2] else None
+    if not (need[0] or need[1]):
+        return None, None, dv
+    vt = np.swapaxes(_split_heads(v, heads), -1, -2)
+    dlogits = _softmax_grad(weights, np.matmul(g, vt), -1)
+    dlogits *= 1.0 / math.sqrt(g.shape[-1])
+    dq = _merge_heads(np.matmul(dlogits, _split_heads(k, heads))) if need[0] else None
+    dk = None
+    if need[1]:
+        qt = np.swapaxes(_split_heads(q, heads), -1, -2)
+        dk = _merge_heads(np.swapaxes(np.matmul(qt, dlogits), -1, -2))
+    return dq, dk, dv
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple:
     """Multi-head scaled dot-product attention, as one tape record.
 
@@ -370,41 +441,54 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple:
     d = shape[-1]
     if heads < 1 or d % heads:
         raise ShapeError(f"attention: width {d} is not divisible by {heads} heads")
-    hd = d // heads
-    lead = len(shape) - 2
-    swap = tuple(range(lead)) + (lead + 1, lead, lead + 2)
-
-    def split(x: Array) -> Array:
-        # (..., T, d) -> (..., H, T, hd), a view when x is contiguous.
-        return np.transpose(x.reshape(x.shape[:-1] + (heads, hd)), swap)
-
-    def merge(x: Array) -> Array:
-        # (..., H, T, hd) -> (..., T, d).
-        x = np.transpose(x, swap)
-        return x.reshape(x.shape[:-2] + (d,))
-
-    qd, kd, vd = split(q.data), split(k.data), split(v.data)
-    f = 1.0 / math.sqrt(hd)
-    weights = np.matmul(qd, np.swapaxes(kd, -1, -2))
-    weights *= f
-    _softmax_rows(weights, -1, out=weights)
-    out = _result((q, k, v), merge(np.matmul(weights, vd)))
+    qd, kd, vd = q.data, k.data, v.data
+    weights = _attention_weights(qd, kd, heads)
+    out = _result((q, k, v), _attention_mix(weights, vd))
 
     def backward_fn(g: Array) -> tuple:
-        g = split(g)
-        dv = merge(np.matmul(np.swapaxes(weights, -1, -2), g)) if v.requires_grad else None
-        if not (q.requires_grad or k.requires_grad):
-            return None, None, dv
-        dlogits = _softmax_grad(weights, np.matmul(g, np.swapaxes(vd, -1, -2)), -1)
-        dlogits *= f
-        dq = merge(np.matmul(dlogits, kd)) if q.requires_grad else None
-        dk = None
-        if k.requires_grad:
-            dk = merge(np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), dlogits), -1, -2))
-        return dq, dk, dv
+        return _attention_grad(g, qd, kd, vd, weights,
+                               (q.requires_grad, k.requires_grad, v.requires_grad))
 
     record_op((q, k, v), out, backward_fn)
     return out, weights
+
+
+def _normalize(x: Array) -> tuple:
+    """x's last axis at zero mean and unit variance, and 1 / its std."""
+    normed = x - x.mean(axis=-1, keepdims=True)
+    inv = (normed * normed).mean(axis=-1, keepdims=True)
+    inv += LAYER_NORM_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    normed *= inv
+    return normed, inv
+
+
+def _affine(normed: Array, gain: Array, bias: Array) -> Array:
+    """normed * gain + bias, the layer norm's output."""
+    arr = normed * gain
+    arr += bias
+    return arr
+
+
+def _layer_norm_grad(g: Array, normed: Array, inv: Array, gain: Array) -> tuple:
+    """(dx, dgain, dbias) of the layer norm _affine(normed, gain, bias) of x,
+    for its output gradient g."""
+    # dx = inv * (dnormed - mean(dnormed) - normed * mean(dnormed * normed))
+    # with dnormed = g * gain, in two temporaries.
+    n = normed.shape[-1]
+    t = g * normed
+    dgain = t.reshape(-1, n).sum(axis=0)
+    dbias = g.reshape(-1, n).sum(axis=0)
+    dx = g * gain
+    m1 = dx.mean(axis=-1, keepdims=True)
+    np.multiply(dx, normed, out=t)
+    m2 = t.mean(axis=-1, keepdims=True)
+    dx -= m1
+    np.multiply(normed, m2, out=t)
+    dx -= t
+    dx *= inv
+    return dx, dgain, dbias
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -416,35 +500,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"layer_norm: gain {gain.data.shape} and bias {bias.data.shape} must be ({n},)"
         )
-    # The centered values become `normed` in place; `arr` holds their
-    # squares, then the output.
-    normed = x.data - x.data.mean(axis=-1, keepdims=True)
-    arr = normed * normed
-    inv = arr.mean(axis=-1, keepdims=True)
-    inv += LAYER_NORM_EPS
-    np.sqrt(inv, out=inv)
-    np.divide(1.0, inv, out=inv)
-    normed *= inv
-    np.multiply(normed, gain.data, out=arr)
-    arr += bias.data
-    out = _result((x, gain, bias), arr)
+    normed, inv = _normalize(x.data)
+    out = _result((x, gain, bias), _affine(normed, gain.data, bias.data))
     gd = gain.data
 
     def backward_fn(g: Array) -> tuple:
-        # dx = inv * (dnormed - mean(dnormed) - normed * mean(dnormed * normed))
-        # with dnormed = g * gain, in two temporaries.
-        t = g * normed
-        dgain = t.reshape(-1, n).sum(axis=0)
-        dbias = g.reshape(-1, n).sum(axis=0)
-        dx = g * gd
-        m1 = dx.mean(axis=-1, keepdims=True)
-        np.multiply(dx, normed, out=t)
-        m2 = t.mean(axis=-1, keepdims=True)
-        dx -= m1
-        np.multiply(normed, m2, out=t)
-        dx -= t
-        dx *= inv
-        return dx, dgain, dbias
+        return _layer_norm_grad(g, normed, inv, gd)
 
     record_op((x, gain, bias), out, backward_fn)
     return out

@@ -40,7 +40,6 @@ from ffusion.model.inputs import (
 from ffusion.model.layers import (
     LayerNorm,
     Linear,
-    MultiHeadAttention,
     TransformerBlock,
     init_param,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "ModalityHealth",
     "ModelConfig",
     "MODALITIES",
-    "MultiHeadAttention",
     "N_COMMANDS",
     "N_SEG_CLASSES",
     "NOMINAL",

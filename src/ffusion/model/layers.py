@@ -11,17 +11,22 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ffusion.autodiff import (
-    ParamStore,
-    Rng,
-    Tensor,
-    add,
-    attention,
-    gelu,
-    layer_norm,
-    linear,
-    slice_,
+from ffusion.autodiff import ParamStore, Rng, Tensor, layer_norm, linear, slice_
+from ffusion.autodiff.ops import (
+    _affine,
+    _attention_grad,
+    _attention_mix,
+    _attention_weights,
+    _gelu_cdf,
+    _gelu_grad,
+    _layer_norm_grad,
+    _linear,
+    _linear_grad,
+    _normalize,
+    _result,
 )
+from ffusion.autodiff.tensor import record_op
+from ffusion.errors import ShapeError
 
 
 def init_param(store: ParamStore, rng: Rng, path: str, shape: tuple,
@@ -72,13 +77,7 @@ def take_rows(x: Tensor, rows: Tuple[int, int]) -> Tensor:
 
 
 class MultiHeadAttention:
-    """Self-attention over (..., T, d).
-
-    With rows=(start, stop), only those rows are queries, while keys and
-    values still come from all T rows. Returns the output (..., Tq, d)
-    and the attention weights (..., H, Tq, T) as a plain array, where Tq
-    is the number of query rows.
-    """
+    """The query, key, value and out projections of a block's self-attention."""
 
     def __init__(self, store: ParamStore, rng: Rng, path: str, dim: int, heads: int):
         self.heads = heads
@@ -89,26 +88,31 @@ class MultiHeadAttention:
         self.value = Linear(store, rng, f"{path}.value", dim, dim)
         self.out = Linear(store, rng, f"{path}.out", dim, dim)
 
-    def __call__(self, x: Tensor, rows: Rows = None) -> Tuple[Tensor, np.ndarray]:
-        queries = x if rows is None else take_rows(x, rows)
-        mixed, weights = attention(self.query(queries), self.key(x), self.value(x),
-                                   self.heads)
-        return self.out(mixed), weights
-
 
 class TransformerBlock:
-    """Pre-norm block: x + MHA(LN(x)), then x + MLP(LN(x)).
+    """Pre-norm block: x + MHA(LN(x)), then x + MLP(LN(x)), as one tape record.
 
     With rows=(start, stop), only those output rows are computed; every
     row still serves as a key and value. Each output row depends on its
     own input row and on the keys and values alone, so the rows match the
     same rows of a full-sequence call. The attention weights of the block
-    are returned alongside the output.
+    (..., H, Tq, T) are returned alongside the output (..., Tq, d).
+
+    The record keeps only what its backward reads: each norm's normalized
+    rows and inverse std, q, k, v, the attention weights, and the MLP
+    pre-activation with its Gaussian CDF. Backward recomputes the norm
+    outputs, the attention mix and the GELU output with the forward's numpy
+    calls, so outputs and gradients equal those of the chain of layer_norm,
+    linear, attention, add and gelu ops bit for bit; gradients sum in that
+    chain's order.
     """
 
     MLP_RATIO = 4
 
     def __init__(self, store: ParamStore, rng: Rng, path: str, dim: int, heads: int):
+        if heads < 1 or dim % heads:
+            raise ShapeError(f"block: width {dim} is not divisible by {heads} heads")
+        self.dim = dim
         self.norm_attn = LayerNorm(store, rng, f"{path}.norm_attn", dim)
         self.attn = MultiHeadAttention(store, rng, f"{path}.attn", dim, heads)
         self.norm_mlp = LayerNorm(store, rng, f"{path}.norm_mlp", dim)
@@ -117,9 +121,64 @@ class TransformerBlock:
         self.contract = Linear(store, rng, f"{path}.mlp.contract", hidden, dim)
 
     def __call__(self, x: Tensor, rows: Rows = None) -> Tuple[Tensor, np.ndarray]:
-        attended, attn = self.attn(self.norm_attn(x), rows)
-        if rows is not None:
-            x = take_rows(x, rows)
-        x = add(x, attended)
-        x = add(x, self.contract(gelu(self.expand(self.norm_mlp(x)))))
-        return x, attn
+        shape = x.data.shape
+        if x.data.ndim < 2 or shape[-1] != self.dim:
+            raise ShapeError(f"block: input {shape} is not (..., T, {self.dim})")
+        if rows is not None and not 0 <= rows[0] <= rows[1] <= shape[-2]:
+            raise ShapeError(f"block: rows {rows} outside {shape[-2]} tokens")
+        attn = self.attn
+        params = (self.norm_attn.gain, self.norm_attn.bias, attn.query.weight, attn.query.bias,
+                  attn.key.weight, attn.value.weight, attn.value.bias, attn.out.weight,
+                  attn.out.bias, self.norm_mlp.gain, self.norm_mlp.bias, self.expand.weight,
+                  self.expand.bias, self.contract.weight, self.contract.bias)
+        g1, b1, wq, bq, wk, wv, bv, wo, bo, g2, b2, we, be, wc, bc = (p.data for p in params)
+        picked = (Ellipsis, slice(None) if rows is None else slice(*rows), slice(None))
+        xd = x.data
+
+        normed1, inv1 = _normalize(xd)
+        h1 = _affine(normed1, g1, b1)
+        q = _linear(h1[picked], wq, bq)
+        k = _linear(h1, wk)
+        v = _linear(h1, wv, bv)
+        weights = _attention_weights(q, k, attn.heads)
+        x1 = xd[picked] + _linear(_attention_mix(weights, v), wo, bo)
+        normed2, inv2 = _normalize(x1)
+        pre = _linear(_affine(normed2, g2, b2), we, be)
+        cdf = _gelu_cdf(pre)
+        inputs = (x,) + params
+        out = _result(inputs, x1 + _linear(pre * cdf, wc, bc))
+
+        def backward_fn(g: np.ndarray) -> tuple:
+            # Each gradient sums its terms in the op chain's order; an
+            # in-place sum into an array made here gives the same bits.
+            d, dwc, dbc = _linear_grad(g, pre * cdf, wc)
+            d = _gelu_grad(d, pre, cdf)
+            d, dwe, dbe = _linear_grad(d, _affine(normed2, g2, b2), we)
+            dx1, dg2, db2 = _layer_norm_grad(d, normed2, inv2, g2)
+            dx1 += g  # the residual path, then the norm path
+            d, dwo, dbo = _linear_grad(dx1, _attention_mix(weights, v), wo)
+            dq, dk, dv = _attention_grad(d, q, k, v, weights)
+            h1 = _affine(normed1, g1, b1)
+            d, dwv, dbv = _linear_grad(dv, h1, wv)
+            dh1_k, dwk, _ = _linear_grad(dk, h1, wk, (True, True, False))
+            d += dh1_k  # value, key, then query
+            dquery, dwq, dbq = _linear_grad(dq, h1[picked], wq)
+            d += _pad_rows(dquery, picked, shape)
+            del h1, dq, dk, dv, dh1_k, dquery  # before the last norm's temporaries
+            dx, dg1, db1 = _layer_norm_grad(d, normed1, inv1, g1)
+            dx += _pad_rows(dx1, picked, shape)
+            return (dx, dg1, db1, dwq, dbq, dwk, dwv, dbv, dwo, dbo, dg2, db2, dwe, dbe,
+                    dwc, dbc)
+
+        record_op(inputs, out, backward_fn)
+        return out, weights
+
+
+def _pad_rows(g: np.ndarray, picked: tuple, shape: tuple) -> np.ndarray:
+    """g placed at the picked rows of a zero array of shape, as slice_'s backward
+    does; g itself when every row is picked."""
+    if g.shape == shape:
+        return g
+    full = np.zeros(shape, dtype=np.float64)
+    full[picked] = g
+    return full

@@ -20,6 +20,7 @@ from ffusion.autodiff import (
     adam_step,
     backward,
     grad_check,
+    grad_check_components,
     load_checkpoint,
     ops,
     save_checkpoint,
@@ -190,6 +191,40 @@ class TestGradCheckAllOps:
         x = Tensor([1.0, 2.0], requires_grad=True)
         err = grad_check(lambda t: ops.sum_(bad_square(t)), x)
         assert err > 1e-2
+
+    @pytest.mark.parametrize("fails_on", [1, 2, 3])
+    def test_grad_check_restores_input_when_fn_raises(self, fails_on):
+        # fn raises on its taped call, on x[0] + EPS or on x[0] - EPS.
+        calls = []
+
+        def fn(t):
+            calls.append(None)
+            if len(calls) == fails_on:
+                raise RuntimeError("fn failed")
+            return ops.sum_(ops.mul(t, t))
+
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        before = x.data.tobytes()
+        with pytest.raises(RuntimeError, match="fn failed"):
+            grad_check(fn, x)
+        assert x.data.tobytes() == before
+        assert x.grad is None
+
+    def test_grad_check_components_restores_parameter_when_loss_raises(self):
+        store = ParamStore()
+        w = store.register("w", Tensor([1.0, 2.0], requires_grad=True))
+        calls = []
+
+        def loss_fn():
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("loss failed")
+            return ops.sum_(ops.mul(w, w))
+
+        with pytest.raises(RuntimeError, match="loss failed"):
+            grad_check_components(loss_fn, store, [("w", 0)])
+        assert w.data.tobytes() == np.array([1.0, 2.0]).tobytes()
+        assert w.grad is None
 
 
 class TestAdam:

@@ -69,8 +69,8 @@ def test_benchmark_tracer_spans_one_training_epoch(monkeypatch):
     finally:
         tracer.uninstall()
     assert counts["autodiff.backward"] == 2  # one span per step
-    assert counts["tape_records_step.full"] == 130
-    assert counts["tape_records"] == 2 * 130
+    assert counts["tape_records_step.full"] == 40
+    assert counts["tape_records"] == 2 * 40
     assert all(span.end is not None for span in tracer.spans)
 
 
