@@ -15,7 +15,6 @@ from ffusion.autodiff.ops import (
     matmul,
     mean,
     mul,
-    relu,
     reshape,
     scale,
     slice_,
@@ -51,7 +50,6 @@ __all__ = [
     "mean",
     "mul",
     "ops",
-    "relu",
     "reshape",
     "save_checkpoint",
     "scale",

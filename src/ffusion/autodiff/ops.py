@@ -109,17 +109,6 @@ def gelu(x: Tensor) -> Tensor:
     return out
 
 
-def relu(x: Tensor) -> Tensor:
-    out = _result((x,), np.maximum(x.data, 0.0))
-    positive = x.data > 0.0
-
-    def backward_fn(g: Array) -> tuple:
-        return (g * positive,)
-
-    record_op((x,), out, backward_fn)
-    return out
-
-
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     target = tuple(int(s) for s in shape)
     try:

@@ -33,10 +33,6 @@ class CheckpointError(FfusionError):
     """Malformed checkpoint file or parameter mismatch on load."""
 
 
-class CalibrationError(FfusionError):
-    """Invalid camera intrinsics."""
-
-
 class SceneError(FfusionError):
     """Invalid scene description or generation constraint violation."""
 

@@ -42,9 +42,12 @@ class MultimodalFusionClassifier:
     with equal parameters and data produce identical models.
     """
 
-    def __init__(self, epochs: int = 10, batch_size: int = 32,
-                 learning_rate: float = 3e-5, p_drop: float = 0.3,
-                 seed: int = 0, d: int = 64, blocks: int = 2, heads: int = 4):
+    def __init__(self, epochs: int = TrainConfig.epochs,
+                 batch_size: int = TrainConfig.batch_size,
+                 learning_rate: float = TrainConfig.learning_rate,
+                 p_drop: float = TrainConfig.p_drop, seed: int = TrainConfig.seed,
+                 d: int = ModelConfig.d, blocks: int = ModelConfig.blocks,
+                 heads: int = ModelConfig.heads):
         self.epochs = epochs
         self.batch_size = batch_size
         self.learning_rate = learning_rate

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ffusion.geometry.calibration import Intrinsics
+from ffusion.geometry.calibration import CENTER_X, CENTER_Y, FOCAL_X, FOCAL_Y, IMAGE_SIDE
 from ffusion.geometry.depthmap import DepthMap
 from ffusion.geometry.pointcloud import PointCloud
 
@@ -12,8 +12,8 @@ from ffusion.geometry.pointcloud import PointCloud
 NEAR_PLANE = 1e-6
 
 
-def project_point_cloud(cloud: PointCloud, intrinsics: Intrinsics) -> DepthMap:
-    """Project camera-frame points into a sparse depth map.
+def project_point_cloud(cloud: PointCloud) -> DepthMap:
+    """Project camera-frame points into the camera's sparse depth map.
 
     Pixel cells are found by flooring the continuous image coordinates.
     When several points land in one cell the smallest depth wins (z-buffer);
@@ -21,7 +21,7 @@ def project_point_cloud(cloud: PointCloud, intrinsics: Intrinsics) -> DepthMap:
     result independent of sorting internals.
     """
     pts = cloud.points
-    depth = DepthMap.empty(intrinsics.height, intrinsics.width)
+    depth = DepthMap.empty(IMAGE_SIDE, IMAGE_SIDE)
     if pts.shape[0] == 0:
         return depth
     z = pts[:, 2]
@@ -30,11 +30,11 @@ def project_point_cloud(cloud: PointCloud, intrinsics: Intrinsics) -> DepthMap:
     z = z[keep]
     if pts.shape[0] == 0:
         return depth
-    u = intrinsics.fx * pts[:, 0] / z + intrinsics.cx
-    v = intrinsics.fy * pts[:, 1] / z + intrinsics.cy
+    u = FOCAL_X * pts[:, 0] / z + CENTER_X
+    v = FOCAL_Y * pts[:, 1] / z + CENTER_Y
     cols = np.floor(u).astype(np.int64)
     rows = np.floor(v).astype(np.int64)
-    inside = (cols >= 0) & (cols < intrinsics.width) & (rows >= 0) & (rows < intrinsics.height)
+    inside = (cols >= 0) & (cols < IMAGE_SIDE) & (rows >= 0) & (rows < IMAGE_SIDE)
     rows, cols, z = rows[inside], cols[inside], z[inside]
     if z.size == 0:
         return depth

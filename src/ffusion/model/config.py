@@ -7,7 +7,8 @@ import numbers
 from dataclasses import dataclass
 
 from ffusion.errors import ConfigError
-from ffusion.scene.render import IMAGE_SIDE, LABEL_GRID
+from ffusion.geometry.calibration import IMAGE_SIDE
+from ffusion.scene.render import LABEL_GRID
 
 SEG_BLOCK = 2  # label cells per patch side that the segmentation head decodes
 

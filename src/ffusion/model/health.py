@@ -1,7 +1,8 @@
 """Per-modality input health monitoring.
 
-Failure rules: non-finite rate above 5%, an all-constant (stuck-at) signal,
-or an empty depth map. A failed modality is cleared from the availability
+Camera failure rules: non-finite rate above 5% or an all-constant (stuck-at)
+image. A depth map fails when it is empty, a text when it is silent or one
+repeated word. A failed modality is cleared from the availability
 mask downstream; a non-finite rate in (0, 5%] marks the modality degraded
 (still used, after sanitizing the offending values to zero).
 """
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ffusion.errors import FusionError
+from ffusion.geometry.depthmap import DepthMap
 from ffusion.model.encoders import MODALITIES
 
 NONFINITE_FAIL_RATE = 0.05
@@ -40,28 +42,24 @@ class ModalityHealth:
         return self.status != FAILED
 
 
-def _classify(modality: str, values: np.ndarray, empty: bool = False) -> ModalityHealth:
-    flat = np.asarray(values, dtype=np.float64).reshape(-1)
-    if empty or flat.size == 0:
-        return ModalityHealth(modality, FAILED)
+def camera_health(rgb: np.ndarray) -> ModalityHealth:
+    flat = np.asarray(rgb, dtype=np.float64).reshape(-1)
     finite = np.isfinite(flat)
     rate = float(1.0 - finite.mean())
     clean = flat[finite]
-    if rate > NONFINITE_FAIL_RATE:
-        return ModalityHealth(modality, FAILED)
-    if clean.size and np.all(clean == clean[0]):
-        return ModalityHealth(modality, FAILED)
-    return ModalityHealth(modality, DEGRADED if rate > 0.0 else NOMINAL)
+    if rate > NONFINITE_FAIL_RATE or np.all(clean == clean[0]):
+        return ModalityHealth("camera", FAILED)
+    return ModalityHealth("camera", DEGRADED if rate > 0.0 else NOMINAL)
 
 
-def camera_health(rgb: np.ndarray) -> ModalityHealth:
-    return _classify("camera", rgb)
+def depth_health(sparse: DepthMap) -> ModalityHealth:
+    """A sparse depth map fails only when no point projects into it.
 
-
-def depth_health(values: np.ndarray, valid: np.ndarray) -> ModalityHealth:
-    """Health of a sparse depth map: judged on its valid cells only."""
-    valid = np.asarray(valid, dtype=bool)
-    return _classify("depth", np.asarray(values)[valid], empty=not valid.any())
+    Its valid cells are finite and positive by construction, and a clean
+    scan may put every point on one flat face at one depth, so neither the
+    non-finite nor the constant rule applies to depth.
+    """
+    return ModalityHealth("depth", NOMINAL if sparse.valid.any() else FAILED)
 
 
 def text_health(text: str) -> ModalityHealth:

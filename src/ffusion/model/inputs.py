@@ -31,7 +31,7 @@ from ffusion.model.encoders import (
 from ffusion.model.health import ModalityHealth, camera_health, depth_health, text_health
 from ffusion.model.vocab import encode
 from ffusion.scene.dataset import Sample
-from ffusion.scene.render import DEFAULT_INTRINSICS, LABEL_GRID
+from ffusion.scene.render import LABEL_GRID
 
 DEPTH_SCALE = 20.0  # scenes top out below 20 m; normalizes depth to ~[0, 1]
 DENSIFY_CHUNK = 32  # maps per densify_stack call: fastest measured, small working set
@@ -99,8 +99,8 @@ def prepare_depth(samples: Sequence[Sample], config: ModelConfig) -> Prepared:
     values, health = _patches(len(samples), config, DEPTH_CHANNELS), []
     pending = []  # (row, sparse depth) awaiting densification
     for i, sample in enumerate(samples):
-        sparse = project_point_cloud(sample.cloud, DEFAULT_INTRINSICS)
-        status = depth_health(sparse.values, sparse.valid)
+        sparse = project_point_cloud(sample.cloud)
+        status = depth_health(sparse)
         health.append(status)
         if status.available:
             pending.append((i, sparse))

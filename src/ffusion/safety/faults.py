@@ -17,9 +17,9 @@ import numpy as np
 
 from ..autodiff import Rng
 from ..errors import FaultError
+from ..geometry.calibration import FOCAL_X, FOCAL_Y
 from ..geometry.pointcloud import PointCloud
 from ..scene.dataset import Sample
-from ..scene.render import DEFAULT_INTRINSICS
 
 FAULT_KINDS = ("blackout", "gaussian_noise", "stuck_at",
                "miscalibration_shift", "partial_dropout")
@@ -103,8 +103,8 @@ def inject_fault(sample: Sample, spec: FaultSpec) -> Sample:
         # Each point moves magnitude pixels right and down in the image
         # plane at its own depth.
         x, y, z = sample.cloud.points.T
-        moved = np.column_stack([x + spec.magnitude * z / DEFAULT_INTRINSICS.fx,
-                                 y + spec.magnitude * z / DEFAULT_INTRINSICS.fy, z])
+        moved = np.column_stack([x + spec.magnitude * z / FOCAL_X,
+                                 y + spec.magnitude * z / FOCAL_Y, z])
         return dataclasses.replace(sample, cloud=PointCloud(moved))
 
     # partial_dropout: remove round(fraction * n) points, order preserved

@@ -11,14 +11,7 @@ from ffusion.scene.dataset import (
     synthesize_sample,
 )
 from ffusion.scene.lidar import simulate_depth_scan
-from ffusion.scene.render import (
-    DEFAULT_INTRINSICS,
-    LABEL_GRID,
-    RayHits,
-    cast_rays,
-    pixel_directions,
-    render_depth,
-)
+from ffusion.scene.render import LABEL_GRID, RayHits, cast_rays, render_depth
 from ffusion.scene.spec import (
     CLASS_IDS,
     CLASS_NAMES,
@@ -36,7 +29,6 @@ __all__ = [
     "CLASS_NAMES",
     "COMMANDS",
     "COMMAND_IDS",
-    "DEFAULT_INTRINSICS",
     "GROUND_HEIGHT",
     "LABEL_GRID",
     "MAX_OBJECTS",
@@ -53,7 +45,6 @@ __all__ = [
     "generate_scene",
     "load_dataset",
     "load_sample",
-    "pixel_directions",
     "quantize_rgb",
     "read_manifest",
     "render_depth",

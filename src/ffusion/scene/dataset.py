@@ -8,7 +8,7 @@ one array:
     depth_<id>.ffa    depth (S, S), rendered ground-truth depth, -1 where missing
     labels_<id>.ffa   labels (8, 8), segmentation class ids
 and text_<id>.txt holds the instruction sentence, one ASCII line. S is
-IMAGE_SIDE, the side of the pixel grid that the model patches.
+IMAGE_SIDE, the side of the camera's pixel grid (ffusion.geometry).
 
 Building twice with the same seed produces byte-identical files. Samples
 loaded from disk equal the ones synthesized in memory because rgb values
@@ -29,19 +29,17 @@ import numpy as np
 from ffusion.arrayfile import read_arrays, write_arrays
 from ffusion.autodiff.rng import Rng
 from ffusion.errors import DataError
+from ffusion.geometry.calibration import IMAGE_SIDE, PIXEL_RAYS
 from ffusion.geometry.depthmap import DepthMap
 from ffusion.geometry.pointcloud import PointCloud
 from ffusion.jsonfile import from_plain, read_json, to_plain
 from ffusion.scene.commands import COMMAND_IDS, derive_command
 from ffusion.scene.lidar import SCAN_ROW_STEP, scan_from_hits
 from ffusion.scene.render import (
-    DEFAULT_INTRINSICS,
-    IMAGE_SIDE,
     LABEL_GRID,
     cast_rays,
     depth_from_hits,
     labels_from_hits,
-    pixel_directions,
     rgb_from_hits,
 )
 from ffusion.scene.spec import CLASS_NAMES, generate_scene
@@ -186,15 +184,15 @@ def synthesize_sample(sample_id: str, seed: int, row_step: int = SCAN_ROW_STEP) 
     """
     scene = generate_scene(seed)
     command, sentence = derive_command(scene)
-    hits = cast_rays(scene, pixel_directions(DEFAULT_INTRINSICS))
+    hits = cast_rays(scene, PIXEL_RAYS)
     return Sample(
         sample_id=sample_id,
-        rgb=quantize_rgb(rgb_from_hits(scene, hits, DEFAULT_INTRINSICS)),
-        cloud=scan_from_hits(hits, DEFAULT_INTRINSICS, row_step),
-        depth=depth_from_hits(hits, DEFAULT_INTRINSICS),
+        rgb=quantize_rgb(rgb_from_hits(scene, hits)),
+        cloud=scan_from_hits(hits, row_step),
+        depth=depth_from_hits(hits),
         text=sentence,
         command=command,
-        seg_labels=labels_from_hits(scene, hits, DEFAULT_INTRINSICS),
+        seg_labels=labels_from_hits(scene, hits),
     )
 
 

@@ -5,7 +5,8 @@ pixel-aligned depth scan. Sharing the intersection code is what lets
 projected scans and rendered depth agree to float precision. Each view is a
 function of the pixel grid's hits (the *_from_hits functions), so a sample
 casts its grid once for all four views; render_depth is one cast followed
-by depth_from_hits.
+by depth_from_hits. The pixel grid is the one camera's: its rays are
+ffusion.geometry's PIXEL_RAYS.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ffusion.geometry.calibration import Intrinsics
+from ffusion.geometry.calibration import IMAGE_SIDE, PIXEL_RAYS
 from ffusion.geometry.depthmap import DepthMap
 from ffusion.scene.spec import (
     CLASS_NAMES,
@@ -30,10 +31,6 @@ HIT_GROUND = 1
 HIT_OBJECT = 2
 
 _T_MIN = 1e-9
-
-IMAGE_SIDE = 32  # camera and depth images are IMAGE_SIDE pixels square
-DEFAULT_INTRINSICS = Intrinsics(fx=28.0, fy=28.0, cx=IMAGE_SIDE / 2, cy=IMAGE_SIDE / 2,
-                                width=IMAGE_SIDE, height=IMAGE_SIDE)
 
 LABEL_GRID = 8
 _CELL = IMAGE_SIDE // LABEL_GRID  # image pixels per label cell edge
@@ -115,25 +112,13 @@ def cast_rays(scene: SceneSpec, dirs: np.ndarray) -> RayHits:
     return RayHits(t=best, kind=kind, index=index, points=points)
 
 
-def pixel_directions(intrinsics: Intrinsics) -> np.ndarray:
-    """Unnormalized pixel-center ray directions with unit z component, row-major.
-
-    With dir_z = 1 the ray parameter of a hit IS its z depth, which keeps
-    rendered depth and projected scan depth bit-identical by construction.
-    """
-    x = (np.arange(intrinsics.width) + 0.5 - intrinsics.cx) / intrinsics.fx
-    y = (np.arange(intrinsics.height) + 0.5 - intrinsics.cy) / intrinsics.fy
-    gx, gy = np.meshgrid(x, y)
-    return np.stack([gx, gy, np.ones_like(gx)], axis=-1).reshape(-1, 3)
-
-
-def depth_from_hits(hits: RayHits, intrinsics: Intrinsics) -> DepthMap:
+def depth_from_hits(hits: RayHits) -> DepthMap:
     """Z-depth of the nearest surface through each pixel center; sky is missing."""
-    shape = (intrinsics.height, intrinsics.width)
+    shape = (IMAGE_SIDE, IMAGE_SIDE)
     return DepthMap(np.where(hits.hit, hits.t, 0.0).reshape(shape), hits.hit.reshape(shape))
 
 
-def rgb_from_hits(scene: SceneSpec, hits: RayHits, intrinsics: Intrinsics) -> np.ndarray:
+def rgb_from_hits(scene: SceneSpec, hits: RayHits) -> np.ndarray:
     """Flat-shaded color image in [0, 1]: props, checkerboard ground, sky."""
     palette = np.array([SKY_COLOR, *GROUND_COLORS, *(obj.color for obj in scene.objects)],
                        dtype=np.float64)
@@ -142,21 +127,16 @@ def rgb_from_hits(scene: SceneSpec, hits: RayHits, intrinsics: Intrinsics) -> np
     shade = np.where(np.mod(cells, 2.0) == 0.0, 1, 2)
     shade = np.where(hits.kind == HIT_GROUND, shade, 0)
     shade = np.where(hits.kind == HIT_OBJECT, 3 + hits.index, shade)
-    return palette[shade].reshape(intrinsics.height, intrinsics.width, 3)
+    return palette[shade].reshape(IMAGE_SIDE, IMAGE_SIDE, 3)
 
 
-def labels_from_hits(scene: SceneSpec, hits: RayHits, intrinsics: Intrinsics) -> np.ndarray:
+def labels_from_hits(scene: SceneSpec, hits: RayHits) -> np.ndarray:
     """Class id per label cell on the LABEL_GRID x LABEL_GRID grid.
 
     Each cell covers a 4x4 pixel block. A cell takes an object class only
     when object pixels hold a strict majority of the block; the winning
     class is the most frequent one, ties resolving to the smaller class id.
     """
-    if intrinsics.height != LABEL_GRID * _CELL or intrinsics.width != LABEL_GRID * _CELL:
-        raise ValueError(
-            f"label rendering expects a {LABEL_GRID * _CELL} pixel image, "
-            f"got {intrinsics.width}x{intrinsics.height}"
-        )
     ids = np.array([0, *(obj.class_id for obj in scene.objects)], dtype=np.int64)
     pixel_class = ids[np.where(hits.kind == HIT_OBJECT, hits.index + 1, 0)]
     blocks = (
@@ -170,6 +150,6 @@ def labels_from_hits(scene: SceneSpec, hits: RayHits, intrinsics: Intrinsics) ->
     return np.where(counts.sum(axis=-1) > majority, counts.argmax(axis=-1) + 1, 0)
 
 
-def render_depth(scene: SceneSpec, intrinsics: Intrinsics = DEFAULT_INTRINSICS) -> DepthMap:
+def render_depth(scene: SceneSpec) -> DepthMap:
     """Cast the pixel grid and render its depth map (see depth_from_hits)."""
-    return depth_from_hits(cast_rays(scene, pixel_directions(intrinsics)), intrinsics)
+    return depth_from_hits(cast_rays(scene, PIXEL_RAYS))

@@ -51,7 +51,6 @@ from ffusion.safety import (
     rank_sum_valid,
 )
 from ffusion.scene import (
-    DEFAULT_INTRINSICS,
     generate_scene,
     render_depth,
     simulate_depth_scan,
@@ -124,12 +123,6 @@ def _op_gradcheck_errors():
     x = Tensor(rand((4, 4), spread=2.0), requires_grad=True)
     w = weight((4, 4))
     errs["gelu"] = grad_check(lambda t: ops.sum_(ops.mul(ops.gelu(t), w)), x)
-
-    vals = rand((4, 4), spread=2.0)
-    vals[np.abs(vals) < 1e-3] = 0.5  # keep clear of the kink
-    x = Tensor(vals, requires_grad=True)
-    w = weight((4, 4))
-    errs["relu"] = grad_check(lambda t: ops.sum_(ops.mul(ops.relu(t), w)), x)
 
     x = Tensor(rand((2, 6)), requires_grad=True)
     w = weight((3, 4))
@@ -311,9 +304,9 @@ def test_criterion_2_geometry_oracle():
     checked = 0
     for seed in range(100):
         scene = generate_scene(seed)
-        cloud = simulate_depth_scan(scene, DEFAULT_INTRINSICS, row_step=1)
-        sparse = project_point_cloud(cloud, DEFAULT_INTRINSICS)
-        rendered = render_depth(scene, DEFAULT_INTRINSICS)
+        cloud = simulate_depth_scan(scene, row_step=1)
+        sparse = project_point_cloud(cloud)
+        rendered = render_depth(scene)
         rows, cols = np.nonzero(sparse.valid)
         assert rows.size > 0
         assert np.all(rendered.valid[rows, cols])

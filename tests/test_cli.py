@@ -268,6 +268,17 @@ class TestPipeline:
         for name in files:
             assert (original / name).read_bytes() == (rebuilt / name).read_bytes()
 
+    def test_scan_on_one_flat_face_trains(self, tmp_path):
+        """Dataset seed 12409 holds a clean train sample (000002) whose scan
+        lands on one box face at one depth; depth triage passes it."""
+        config = tiny_config(tmp_path)
+        config_path = tmp_path / "run.json"
+        config.save(config_path)
+        overrides = ["--set", "dataset.seed=12409", "--set", "dataset.count=80"]
+        assert main(["generate", "--config", str(config_path), *overrides]) == EXIT_OK
+        assert main(["train", "--config", str(config_path), *overrides]) == EXIT_OK
+        assert Path(config.paths.checkpoint).exists()
+
     def test_eval_is_deterministic(self, pipeline, tmp_path):
         work, config, config_path = pipeline
         first = Path(config.paths.eval_report).read_bytes()

@@ -9,7 +9,7 @@ import ffusion.safety.harness as harness
 from ffusion import MultimodalFusionClassifier
 from ffusion.autodiff import Rng
 from ffusion.errors import ConfigError, DataError
-from ffusion.model import MODALITIES, AvailabilityMask, EncoderBranch
+from ffusion.model import MODALITIES, AvailabilityMask, EncoderBranch, ModelConfig, TrainConfig
 from ffusion.scene import synthesize_sample
 from ffusion.validation import ensure_labels
 
@@ -36,6 +36,14 @@ class TestParams:
         params = clf.get_params()
         other = MultimodalFusionClassifier(**params)
         assert other.get_params() == params
+
+    def test_defaults_are_the_config_defaults(self):
+        schedule, model = TrainConfig(), ModelConfig()
+        assert MultimodalFusionClassifier().get_params() == {
+            "epochs": schedule.epochs, "batch_size": schedule.batch_size,
+            "learning_rate": schedule.learning_rate, "p_drop": schedule.p_drop,
+            "seed": schedule.seed, "d": model.d, "blocks": model.blocks, "heads": model.heads,
+        }
 
     def test_set_params_chains(self):
         clf = MultimodalFusionClassifier()

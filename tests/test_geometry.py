@@ -1,4 +1,4 @@
-"""Sensor geometry: projection, densification, registration, intrinsics, file I/O."""
+"""Sensor geometry: projection, densification, registration, file I/O."""
 
 from unittest import mock
 
@@ -9,10 +9,14 @@ from hypothesis import strategies as st
 
 import ffusion.model.inputs as inputs
 from ffusion.autodiff import Rng
-from ffusion.errors import CalibrationError, DataError, ShapeError
+from ffusion.errors import DataError, ShapeError
 from ffusion.geometry import (
+    CENTER_X,
+    CENTER_Y,
+    FOCAL_X,
+    FOCAL_Y,
+    IMAGE_SIDE,
     DepthMap,
-    Intrinsics,
     PointCloud,
     densify_depth,
     densify_stack,
@@ -30,19 +34,13 @@ from ffusion.model.inputs import DENSIFY_CHUNK
 from ffusion.safety import FaultSpec, default_scenarios, inject_faults
 from ffusion.scene import synthesize_sample
 from ffusion.scene.dataset import ManifestEntry, load_sample, write_sample
-from ffusion.scene.render import DEFAULT_INTRINSICS
 from test_readers import FILES, TEMPLATE, roundtrip, with_part
 
 
-@pytest.fixture
-def intr():
-    return Intrinsics(fx=28.0, fy=28.0, cx=16.0, cy=16.0, width=32, height=32)
-
-
-def pixel_centre_points(rows, cols, z, intr):
+def pixel_centre_points(rows, cols, z):
     """Camera-frame points on the rays through the given pixel centres at depth z."""
-    x = (np.asarray(cols) + 0.5 - intr.cx) * z / intr.fx
-    y = (np.asarray(rows) + 0.5 - intr.cy) * z / intr.fy
+    x = (np.asarray(cols) + 0.5 - CENTER_X) * z / FOCAL_X
+    y = (np.asarray(rows) + 0.5 - CENTER_Y) * z / FOCAL_Y
     return np.stack([x, y, z], axis=-1)
 
 
@@ -66,42 +64,42 @@ def translate_depth(depth: DepthMap, dx: int, dy: int) -> DepthMap:
 
 
 class TestProjection:
-    def test_hand_projected_point(self, intr):
+    def test_hand_projected_point(self):
         # u = 28*(1/2) + 16 = 30, v = 28*(0.5/2) + 16 = 23
         cloud = PointCloud(np.array([[1.0, 0.5, 2.0]]))
-        depth = project_point_cloud(cloud, intr)
+        depth = project_point_cloud(cloud)
         assert depth.valid[23, 30]
         assert depth.values[23, 30] == 2.0
         assert int(depth.valid.sum()) == 1
 
-    def test_z_buffer_keeps_nearest(self, intr):
+    def test_z_buffer_keeps_nearest(self):
         # Both points enter the same cell; the smaller depth must win.
         cloud = PointCloud(np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 2.0]]))
-        depth = project_point_cloud(cloud, intr)
+        depth = project_point_cloud(cloud)
         assert depth.values[16, 16] == 2.0
 
-    def test_near_plane_and_behind_camera_dropped(self, intr):
+    def test_near_plane_and_behind_camera_dropped(self):
         cloud = PointCloud(np.array([[0.0, 0.0, 1e-7], [0.0, 0.0, -3.0], [0.0, 0.0, 0.0]]))
-        depth = project_point_cloud(cloud, intr)
+        depth = project_point_cloud(cloud)
         assert not depth.valid.any()
 
-    def test_out_of_view_points_dropped(self, intr):
+    def test_out_of_view_points_dropped(self):
         cloud = PointCloud(np.array([[50.0, 0.0, 2.0], [-50.0, 0.0, 2.0]]))
-        depth = project_point_cloud(cloud, intr)
+        depth = project_point_cloud(cloud)
         assert not depth.valid.any()
 
-    def test_round_trip_lands_in_same_cell(self, intr):
+    def test_round_trip_lands_in_same_cell(self):
         rng = Rng(99)
         for _ in range(200):
-            row = int(rng.integers(0, intr.height))
-            col = int(rng.integers(0, intr.width))
+            row = int(rng.integers(0, IMAGE_SIDE))
+            col = int(rng.integers(0, IMAGE_SIDE))
             z = float(rng.uniform(0.5, 30.0))
-            point = pixel_centre_points(row, col, z, intr)
-            depth = project_point_cloud(PointCloud(point[None, :]), intr)
+            point = pixel_centre_points(row, col, z)
+            depth = project_point_cloud(PointCloud(point[None, :]))
             assert depth.valid[row, col]
             assert np.isclose(depth.values[row, col], z, rtol=0, atol=1e-12)
 
-    def test_back_project_depth_inverts_projection(self, intr):
+    def test_back_project_depth_inverts_projection(self):
         rng = Rng(5)
         rows = rng.integers(0, 32, 40)
         cols = rng.integers(0, 32, 40)
@@ -112,20 +110,10 @@ class TestProjection:
         valid[rows, cols] = True
         depth = DepthMap(values, valid)
         cells = np.nonzero(valid)
-        cloud = PointCloud(pixel_centre_points(*cells, values[cells], intr))
-        again = project_point_cloud(cloud, intr)
+        cloud = PointCloud(pixel_centre_points(*cells, values[cells]))
+        again = project_point_cloud(cloud)
         assert np.array_equal(again.valid, depth.valid)
         assert np.allclose(again.values, depth.values, atol=1e-12)
-
-
-class TestCalibration:
-    def test_intrinsics_bounds_enforced(self):
-        with pytest.raises(CalibrationError):
-            Intrinsics(fx=-1.0, fy=28.0, cx=16.0, cy=16.0, width=32, height=32)
-        with pytest.raises(CalibrationError):
-            Intrinsics(fx=28.0, fy=28.0, cx=32.0, cy=16.0, width=32, height=32)
-        with pytest.raises(CalibrationError):
-            Intrinsics(fx=28.0, fy=28.0, cx=16.0, cy=16.0, width=0, height=32)
 
 
 class TestDensify:
@@ -320,7 +308,7 @@ class TestDensifyStack:
                   for sigma in RunConfig().sigmas]
         samples = [synthesize_sample(f"m{i}", 4200 + i) for i in range(6)]
         for faults in [(), (FaultSpec("lidar", "miscalibration_shift", 2.0),), *lidar]:
-            maps = [project_point_cloud(inject_faults(sample, faults).cloud, DEFAULT_INTRINSICS)
+            maps = [project_point_cloud(inject_faults(sample, faults).cloud)
                     for sample in samples]
             values = np.stack([m.values for m in maps])
             valid = np.stack([m.valid for m in maps])
@@ -361,16 +349,16 @@ class TestRegistration:
         if dropout is not None:
             clean = inject_faults(clean, (FaultSpec("lidar", "partial_dropout", dropout, 1),))
         shifted = inject_faults(clean, (FaultSpec("lidar", "miscalibration_shift", shift),))
-        moved = project_point_cloud(shifted.cloud, DEFAULT_INTRINSICS)
-        expected = translate_depth(project_point_cloud(clean.cloud, DEFAULT_INTRINSICS),
+        moved = project_point_cloud(shifted.cloud)
+        expected = translate_depth(project_point_cloud(clean.cloud),
                                    shift, shift)
         assert moved.values.tobytes() == expected.values.tobytes()
         assert np.array_equal(moved.valid, expected.valid)
         config = ModelConfig()
         values, health = inputs.prepare_depth([shifted], config)
 
-        def translated(cloud, intrinsics):
-            return translate_depth(project_point_cloud(cloud, intrinsics), shift, shift)
+        def translated(cloud):
+            return translate_depth(project_point_cloud(cloud), shift, shift)
 
         with mock.patch.object(inputs, "project_point_cloud", translated):
             ref_values, ref_health = inputs.prepare_depth([clean], config)

@@ -27,6 +27,7 @@ from ffusion.errors import (
     ShapeError,
     TrainingError,
 )
+from ffusion.geometry import DepthMap
 from ffusion.jsonfile import from_plain, to_plain
 from ffusion.model import (
     AvailabilityMask,
@@ -424,7 +425,22 @@ class TestHealth:
         assert camera_health(rgb).status == "failed"
 
     def test_empty_depth_failed(self):
-        health = depth_health(np.zeros((32, 32)), np.zeros((32, 32), dtype=bool))
+        health = depth_health(DepthMap.empty(32, 32))
+        assert health.status == "failed"
+
+    def test_one_flat_face_depth_nominal(self):
+        # Sample 000002 of dataset seed 12409: its 352 scanned points all
+        # land on one box face at one depth, a clean scan, not a stuck one.
+        sample = make_samples(3, seed=12409)[2]
+        sparse = inputs.project_point_cloud(sample.cloud)
+        assert len(np.unique(sparse.values[sparse.valid])) == 1
+        assert depth_health(sparse).status == "nominal"
+        features = prepare_features(sample, ModelConfig())
+        assert all(h.status == "nominal" for (h,) in features.health.values())
+
+    def test_lidar_blackout_fails_depth(self):
+        sample = inject_fault(make_samples(1)[0], FaultSpec("lidar", "blackout"))
+        (health,) = prepare_features(sample, ModelConfig()).health["depth"]
         assert health.status == "failed"
 
     def test_empty_text_failed(self):

@@ -33,7 +33,8 @@ from ffusion.scene.dataset import (
     load_sample,
     write_sample,
 )
-from ffusion.scene.render import IMAGE_SIDE, LABEL_GRID
+from ffusion.geometry import IMAGE_SIDE
+from ffusion.scene.render import LABEL_GRID
 from ffusion.scene.spec import CLASS_NAMES
 
 # v1 format: (SampleFiles kind, array name, Sample field) of the file replacing it.

@@ -23,6 +23,7 @@ from ffusion.autodiff import (
     ops,
 )
 from ffusion.errors import ConfigError, DataError, FaultError, FusionError, GraphError
+from ffusion.geometry import FOCAL_X, FOCAL_Y
 from ffusion.jsonfile import from_plain, to_plain
 from ffusion.model import (
     AvailabilityMask,
@@ -64,7 +65,7 @@ from ffusion.safety.asil import ASIL_RANK
 from ffusion.safety.faults import _VALID
 from ffusion.safety.harness import EVAL_CHUNK
 from ffusion.safety.probe import PROBE_BATCH, PROBE_EPOCHS, PROBE_LR, pooled_embeddings
-from ffusion.scene import DEFAULT_INTRINSICS, synthesize_sample
+from ffusion.scene import synthesize_sample
 from ffusion.scene.commands import COMMANDS
 
 SMALL = ModelConfig(d=16, blocks=1, heads=2, patch=8, text_len=8)
@@ -191,8 +192,8 @@ class TestInjection:
         points, moved = samples[0].cloud.points, hit.cloud.points
         z = points[:, 2]
         assert np.array_equal(moved[:, 2], z)
-        assert np.array_equal(moved[:, 0], points[:, 0] + 2.0 * z / DEFAULT_INTRINSICS.fx)
-        assert np.array_equal(moved[:, 1], points[:, 1] + 2.0 * z / DEFAULT_INTRINSICS.fy)
+        assert np.array_equal(moved[:, 0], points[:, 0] + 2.0 * z / FOCAL_X)
+        assert np.array_equal(moved[:, 1], points[:, 1] + 2.0 * z / FOCAL_Y)
         straight = prepare_features(samples[0], ModelConfig())
         shifted = prepare_features(hit, ModelConfig())
         assert not np.array_equal(straight.depth, shifted.depth)

@@ -1,5 +1,6 @@
 """Scene generation, rendering, LiDAR simulation, commands and dataset files."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,12 +8,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ffusion.scene.dataset as scene_dataset
 from ffusion.autodiff import Rng
 from ffusion.errors import DataError, SceneError
-from ffusion.geometry import DepthMap, PointCloud, project_point_cloud
+from ffusion.geometry import (
+    CENTER_Y,
+    FOCAL_Y,
+    IMAGE_SIDE,
+    PIXEL_RAYS,
+    DepthMap,
+    PointCloud,
+    project_point_cloud,
+)
+from ffusion.model import ModelConfig, prepare_samples
+from ffusion.safety import FaultSpec, inject_faults
 from ffusion.scene import (
     CLASS_IDS,
-    DEFAULT_INTRINSICS,
     GROUND_HEIGHT,
     MAX_OBJECTS,
     MIN_SPACING,
@@ -26,15 +37,13 @@ from ffusion.scene import (
     derive_command,
     generate_scene,
     load_dataset,
-    pixel_directions,
     quantize_rgb,
     render_depth,
     simulate_depth_scan,
     synthesize_sample,
 )
-from ffusion.geometry.calibration import Intrinsics
 from ffusion.scene.dataset import MANIFEST_FORMAT, write_sample
-from ffusion.scene.lidar import SCAN_ROW_STEP
+from ffusion.scene.lidar import SCAN_ROW_STEP, scan_from_hits
 from ffusion.scene.render import HIT_GROUND, HIT_NONE, HIT_OBJECT, labels_from_hits, rgb_from_hits
 from ffusion.scene.spec import GROUND_COLORS, SKY_COLOR
 from test_readers import FILES, roundtrip, with_part
@@ -96,7 +105,7 @@ class TestGenerateScene:
 
 def _cast(scene):
     """The pixel grid's hits, from which every view of a sample is derived."""
-    return cast_rays(scene, pixel_directions(DEFAULT_INTRINSICS))
+    return cast_rays(scene, PIXEL_RAYS)
 
 
 class TestRendering:
@@ -106,7 +115,7 @@ class TestRendering:
         # rays land on it exactly for rows 20..27, cols 12..19 (ground
         # occludes from row 28 down), and the face depth is exact.
         scene = SceneSpec((_box(0.0, 4.0, size=1.0),))
-        depth = render_depth(scene, DEFAULT_INTRINSICS)
+        depth = render_depth(scene)
         face = depth.values == 3.5
         expected = np.zeros((32, 32), dtype=bool)
         expected[20:28, 12:20] = True
@@ -114,22 +123,21 @@ class TestRendering:
 
     def test_ground_depth_matches_plane_equation(self):
         scene = SceneSpec((_box(50.0, 17.0, size=0.4, y=GROUND_HEIGHT - 0.2),))
-        depth = render_depth(scene, DEFAULT_INTRINSICS)
-        intr = DEFAULT_INTRINSICS
+        depth = render_depth(scene)
         for row in (24, 28, 31):
-            dir_y = (row + 0.5 - intr.cy) / intr.fy
+            dir_y = (row + 0.5 - CENTER_Y) / FOCAL_Y
             expected = GROUND_HEIGHT / dir_y
             assert np.isclose(depth.values[row, 0], expected, atol=1e-9)
 
     def test_sky_pixels_missing(self):
         scene = SceneSpec((_box(0.0, 17.5, size=0.5),))
-        depth = render_depth(scene, DEFAULT_INTRINSICS)
+        depth = render_depth(scene)
         assert not depth.valid[0, 0]
         assert not depth.valid[2, 31]
 
     def test_rgb_range_and_regions(self):
         scene = SceneSpec((_box(0.0, 4.0, size=1.5),))
-        img = rgb_from_hits(scene, _cast(scene), DEFAULT_INTRINSICS)
+        img = rgb_from_hits(scene, _cast(scene))
         assert img.shape == (32, 32, 3)
         assert img.min() >= 0.0 and img.max() <= 1.0
         assert np.array_equal(img[18, 16], np.array([0.2, 0.3, 0.8]))  # box color
@@ -137,7 +145,7 @@ class TestRendering:
 
     def test_checkerboard_ground_varies(self):
         scene = SceneSpec((_box(0.0, 17.5, size=0.5),))
-        img = rgb_from_hits(scene, _cast(scene), DEFAULT_INTRINSICS)
+        img = rgb_from_hits(scene, _cast(scene))
         bottom = img[28:, :, 0]
         assert bottom.std() > 0.01
 
@@ -148,7 +156,7 @@ class TestRendering:
             (SceneObject("sphere", "vehicle", np.array([0.0, 0.0, 6.0]), 2.0,
                          np.array([0.5, 0.5, 0.5])),)
         )
-        depth = render_depth(scene, DEFAULT_INTRINSICS)
+        depth = render_depth(scene)
         a = 0.5 / 28.0
         qa = 2.0 * a * a + 1.0
         qb = -2.0 * 6.0
@@ -158,7 +166,7 @@ class TestRendering:
 
     def test_labels_mark_large_object(self):
         scene = SceneSpec((_box(0.0, 4.0, size=2.0, class_name="barrier"),))
-        labels = labels_from_hits(scene, _cast(scene), DEFAULT_INTRINSICS)
+        labels = labels_from_hits(scene, _cast(scene))
         assert labels[4, 4] == CLASS_IDS["barrier"]
         assert labels[0, 0] == 0  # sky stays background
         assert labels.shape == (8, 8)
@@ -166,7 +174,7 @@ class TestRendering:
     def test_labels_majority_rule(self):
         # A sliver of an object never outvotes the background in a cell.
         scene = SceneSpec((_box(8.0, 14.0, size=0.3, y=GROUND_HEIGHT - 0.15),))
-        labels = labels_from_hits(scene, _cast(scene), DEFAULT_INTRINSICS)
+        labels = labels_from_hits(scene, _cast(scene))
         assert labels.sum() == 0
 
     def test_occlusion_nearest_wins(self):
@@ -176,8 +184,8 @@ class TestRendering:
                            np.array([0.2, 0.3, 0.8]))
         far = SceneObject("box", "barrier", np.array([0.0, 0.0, 10.0]), 1.0,
                           np.array([0.9, 0.8, 0.3]))
-        depth = render_depth(SceneSpec((near, far)), DEFAULT_INTRINSICS)
-        only_far = render_depth(SceneSpec((far,)), DEFAULT_INTRINSICS)
+        depth = render_depth(SceneSpec((near, far)))
+        only_far = render_depth(SceneSpec((far,)))
         assert depth.values[16, 16] == 3.5
         assert only_far.values[16, 16] == 9.5
 
@@ -185,7 +193,7 @@ class TestRendering:
 class TestLidar:
     def test_ground_points_satisfy_plane_equation(self):
         scene = SceneSpec((_box(50.0, 17.0, size=0.4, y=GROUND_HEIGHT - 0.2),))  # out of view
-        cloud = simulate_depth_scan(scene, DEFAULT_INTRINSICS, row_step=1)
+        cloud = simulate_depth_scan(scene, row_step=1)
         assert len(cloud) > 0
         assert np.all(np.abs(cloud.points[:, 1] - GROUND_HEIGHT) < 1e-9)
 
@@ -194,7 +202,7 @@ class TestLidar:
         scene = SceneSpec(
             (SceneObject("sphere", "vehicle", center, 2.0, np.array([0.5, 0.5, 0.5])),)
         )
-        cloud = simulate_depth_scan(scene, DEFAULT_INTRINSICS, row_step=1)
+        cloud = simulate_depth_scan(scene, row_step=1)
         on_sphere = np.abs(np.linalg.norm(cloud.points - center, axis=1) - 1.0) < 1e-9
         near_ground = np.abs(cloud.points[:, 1] - GROUND_HEIGHT) < 1e-9
         assert len(cloud) > 0
@@ -203,9 +211,9 @@ class TestLidar:
 
     def test_miss_rays_produce_no_points(self):
         scene = SceneSpec((_box(0.0, 4.0),))
-        # Principal point on the bottom row: every pixel ray points above the horizon.
-        upward = Intrinsics(fx=28.0, fy=28.0, cx=16.0, cy=7.9, width=32, height=8)
-        cloud = simulate_depth_scan(scene, upward, row_step=1)
+        # Level rays (dir_y = 0) meet neither the ground plane nor the resting box.
+        level = cast_rays(scene, PIXEL_RAYS * np.array([1.0, 0.0, 1.0]))
+        cloud = scan_from_hits(level, row_step=1)
         assert len(cloud) == 0
         assert cloud.points.shape == (0, 3)
 
@@ -214,9 +222,9 @@ class TestDepthScanOracle:
     def test_projected_scan_matches_rendered_depth_bitwise(self):
         for seed in (3, 17, 99):
             scene = generate_scene(seed)
-            cloud = simulate_depth_scan(scene, DEFAULT_INTRINSICS, row_step=2)
-            sparse = project_point_cloud(cloud, DEFAULT_INTRINSICS)
-            rendered = render_depth(scene, DEFAULT_INTRINSICS)
+            cloud = simulate_depth_scan(scene, row_step=2)
+            sparse = project_point_cloud(cloud)
+            rendered = render_depth(scene)
             rows, cols = np.nonzero(sparse.valid)
             assert rows.size > 0
             assert np.all(rendered.valid[rows, cols])
@@ -226,8 +234,8 @@ class TestDepthScanOracle:
 
     def test_scan_covers_only_scanned_rows(self):
         scene = generate_scene(5)
-        cloud = simulate_depth_scan(scene, DEFAULT_INTRINSICS, row_step=2)
-        sparse = project_point_cloud(cloud, DEFAULT_INTRINSICS)
+        cloud = simulate_depth_scan(scene, row_step=2)
+        sparse = project_point_cloud(cloud)
         rows = np.nonzero(sparse.valid.any(axis=1))[0]
         assert np.all(rows % 2 == 0)
 
@@ -244,28 +252,38 @@ class TestOneCastPerSample:
         scene = generate_scene(seed)
         sample = synthesize_sample("000000", seed, row_step=row_step)
         hits = _cast(scene)
-        rgb = quantize_rgb(rgb_from_hits(scene, hits, DEFAULT_INTRINSICS))
+        rgb = quantize_rgb(rgb_from_hits(scene, hits))
         assert np.array_equal(_bits(sample.rgb), _bits(rgb))
         depth = render_depth(scene)
         assert np.array_equal(_bits(sample.depth.values), _bits(depth.values))
         assert np.array_equal(sample.depth.valid, depth.valid)
         assert np.array_equal(sample.seg_labels,
-                              labels_from_hits(scene, hits, DEFAULT_INTRINSICS))
-        scan = simulate_depth_scan(scene, DEFAULT_INTRINSICS, row_step)
+                              labels_from_hits(scene, hits))
+        scan = simulate_depth_scan(scene, row_step)
         assert np.array_equal(_bits(sample.cloud.points), _bits(scan.points))
 
     @given(seed=st.integers(0, 2**64 - 1), row_step=st.integers(1, 4))
     def test_row_sliced_scan_equals_casting_only_the_scanned_rows(self, seed, row_step):
         scene = generate_scene(seed)
-        intr = DEFAULT_INTRINSICS
-        dirs = pixel_directions(intr).reshape(intr.height, intr.width, 3)[::row_step]
+        dirs = PIXEL_RAYS.reshape(IMAGE_SIDE, IMAGE_SIDE, 3)[::row_step]
         hits = cast_rays(scene, dirs.reshape(-1, 3))
-        scan = simulate_depth_scan(scene, intr, row_step)
+        scan = simulate_depth_scan(scene, row_step)
         assert np.array_equal(_bits(scan.points), _bits(hits.points[hits.hit]))
+
+    def test_every_sample_casts_the_one_read_only_ray_grid(self, monkeypatch):
+        cast = []
+        monkeypatch.setattr(scene_dataset, "cast_rays",
+                            lambda scene, dirs: cast.append(dirs) or cast_rays(scene, dirs))
+        for seed in (1, 2):
+            synthesize_sample("000000", seed)
+        assert all(dirs is PIXEL_RAYS for dirs in cast) and len(cast) == 2
+        assert PIXEL_RAYS.shape == (IMAGE_SIDE * IMAGE_SIDE, 3)
+        assert not PIXEL_RAYS.flags.writeable
+        assert np.all(PIXEL_RAYS[:, 2] == 1.0)
 
     def test_default_sample_uses_the_dataset_row_step(self):
         scene = generate_scene(41)
-        scan = simulate_depth_scan(scene, DEFAULT_INTRINSICS, SCAN_ROW_STEP)
+        scan = simulate_depth_scan(scene, SCAN_ROW_STEP)
         sample = synthesize_sample("000000", 41)
         assert np.array_equal(_bits(sample.cloud.points), _bits(scan.points))
 
@@ -289,8 +307,8 @@ class TestShading:
     @given(seed=st.integers(0, 2**64 - 1))
     def test_palette_equals_the_per_object_loop(self, seed):
         scene = generate_scene(seed)
-        hits = cast_rays(scene, pixel_directions(DEFAULT_INTRINSICS))
-        assert np.array_equal(_bits(rgb_from_hits(scene, hits, DEFAULT_INTRINSICS)),
+        hits = cast_rays(scene, PIXEL_RAYS)
+        assert np.array_equal(_bits(rgb_from_hits(scene, hits)),
                               _bits(_rgb_by_object_loop(scene, hits)))
 
 
@@ -339,7 +357,7 @@ class TestLabelVote:
     @given(case=pixel_hits())
     def test_vote_equals_the_per_cell_loop(self, case):
         scene, hits = case
-        assert np.array_equal(labels_from_hits(scene, hits, DEFAULT_INTRINSICS),
+        assert np.array_equal(labels_from_hits(scene, hits),
                               _labels_by_cell_loop(scene, hits))
 
     def test_exact_half_and_ties(self):
@@ -354,7 +372,7 @@ class TestLabelVote:
         flat = index.reshape(8, 8, 4, 4).transpose(0, 2, 1, 3).reshape(-1)
         kind = np.where(flat >= 0, HIT_OBJECT, HIT_GROUND)
         hits = RayHits(t=np.ones(flat.size), kind=kind, index=flat, points=np.zeros((flat.size, 3)))
-        labels = labels_from_hits(scene, hits, DEFAULT_INTRINSICS)
+        labels = labels_from_hits(scene, hits)
         assert labels[0, :4].tolist() == [0, CLASS_IDS["barrier"], CLASS_IDS["pedestrian"],
                                           CLASS_IDS["pedestrian"]]
         assert labels[1:].sum() == 0 and labels[0, 4:].sum() == 0
@@ -548,3 +566,52 @@ class TestDataset:
     def test_sample_off_the_image_grid_rejected(self, part, cause):
         with pytest.raises(DataError, match=cause):
             with_part(**part)
+
+
+def _tree_digest(root):
+    """SHA-256 over every file under root: relative path, then bytes, in path order."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def _features_digest(features):
+    """SHA-256 over a FeatureBatch's arrays and its rows' availability patterns."""
+    digest = hashlib.sha256()
+    for name in ("camera", "depth", "text", "command_ids", "seg_labels"):
+        array = np.ascontiguousarray(getattr(features, name))
+        digest.update(f"{name} {array.dtype} {array.shape}\0".encode())
+        digest.update(array.tobytes())
+    digest.update(repr(features.patterns).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedOutputs:
+    """The files generate writes and the inputs prepared from them, pinned.
+
+    Rendering, the scan, projection, densification and the LiDAR faults
+    all feed these bytes, so a change to any of them that moves a bit
+    fails here."""
+
+    TREE = "16c91528698213d4dbd01e15fd224cd21a7712e0532fc8e48aa8a76f8296c902"
+    PREPARED = {
+        "nominal": "22bdbb1806257438d4a3f196a8bab7d2cd9b64e27a06b4e28fc69ccaa3b108e3",
+        "miscalibration_shift": "feee0a4f9c6b631356d2cefe12301755a399d28743b3dd9c5e1d5b6aa0f9e842",
+        "partial_dropout": "a2ea47286eff6c86bb5f87b813e889df62c9b9642fd8ebb67d36cd5f91d5b337",
+    }
+    FAULTS = {
+        "nominal": (),
+        "miscalibration_shift": (FaultSpec("lidar", "miscalibration_shift", 2.0),),
+        "partial_dropout": (FaultSpec("lidar", "partial_dropout", 0.5),),
+    }
+
+    def test_generated_tree_and_prepared_inputs(self, tmp_path):
+        build_dataset(tmp_path, count=60, seed=7)
+        assert _tree_digest(tmp_path) == self.TREE
+        samples = [s for split in load_dataset(tmp_path).values() for s in split]
+        for name, faults in self.FAULTS.items():
+            features = prepare_samples([inject_faults(s, faults) for s in samples],
+                                       ModelConfig())
+            assert _features_digest(features) == self.PREPARED[name], name

@@ -93,10 +93,6 @@ class TestForwardOracles:
         assert np.isclose(out.data[1], 100.0)
         assert np.isclose(out.data[2], 0.0, atol=1e-12)
 
-    def test_relu_clamps_negatives(self):
-        out = ops.relu(Tensor([-2.0, 0.0, 3.0]))
-        assert np.array_equal(out.data, [0.0, 0.0, 3.0])
-
     def test_cross_entropy_uniform_is_log_classes(self):
         probs = Tensor(np.full((4,), 0.25))
         loss = ops.cross_entropy(probs, np.array(2))
