@@ -21,8 +21,11 @@ import numpy as np
 from ffusion.autodiff.tensor import Array, Tensor, record_op
 from ffusion.errors import MaskError, ShapeError
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# GELU's tanh form (Hendrycks & Gimpel, arXiv:1606.08415):
+# Phi(x) ~ 0.5 * (1 + tanh(c * (x + a * x**3))), within 1.8e-4 of the Gaussian CDF.
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_CA = _GELU_C * 0.044715
+_GELU_CLIP = 20.0  # Phi is exactly 0 or 1 in float64 beyond |x| > 7.5
 
 CE_PROB_FLOOR = 1e-12
 LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
@@ -79,25 +82,39 @@ def scale(x: Tensor, factor: float) -> Tensor:
 
 
 def _gelu_cdf(x: Array) -> Array:
-    """Phi(x), the Gaussian CDF that GELU multiplies x by."""
-    from scipy.special import erf  # here, so commands that run no model never load SciPy
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    """Phi(x) ~ 0.5 * (1 + tanh(x * (c + c * a * x * x))), the tanh form of the
+    Gaussian CDF that GELU multiplies x by, in one new array."""
+    t = x * x
+    t *= _GELU_CA
+    t += _GELU_C
+    t *= x
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= 0.5
+    return t
 
 
 def _gelu_grad(g: Array, x: Array, cdf: Array) -> Array:
-    """g * (cdf + x * pdf) with pdf = exp(-0.5 * x * x) / sqrt(2 pi), in one new array."""
-    d = -0.5 * x
+    """g * (cdf + x * 2 cdf (1 - cdf) * c * (1 + 3 a x^2)), the derivative of
+    x * cdf, since 1 - tanh^2 = 4 cdf (1 - cdf). The polynomial reads x clipped
+    to +-20, where cdf (1 - cdf) is already 0, so a huge x cannot make it inf
+    and the product NaN."""
+    d = 1.0 - cdf
+    d *= cdf
     d *= x
-    np.exp(d, out=d)
-    d *= _INV_SQRT_2PI
-    d *= x
+    p = np.clip(x, -_GELU_CLIP, _GELU_CLIP)
+    p *= p
+    p *= 6.0 * _GELU_CA
+    p += 2.0 * _GELU_C
+    d *= p
     d += cdf
     d *= g
     return d
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact GELU: x * Phi(x) with the Gaussian CDF."""
+    """GELU in its tanh form: x * Phi(x), Phi the tanh approximation of the
+    Gaussian CDF."""
     xd = x.data
     cdf = _gelu_cdf(xd)
     out = _result((x,), xd * cdf)

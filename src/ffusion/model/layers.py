@@ -100,11 +100,11 @@ class TransformerBlock:
 
     The record keeps only what its backward reads: each norm's normalized
     rows and inverse std, q, k, v, the attention weights, and the MLP
-    pre-activation with its Gaussian CDF. Backward recomputes the norm
-    outputs, the attention mix and the GELU output with the forward's numpy
-    calls, so outputs and gradients equal those of the chain of layer_norm,
-    linear, attention, add and gelu ops bit for bit; gradients sum in that
-    chain's order.
+    pre-activation with its Phi (GELU's tanh form of the Gaussian CDF).
+    Backward recomputes the norm outputs, the attention mix and the GELU
+    output with the forward's numpy calls, so outputs and gradients equal
+    those of the chain of layer_norm, linear, attention, add and gelu ops
+    bit for bit; gradients sum in that chain's order.
     """
 
     MLP_RATIO = 4

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ffusion.autodiff import (
     Rng,
@@ -195,6 +197,26 @@ class TestBlockRecord:
         assert len(grads) == len(ref_grads) == 16
         for got, want in zip(grads, ref_grads):
             assert np.array_equal(got, want)
+
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=16, max_size=16))
+    @example([1e300, -1e300] * 8)
+    def test_gelu_gradient_finite_for_any_finite_input(self, pre):
+        # Beyond |x| ~ 1e154, x * x is inf, which must never meet the zero
+        # cdf (1 - cdf) of the backward. The block's pre-activation is the
+        # expand bias here; x * x overflowing in the forward only saturates tanh.
+        block, store, x = small_block(4, 1, tokens=3)
+        store["block.mlp.expand.weight"].data[...] = 0.0
+        store["block.mlp.expand.bias"].data[...] = pre
+        store["block.mlp.contract.weight"].data[...] *= 1e-10
+        leaf = Tensor(pre, requires_grad=True)
+        with np.errstate(over="ignore"), Tape() as tape:
+            out = block(x)[0]
+            loss = add(sum_(mul(out, Tensor.constant(Rng(3).normal(out.shape)))),
+                       sum_(gelu(leaf)))
+        backward(tape, loss)
+        grads = [leaf.grad, x.grad] + [store[path].grad for path in store.paths()]
+        assert np.isfinite(out.data).all() and np.isfinite(loss.data)
+        assert all(np.isfinite(g).all() for g in grads)
 
     @pytest.mark.parametrize("rows", [None, (0, 3)], ids=["all", "rows"])
     @pytest.mark.parametrize("heads", [1, 2])
@@ -595,7 +617,7 @@ class TestNetwork:
         # against 63.1 and 69.7 MB (ratios 0.635 and 0.68).
         net = FusionNetwork(config=ModelConfig(), seed=0)
         batch = prepare_samples(make_samples(32), net.config)
-        net.forward(batch)  # SciPy's import would add ~10 MB to the first step
+        net.forward(batch)  # one-time set-up stays out of both measurements
 
         def step_bytes():
             tracemalloc.start()
